@@ -82,4 +82,4 @@ from .shots import (
     xps_template,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Weak-excitation two-level dynamics driven by a sampled envelope.
 
-Integrates the amplitude equation dc/dt = (i*Delta - Gamma/2) c + i*Omega(t)/2
-with fixed-step RK4, derives excitation/de-excitation flows from P_e = |c|^2,
-and attributes the eventual fate (coherent forward return vs spontaneous
-scattering) of excitation present at each instant.
+Solves the amplitude equation dc/dt = (i*Delta - Gamma/2) c + i*Omega(t)/2
+on the envelope's FFT grid, derives excitation/de-excitation flows from
+P_e = |c|^2, and attributes the eventual fate (coherent forward return vs
+spontaneous scattering) of excitation present at each instant.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, WeakExcitationError
+from .errors import ConfigError, WeakExcitationError
 from .medium import SampledEnvelope
 
 __all__ = [
@@ -38,7 +38,11 @@ class TruncatedDecayWarning(UserWarning):
 
 @dataclass(frozen=True)
 class BlochConfig:
-    """Integration setup: decay rate, atom-vs-carrier detuning, drive scale, step."""
+    """Decay rate, atom-vs-carrier detuning, drive scale and a time step.
+
+    integrator_dt is validated but not read: the weak response is solved
+    on the envelope's own grid.
+    """
 
     gamma: float  # rad/s
     rabi_per_amplitude: float  # rad/s per unit envelope amplitude
@@ -87,94 +91,52 @@ class FateProfile:
         return self.t0 + self.dt * np.arange(self.f_coh.size)
 
 
-def _envelope_rms_width(env: SampledEnvelope) -> float:
-    p = np.abs(env.samples) ** 2
-    total = p.sum()
-    if total == 0:
-        return np.inf
-    t = env.times()
-    mean = (p * t).sum() / total
-    var = (p * (t - mean) ** 2).sum() / total
-    return float(np.sqrt(max(var, 0.0)))
-
-
-def _integration_grid(env: SampledEnvelope, cfg: BlochConfig):
-    t = env.times()
-    span = t[-1] - t[0]
-    n_steps = int(np.ceil(span / cfg.integrator_dt))
-    h = span / n_steps
-    grid = t[0] + h * np.arange(n_steps + 1)
-    return grid, h
-
-
-def _resample(samples: np.ndarray, t_src: np.ndarray, t_dst: np.ndarray) -> np.ndarray:
-    return (np.interp(t_dst, t_src, samples.real)
-            + 1j * np.interp(t_dst, t_src, samples.imag))
-
-
-def _integrate_pe_many(omega_rows: np.ndarray, t_src: np.ndarray, cfg: BlochConfig):
-    """RK4 for a stack of drive histories sharing one time grid.
-
-    omega_rows: (m, n) complex Rabi frequencies on t_src.
-    Returns (t_grid, step, pe) with pe of shape (m, n_steps + 1).
-    """
-    span = t_src[-1] - t_src[0]
-    n_steps = int(np.ceil(span / cfg.integrator_dt))
-    h = span / n_steps
-    grid = t_src[0] + h * np.arange(n_steps + 1)
-    mids = grid[:-1] + 0.5 * h
-
-    m = omega_rows.shape[0]
-    om_g = np.empty((m, n_steps + 1), dtype=complex)
-    om_m = np.empty((m, n_steps), dtype=complex)
-    for i in range(m):
-        om_g[i] = _resample(omega_rows[i], t_src, grid)
-        om_m[i] = _resample(omega_rows[i], t_src, mids)
-
-    lam = 1j * cfg.detuning - 0.5 * cfg.gamma
-    c = np.zeros(m, dtype=complex)
-    pe = np.empty((m, n_steps + 1))
-    pe[:, 0] = 0.0
-    for n in range(n_steps):
-        o0, om, o1 = om_g[:, n], om_m[:, n], om_g[:, n + 1]
-        k1 = lam * c + 0.5j * o0
-        k2 = lam * (c + 0.5 * h * k1) + 0.5j * om
-        k3 = lam * (c + 0.5 * h * k2) + 0.5j * om
-        k4 = lam * (c + h * k3) + 0.5j * o1
-        c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        pe[:, n + 1] = np.abs(c) ** 2
-    return grid, h, pe
-
-
-def _flows(pe: np.ndarray, h: float, gamma: float):
-    """Rectified flows from P_e: centered differences, one-sided at the ends."""
-    dpe = np.gradient(pe, h, axis=-1)
-    net = dpe + gamma * pe
-    up = np.clip(net, 0.0, None)
-    coh_down = np.clip(-net, 0.0, None)
-    spont = gamma * pe
-    return up, coh_down, spont
-
-
-def integrate_weak_bloch(env: SampledEnvelope, cfg: BlochConfig) -> ExcitationRecord:
-    """Integrate the weak-drive amplitude equation for one envelope."""
-    width = _envelope_rms_width(env)
-    limit = min(1.0 / cfg.gamma, width) / _STEP_DIVISOR
-    if cfg.integrator_dt > limit * (1.0 + 1e-12):
-        raise ConfigError(
-            f"integrator_dt={cfg.integrator_dt:g} exceeds "
-            f"min(lifetime, pulse rms)/{_STEP_DIVISOR:g} = {limit:g}"
-        )
-    omega = cfg.rabi_per_amplitude * env.samples
-    grid, h, pe = _integrate_pe_many(omega[None, :], env.times(), cfg)
+def _check_weak(pe: np.ndarray):
     peak = float(pe.max())
     if peak >= _WEAK_PE_LIMIT:
         raise WeakExcitationError(
             f"peak excitation probability {peak:.3e} >= {_WEAK_PE_LIMIT:g}; "
             "reduce rabi_per_amplitude", peak)
-    up, coh_down, spont = _flows(pe[0], h, cfg.gamma)
-    return ExcitationRecord(t0=grid[0], dt=h, gamma=cfg.gamma, pe=pe[0],
-                            up_flow=up, coh_down_flow=coh_down, spont_flow=spont)
+
+
+def _weak_amplitudes(spectra: np.ndarray, dt: float,
+                     cfg: BlochConfig) -> np.ndarray:
+    """Solve dc/dt = lam c + i Omega(t)/2 with c(t0) = 0 on the FFT grid.
+
+    `spectra` holds envelope FFTs along the last axis; Omega is
+    cfg.rabi_per_amplitude times the envelope.  Each bin is solved by
+    C(w) = (i Omega(w)/2)/(i w - lam), which is the periodic solution;
+    subtracting the homogeneous term c(t0) exp(lam (t - t0)) makes it the
+    causal one.  Works in place: returns `spectra` holding c(t).
+    """
+    n = spectra.shape[-1]
+    lam = 1j * cfg.detuning - 0.5 * cfg.gamma
+    w = 2.0 * np.pi * np.fft.fftfreq(n, dt)
+    spectra *= (0.5j * cfg.rabi_per_amplitude) / (1j * w - lam)
+    c = np.fft.ifft(spectra, axis=-1, out=spectra)
+    c -= c[..., :1] * np.exp(lam * dt * np.arange(n))
+    return c
+
+
+def _net_flow(pe: np.ndarray, h: float, gamma: float) -> np.ndarray:
+    """dP_e/dt + gamma P_e along axis 0: excitation gained where positive,
+    coherently returned where negative.  Centred differences, one-sided at
+    the ends."""
+    net = np.gradient(pe, h, axis=0)
+    net += gamma * pe
+    return net
+
+
+def integrate_weak_bloch(env: SampledEnvelope, cfg: BlochConfig) -> ExcitationRecord:
+    """Weak-drive excitation of one envelope, on the envelope's own grid."""
+    c = _weak_amplitudes(np.fft.fft(env.samples), env.dt, cfg)
+    pe = c.real ** 2 + c.imag ** 2
+    _check_weak(pe)
+    net = _net_flow(pe, env.dt, cfg.gamma)
+    return ExcitationRecord(t0=env.t0, dt=env.dt, gamma=cfg.gamma, pe=pe,
+                            up_flow=np.maximum(net, 0.0),
+                            coh_down_flow=np.maximum(-net, 0.0),
+                            spont_flow=cfg.gamma * pe)
 
 
 def pulse_area(env: SampledEnvelope, cfg: BlochConfig) -> float:
@@ -227,43 +189,44 @@ _CLAMP_REPORT = 1e-6
 
 def _fate_fractions_many(pe: np.ndarray, coh_down: np.ndarray, h: float,
                          gamma: float) -> np.ndarray:
-    """Backward integration of the coherent-fate fraction for stacked records.
+    """Backward integration of the coherent-fate fraction; time on axis 0.
 
     With hazard hz = coh_down/pe the fraction obeys
-    f' = -hz + (gamma + hz) f, integrated backward with f(end) = 0 using a
-    piecewise-constant-hazard exponential step.
+    f' = -hz + (gamma + hz) f, integrated backward from f(end) = 0 with a
+    piecewise-constant-hazard exponential step: f_n = a_n + b_n f_{n+1},
+    where b_n = exp(-lam_n h), a_n = (hm_n/lam_n)(1 - b_n), hm_n is the
+    step's mean hazard and lam_n = gamma + hm_n.  After the last coherent
+    removal the hazard is zero, so a_n = 0 and f stays at its final 0:
+    that excitation can only decay spontaneously.  Rows are contiguous in
+    time, so each step of the recurrence is one pass over all columns.
     """
+    f = np.zeros_like(pe)
     peak = pe.max()
-    floor = peak * 1e-12 if peak > 0 else 0.0
+    if peak <= 0:
+        return f
     # where P_e touches zero under active coherent removal (a 0-pi flip
     # emptying the state) the hazard diverges; flooring P_e saturates the
     # fate fraction at 1 there, and pe * f keeps those points weightless
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hz = np.where(coh_down > 0, coh_down / np.maximum(pe, floor), 0.0)
-    f = np.zeros_like(pe)
-    n_steps = pe.shape[-1] - 1
-    for n in range(n_steps - 1, -1, -1):
-        hm = 0.5 * (hz[..., n] + hz[..., n + 1])
-        lam = gamma + hm
-        decay = np.exp(-lam * h)
-        f[..., n] = (hm / lam) * (1.0 - decay) + decay * f[..., n + 1]
+    hz = np.maximum(pe, peak * 1e-12)
+    np.divide(coh_down, hz, out=hz)
+    hm = hz[:-1] + hz[1:]
+    hm *= 0.5
+    del hz
+    lam = hm + gamma
+    b = np.exp(np.multiply(lam, -h))
+    a = np.divide(hm, lam, out=hm)
+    a *= np.subtract(1.0, b, out=lam)
+    for n in range(a.shape[0] - 1, -1, -1):
+        np.multiply(b[n], f[n + 1], out=f[n])
+        f[n] += a[n]
     over = max(f.max() - 1.0, -f.min(), 0.0)
     if over > _CLAMP_REPORT:
         warnings.warn(f"f_coh clamped by {over:.2e} (> {_CLAMP_REPORT:g})")
-    np.clip(f, 0.0, 1.0, out=f)
-    # excitation alive after the last coherent removal can only decay spontaneously
-    any_coh = coh_down > 0
-    for i in range(f.shape[0]):
-        idx = np.flatnonzero(any_coh[i])
-        if idx.size:
-            f[i, idx[-1] + 1:] = 0.0
-        else:
-            f[i, :] = 0.0
-    return f
+    return np.clip(f, 0.0, 1.0, out=f)
 
 
 def fate_fractions(rec: ExcitationRecord) -> FateProfile:
     """Probability that excitation present at each time ends in coherent return."""
-    f = _fate_fractions_many(rec.pe[None, :], rec.coh_down_flow[None, :],
+    f = _fate_fractions_many(rec.pe[:, None], rec.coh_down_flow[:, None],
                              rec.dt, rec.gamma)
-    return FateProfile(t0=rec.t0, dt=rec.dt, f_coh=f[0])
+    return FateProfile(t0=rec.t0, dt=rec.dt, f_coh=f[:, 0])

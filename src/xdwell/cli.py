@@ -406,8 +406,9 @@ def run_calibration(cfg: shots.ExperimentConfig, photon_numbers, n_shots: int,
         all_stats = estimator.RunningMoments(cal_cfg.n_samples)
         click_stats = estimator.RunningMoments(cal_cfg.n_samples)
         noclick_stats = estimator.RunningMoments(cal_cfg.n_samples)
+        # wrap into the uint64 key space; every seed that fit stays unchanged
         for phases, clicks, _ in shots._campaign_batches(
-                cal_cfg, n_shots, seed + i, workers):
+                cal_cfg, n_shots, (seed + i) % 2**64, workers):
             all_stats.add_batch(phases)
             click_stats.add_batch(phases[clicks])
             noclick_stats.add_batch(phases[~clicks])

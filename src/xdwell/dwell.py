@@ -14,17 +14,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .bloch import BlochConfig, _fate_fractions_many, _flows, _integrate_pe_many
+from .bloch import (
+    BlochConfig,
+    _check_weak,
+    _fate_fractions_many,
+    _net_flow,
+    _weak_amplitudes,
+)
 from .errors import (
     ConfigError,
     ConvergenceError,
     ModelPointError,
-    WeakExcitationError,
 )
 from .medium import (
     MediumSpec,
     PulseSpec,
-    _propagate_samples,
+    _slice_spectra,
     _spectral_sigma,
     gaussian_envelope,
     transmission_probability,
@@ -169,26 +174,23 @@ def _min_coherent_once(pulse: PulseSpec, medium: MediumSpec, slices: int,
     env = gaussian_envelope(pulse, n_samples=n_samples,
                             tail=_DECAY_TAIL_LIFETIMES / medium.gamma)
     n_photons = env.photon_number
-    depths = (np.arange(slices) + 0.5) / slices
-    local = _propagate_samples(env, medium, depths)  # (slices, N)
-    omega = bloch.rabi_per_amplitude * local
-    grid, h, pe = _integrate_pe_many(omega, env.times(), bloch)
-    peak_pe = float(pe.max())
-    if peak_pe >= 1e-2:
-        raise WeakExcitationError(
-            f"peak excitation probability {peak_pe:.3e} >= 0.01; reduce the "
-            "drive scale", peak_pe)
-    up, coh_down, spont = _flows(pe, h, medium.gamma)
+    h = env.dt
+    c = _weak_amplitudes(_slice_spectra(env, medium, slices), h, bloch)
+    pe = np.ascontiguousarray((c.real ** 2 + c.imag ** 2).T)  # (N, slices)
+    del c
+    _check_weak(pe)
+    net = _net_flow(pe, h, medium.gamma)
+    coh_down = np.maximum(np.negative(net, out=net), 0.0, out=net)
     f_coh = _fate_fractions_many(pe, coh_down, h, medium.gamma)
 
-    int_pe = np.trapezoid(pe, dx=h, axis=1)
-    int_coh = np.trapezoid(pe * f_coh, dx=h, axis=1)
+    int_pe = np.trapezoid(pe.sum(axis=1), dx=h)
+    int_coh = np.trapezoid(np.einsum("ts,ts->t", pe, f_coh), dx=h)
     # atom weight per slice making gross scattering match Beer-Lambert loss
     weight = medium.peak_od * medium.gamma / (
         bloch.rabi_per_amplitude ** 2 * slices * n_photons)
-    p_loss = float(medium.gamma * int_pe.sum() * weight)
-    d_coh = float(int_coh.sum() * weight)
-    d_sp = float((int_pe - int_coh).sum() * weight)
+    p_loss = float(medium.gamma * int_pe * weight)
+    d_coh = float(int_coh * weight)
+    d_sp = float((int_pe - int_coh) * weight)
     tau_sp = 1.0 / medium.gamma
     tau0 = (d_coh + d_sp) / tau_sp
     tau_t = d_coh / ((1.0 - p_loss) * tau_sp) if p_loss < 1.0 else 0.0
@@ -202,10 +204,10 @@ def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, slices: int = 128,
                        check_convergence: bool = False) -> DwellBreakdown:
     """Dwell breakdown under the minimum-coherent-emission attribution.
 
-    Propagates the envelope to `slices` equally spaced depths, integrates the
-    weak Bloch dynamics at each, splits the dwell by the coherent/spontaneous
-    fate of the excitation, and aggregates with uniform slice weights
-    normalized per incident photon.
+    Carries the envelope spectrum to `slices` equally spaced depths, solves
+    the weak Bloch response at each on the envelope's FFT grid, splits the
+    dwell by the coherent/spontaneous fate of the excitation, and
+    aggregates with uniform slice weights normalized per incident photon.
     """
     if slices < 32:
         raise ConfigError(f"slices must be >= 32, got {slices}")

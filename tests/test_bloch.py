@@ -17,8 +17,62 @@ from xdwell import (
     pulse_area,
 )
 from xdwell.bloch import ExcitationRecord, _fate_fractions_many
+from xdwell.dwell import default_bloch_config
 
 from conftest import GAMMA, TAU_SP
+
+
+def _resample(samples, t_src, t_dst):
+    return (np.interp(t_dst, t_src, samples.real)
+            + 1j * np.interp(t_dst, t_src, samples.imag))
+
+
+def rk4_pe(omega, t_src, cfg):
+    """Fixed-step RK4 oracle for the weak-drive amplitude equation.
+
+    omega: complex Rabi frequencies on t_src, linearly resampled onto a
+    grid of step <= cfg.integrator_dt.  Returns (step, pe).
+    """
+    span = t_src[-1] - t_src[0]
+    n_steps = int(np.ceil(span / cfg.integrator_dt))
+    h = span / n_steps
+    grid = t_src[0] + h * np.arange(n_steps + 1)
+    om_g = _resample(omega, t_src, grid)
+    om_m = _resample(omega, t_src, grid[:-1] + 0.5 * h)
+    lam = 1j * cfg.detuning - 0.5 * cfg.gamma
+    c = 0.0j
+    pe = np.zeros(n_steps + 1)
+    for n in range(n_steps):
+        o0, om, o1 = om_g[n], om_m[n], om_g[n + 1]
+        k1 = lam * c + 0.5j * o0
+        k2 = lam * (c + 0.5 * h * k1) + 0.5j * om
+        k3 = lam * (c + 0.5 * h * k2) + 0.5j * om
+        k4 = lam * (c + h * k3) + 0.5j * o1
+        c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        pe[n + 1] = abs(c) ** 2
+    return h, pe
+
+
+def fate_fractions_loop(pe, coh_down, h, gamma):
+    """Per-step, per-row reference for _fate_fractions_many: one row per
+    slice, time on the last axis."""
+    peak = pe.max()
+    floor = peak * 1e-12 if peak > 0 else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hz = np.where(coh_down > 0, coh_down / np.maximum(pe, floor), 0.0)
+    f = np.zeros_like(pe)
+    for n in range(pe.shape[-1] - 2, -1, -1):
+        hm = 0.5 * (hz[..., n] + hz[..., n + 1])
+        lam = gamma + hm
+        decay = np.exp(-lam * h)
+        f[..., n] = (hm / lam) * (1.0 - decay) + decay * f[..., n + 1]
+    np.clip(f, 0.0, 1.0, out=f)
+    # excitation alive after the last coherent removal can only decay
+    # spontaneously
+    for i in range(f.shape[0]):
+        idx = np.flatnonzero(coh_down[i] > 0)
+        f[i, idx[-1] + 1 if idx.size else 0:] = 0.0
+    return f
 
 
 def short_pulse_env(width=0.5e-9, after=16 * TAU_SP, n=40000, amp=1.0):
@@ -30,9 +84,9 @@ def short_pulse_env(width=0.5e-9, after=16 * TAU_SP, n=40000, amp=1.0):
                            samples=amp * np.exp(-t**2 / (4 * width**2)) + 0j)
 
 
-def small_cfg(area, env, detuning=0.0, divisor=1.0):
+def small_cfg(area, env, detuning=0.0):
     proj = np.trapezoid(env.samples.real, dx=env.dt)
-    dt = min(1.0 / GAMMA, 0.5e-9) / 50.0 / divisor
+    dt = min(1.0 / GAMMA, 0.5e-9) / 50.0
     return BlochConfig(gamma=GAMMA, rabi_per_amplitude=area / proj,
                        integrator_dt=dt, detuning=detuning)
 
@@ -101,11 +155,28 @@ class TestIntegration:
         np.testing.assert_allclose(a.pe, b.pe, atol=1e-18)
 
     def test_grid_convergence(self):
-        env = short_pulse_env()
-        coarse = excitation_time(integrate_weak_bloch(env, small_cfg(0.02, env)))
+        coarse_env = short_pulse_env()
+        fine_env = short_pulse_env(n=80000)
+        coarse = excitation_time(
+            integrate_weak_bloch(coarse_env, small_cfg(0.02, coarse_env)))
         fine = excitation_time(
-            integrate_weak_bloch(env, small_cfg(0.02, env, divisor=2.0)))
+            integrate_weak_bloch(fine_env, small_cfg(0.02, fine_env)))
         assert abs(fine / coarse - 1.0) < 1e-4
+
+    @pytest.mark.parametrize("sigma", [10e-9, 50e-9])
+    @pytest.mark.parametrize("od", [0.01, 4.0])
+    @pytest.mark.parametrize("depth", [0.5, 1.0])
+    def test_matches_rk4_oracle(self, sigma, od, depth):
+        pulse = PulseSpec(intensity_rms=sigma)
+        medium = MediumSpec.from_lifetime(od, TAU_SP)
+        env = gaussian_envelope(pulse, n_samples=4096, tail=10 * TAU_SP)
+        local = propagate_spectral(env, medium, depth)
+        cfg = default_bloch_config(pulse, medium)
+        rec = integrate_weak_bloch(local, cfg)
+        h, pe = rk4_pe(cfg.rabi_per_amplitude * local.samples, local.times(),
+                       cfg)
+        oracle = np.trapezoid(pe, dx=h)
+        assert excitation_time(rec) == pytest.approx(oracle, rel=1e-4)
 
     def test_flow_balance(self):
         env = short_pulse_env()
@@ -216,8 +287,6 @@ class TestFateFractions:
         hazard Gamma + h(t); the empirical coherent-death fraction must
         match the f_coh-weighted birth average.
         """
-        from xdwell.dwell import default_bloch_config
-
         env = gaussian_envelope(pulse_10ns, n_samples=4096, tail=300e-9)
         mid = propagate_spectral(env, medium_od4, 0.5)
         bloch = default_bloch_config(pulse_10ns, medium_od4)
@@ -250,6 +319,22 @@ class TestFateFractions:
 
     def test_clamped_to_unit_interval(self):
         pe = np.full(100, 1e-4)
-        f = _fate_fractions_many(pe[None, :], (50 * GAMMA * pe)[None, :],
+        f = _fate_fractions_many(pe[:, None], (50 * GAMMA * pe)[:, None],
                                  0.1e-9, GAMMA)
         assert f.min() >= 0.0 and f.max() <= 1.0
+
+    def test_matches_loop_reference(self, pulse_10ns, medium_od4):
+        # a stack of slices with and without phase flips, time on axis 0;
+        # the arithmetic is unchanged, so the results must be equal
+        env = gaussian_envelope(pulse_10ns, n_samples=4096, tail=300e-9)
+        cfg = default_bloch_config(pulse_10ns, medium_od4)
+        recs = [integrate_weak_bloch(propagate_spectral(env, medium_od4, d),
+                                     cfg) for d in (0.0, 0.5, 1.0)]
+        pe = np.stack([r.pe for r in recs])
+        coh = np.stack([r.coh_down_flow for r in recs])
+        coh[0] = 0.0  # a row without coherent removal
+        coh[1, 3000:] = 0.0  # a row whose last removal is early
+        f = _fate_fractions_many(pe.T.copy(), coh.T.copy(), recs[0].dt, GAMMA)
+        ref = fate_fractions_loop(pe, coh, recs[0].dt, GAMMA)
+        assert np.any(ref > 0.0)
+        np.testing.assert_array_equal(f.T, ref)

@@ -1,12 +1,22 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xdwell
 from xdwell import ConfigError, DataFormatError, ExperimentConfig, cli
 from xdwell import shotfile
+from xdwell.cli import run_calibration
 from xdwell.errors import ConvergenceError
 from xdwell.shots import run_campaign
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert xdwell.__version__ == tomllib.load(fh)["project"]["version"]
 
 
 class TestShotFileRoundTrip:
@@ -263,3 +273,12 @@ class TestCli:
         value = row.split(",")[3]
         assert float(value) == float(format(float(value), ".17g"))
         assert len(value.split(".")[-1]) > 10  # 17 significant digits kept
+
+    def test_calibration_seeds_wrap(self):
+        # photon number i runs on seed + i modulo 2**64, so the seed after
+        # the largest one is 0
+        cfg = ExperimentConfig()
+        last = run_calibration(cfg, [588, 898, 1527, 3040], 5000,
+                               seed=2**64 - 1)
+        first = run_calibration(cfg, [898, 1527, 3040, 588], 5000, seed=0)
+        assert last["points"][1:] == first["points"][:3]
