@@ -21,19 +21,16 @@ from .dwell import (
     MODEL_EGALITARIAN,
     MODEL_MIN_COHERENT,
     DwellBreakdown,
-    ModelCurve,
     default_bloch_config,
     egalitarian_broadband,
     egalitarian_monochromatic,
     min_coherent_model,
-    sweep_od,
 )
 from .errors import (
     ConfigError,
     ConvergenceError,
     DataFormatError,
     InsufficientBinError,
-    ModelPointError,
     RankDeficiencyError,
     WeakExcitationError,
     WindowLeakageError,
@@ -45,6 +42,7 @@ from .estimator import (
     FitResult,
     NoiseCalibration,
     RunningMoments,
+    analyze_file,
     bin_and_average,
     calibrate_proportional_noise,
     click_inference_check,
@@ -52,12 +50,12 @@ from .estimator import (
     correct_phi_T,
     fit_phi0,
     fit_transmitted,
+    run_calibration,
 )
 from .medium import (
     MediumSpec,
     PulseSpec,
     SampledEnvelope,
-    TransferSample,
     dispersion_phase,
     field_transfer,
     gaussian_envelope,
@@ -65,7 +63,6 @@ from .medium import (
     propagate_spectral,
     pulse_spectrum,
     spectral_rms_hz,
-    transfer_curve,
     transmission_probability,
 )
 from .shots import (
@@ -73,10 +70,8 @@ from .shots import (
     CampaignSummary,
     ExperimentConfig,
     OscillationSpec,
-    ShotRecord,
     XpsTemplate,
     expected_click_rate,
-    generate_shot,
     iter_batches,
     run_campaign,
     xps_template,

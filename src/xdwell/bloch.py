@@ -29,7 +29,6 @@ __all__ = [
 ]
 
 _WEAK_PE_LIMIT = 1e-2
-_STEP_DIVISOR = 50.0
 
 
 class TruncatedDecayWarning(UserWarning):
@@ -38,15 +37,10 @@ class TruncatedDecayWarning(UserWarning):
 
 @dataclass(frozen=True)
 class BlochConfig:
-    """Decay rate, atom-vs-carrier detuning, drive scale and a time step.
-
-    integrator_dt is validated but not read: the weak response is solved
-    on the envelope's own grid.
-    """
+    """Decay rate, drive scale and atom-vs-carrier detuning."""
 
     gamma: float  # rad/s
     rabi_per_amplitude: float  # rad/s per unit envelope amplitude
-    integrator_dt: float  # seconds
     detuning: float = 0.0  # rad/s
 
     def __post_init__(self):
@@ -54,13 +48,6 @@ class BlochConfig:
             raise ConfigError("gamma must be > 0")
         if self.rabi_per_amplitude <= 0:
             raise ConfigError("rabi_per_amplitude must be > 0")
-        if self.integrator_dt <= 0:
-            raise ConfigError("integrator_dt must be > 0")
-        if self.integrator_dt > (1.0 / self.gamma) / _STEP_DIVISOR:
-            raise ConfigError(
-                f"integrator_dt={self.integrator_dt:g} exceeds lifetime/"
-                f"{_STEP_DIVISOR:g} = {(1.0 / self.gamma) / _STEP_DIVISOR:g}"
-            )
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dwell, estimator, shotfile, shots
+from . import shotfile, shots
 from .bloch import detect_phase_flip, pulse_area
 from .dwell import (
     MODEL_EGALITARIAN,
@@ -29,8 +29,8 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DataFormatError,
-    ModelPointError,
 )
+from .estimator import analyze_file, run_calibration
 from .medium import (
     MediumSpec,
     PulseSpec,
@@ -290,70 +290,6 @@ def cmd_simulate(args) -> int:
 # --- analyze -----------------------------------------------------------------
 
 
-def analyze_file(path, cfg: shots.ExperimentConfig, s2: float = 0.0,
-                 s2_se: float = 0.0, force_digest: bool = False) -> dict:
-    """Full estimator chain over one shot file.
-
-    Returns (report dict, BinnedTraces)."""
-    header = shotfile.read_header(path)
-    expected = shotfile.config_digest(shotfile.canonical_config_text(
-        shotfile.experiment_sections(cfg)))
-    if header.digest != expected and not force_digest:
-        raise DataFormatError(
-            f"{path}: config digest {header.digest.hex()[:16]}... does not "
-            f"match the analysis config ({expected.hex()[:16]}...); rerun "
-            "with --force-digest to analyze anyway")
-    if header.n_samples != cfg.n_samples:
-        raise DataFormatError(
-            f"{path}: file has {header.n_samples} samples per shot, config "
-            f"says {cfg.n_samples}")
-
-    template = shots.xps_template(cfg)
-    all_stats = estimator.RunningMoments(cfg.n_samples)
-    click_stats = estimator.RunningMoments(cfg.n_samples)
-    noclick_stats = estimator.RunningMoments(cfg.n_samples)
-    for phases, clicks, _ in shotfile.iter_shot_batches(path):
-        all_stats.add_batch(phases)
-        click_stats.add_batch(phases[clicks])
-        noclick_stats.add_batch(phases[~clicks])
-    for name, stats in (("click", click_stats), ("no-click", noclick_stats)):
-        if stats.count < estimator.MIN_BIN_POPULATION:
-            raise estimator.InsufficientBinError(
-                name, stats.count, estimator.MIN_BIN_POPULATION)
-    se_c = click_stats.standard_error
-    se_n = noclick_stats.standard_error
-    binned = estimator.BinnedTraces(
-        phi_click=click_stats.mean,
-        phi_noclick=noclick_stats.mean,
-        delta_phi=click_stats.mean - noclick_stats.mean,
-        se_click=se_c, se_noclick=se_n,
-        se_delta=np.sqrt(se_c**2 + se_n**2),
-        n_click=click_stats.count, n_noclick=noclick_stats.count)
-
-    phi0 = estimator.fit_phi0(all_stats.mean, cfg.mean_photons, template,
-                              sigma=all_stats.standard_error)
-    phi_t = estimator.fit_transmitted(binned, template)
-    if s2 != 0.0:
-        phi_t = estimator.correct_phi_T(phi_t, s2, cfg.mean_photons, phi0,
-                                        s2_se=s2_se)
-    combined = estimator.combine_detunings(
-        [(cfg.probe_detuning, phi_t, phi0)])
-
-    report = {
-        "phi0": phi0.amplitude,
-        "phi0_se": phi0.amplitude_se,
-        "phiT": phi_t.amplitude,
-        "phiT_se": phi_t.amplitude_se,
-        "ratio": combined.ratio,
-        "ratio_se": combined.se,
-        "s2": s2,
-        "chi2_per_dof": phi_t.chi2_per_dof,
-        "n_shots": header.n_shots,
-        "click_rate": binned.n_click / header.n_shots,
-    }
-    return report, binned
-
-
 def cmd_analyze(args) -> int:
     parser = _load_config(args.config)
     cfg = _experiment_from_config(parser)
@@ -381,61 +317,6 @@ def cmd_analyze(args) -> int:
 
 
 _DEFAULT_CAL_PHOTONS = "588,898,1527,3040"
-
-
-def _calibration_eta(cfg: shots.ExperimentConfig, mu: float,
-                     target_click: float) -> float:
-    """Detection efficiency giving the target click rate at mu photons."""
-    p_signal = (target_click - cfg.dark_prob) / (1.0 - cfg.dark_prob)
-    if not 0.0 < p_signal < 1.0:
-        raise ConfigError(
-            f"target_click_rate {target_click:g} unreachable with "
-            f"dark_prob {cfg.dark_prob:g}")
-    return float(-np.log1p(-p_signal) / (cfg.p_transmit * mu))
-
-
-def run_calibration(cfg: shots.ExperimentConfig, photon_numbers, n_shots: int,
-                    seed: int, target_click: float = 0.10,
-                    workers: int = 1) -> dict:
-    """Bright campaigns at each photon number; fits e(mu) = 1 + s^2 mu."""
-    points = []
-    for i, mu in enumerate(photon_numbers):
-        cal_cfg = cfg.replace(mean_photons=mu, phi_atom=cfg.phi_atom,
-                              eta_detect=_calibration_eta(cfg, mu, target_click))
-        template = shots.xps_template(cal_cfg)
-        all_stats = estimator.RunningMoments(cal_cfg.n_samples)
-        click_stats = estimator.RunningMoments(cal_cfg.n_samples)
-        noclick_stats = estimator.RunningMoments(cal_cfg.n_samples)
-        # wrap into the uint64 key space; every seed that fit stays unchanged
-        for phases, clicks, _ in shots._campaign_batches(
-                cal_cfg, n_shots, (seed + i) % 2**64, workers):
-            all_stats.add_batch(phases)
-            click_stats.add_batch(phases[clicks])
-            noclick_stats.add_batch(phases[~clicks])
-        se_c = click_stats.standard_error
-        se_n = noclick_stats.standard_error
-        binned = estimator.BinnedTraces(
-            phi_click=click_stats.mean, phi_noclick=noclick_stats.mean,
-            delta_phi=click_stats.mean - noclick_stats.mean,
-            se_click=se_c, se_noclick=se_n,
-            se_delta=np.sqrt(se_c**2 + se_n**2),
-            n_click=click_stats.count, n_noclick=noclick_stats.count)
-        phi0 = estimator.fit_phi0(all_stats.mean, mu, template,
-                                  sigma=all_stats.standard_error)
-        phi_t = estimator.fit_transmitted(binned, template)
-        excess = phi_t.amplitude / phi0.amplitude
-        excess_se = abs(excess) * np.sqrt(
-            (phi_t.amplitude_se / phi_t.amplitude) ** 2
-            + (phi0.amplitude_se / phi0.amplitude) ** 2)
-        points.append((mu, excess, float(excess_se)))
-    cal = estimator.calibrate_proportional_noise(points)
-    return {
-        "s2": cal.s2,
-        "s2_se": cal.s2_se,
-        "upper_bound": cal.upper_bound,
-        "points": [{"mean_photons": mu, "excess": e, "excess_se": se}
-                   for mu, e, se in points],
-    }
 
 
 def cmd_calibrate(args) -> int:

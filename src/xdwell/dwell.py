@@ -21,11 +21,7 @@ from .bloch import (
     _net_flow,
     _weak_amplitudes,
 )
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    ModelPointError,
-)
+from .errors import ConfigError, ConvergenceError
 from .medium import (
     MediumSpec,
     PulseSpec,
@@ -37,14 +33,12 @@ from .medium import (
 
 __all__ = [
     "DwellBreakdown",
-    "ModelCurve",
     "MODEL_EGALITARIAN",
     "MODEL_MIN_COHERENT",
     "egalitarian_monochromatic",
     "egalitarian_broadband",
     "min_coherent_model",
     "default_bloch_config",
-    "sweep_od",
 ]
 
 MODEL_EGALITARIAN = "egalitarian"
@@ -78,20 +72,6 @@ class DwellBreakdown:
         if abs(mix - self.tau0) > tol:
             raise ConvergenceError(
                 f"|P_L tauL + P_T tauT - tau0| = {abs(mix - self.tau0):.2e} > {tol:g}")
-
-
-@dataclass(frozen=True)
-class ModelCurve:
-    """One model's dwell breakdown along an increasing peak-OD grid."""
-
-    model: str
-    sigma_t: float
-    points: tuple  # of (peak_od, DwellBreakdown)
-
-    def __post_init__(self):
-        ods = [od for od, _ in self.points]
-        if any(b >= a for a, b in zip(ods[1:], ods)):
-            raise ConfigError("peak_od values must be strictly increasing")
 
 
 def egalitarian_monochromatic(od: float) -> DwellBreakdown:
@@ -157,10 +137,8 @@ def default_bloch_config(pulse: PulseSpec, medium: MediumSpec,
     # unit-photon Gaussian peak amplitude and analytic area integral
     peak_amp = np.sqrt(pulse.mean_photons / (s * np.sqrt(2.0 * np.pi)))
     area_integral = peak_amp * 2.0 * s * np.sqrt(np.pi)
-    dt = 0.99 * min(1.0 / medium.gamma, s) / 50.0
     return BlochConfig(gamma=medium.gamma,
                        rabi_per_amplitude=area / area_integral,
-                       integrator_dt=dt,
                        detuning=-pulse.carrier_detuning)
 
 
@@ -234,28 +212,3 @@ def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, slices: int = 128,
                     f"from {slices} (limit {_SLICE_CONVERGENCE_TOL:g})",
                     achieved=change)
     return result
-
-
-def sweep_od(model: str, pulse: PulseSpec, od_grid, medium_template: MediumSpec,
-             **model_kwargs) -> ModelCurve:
-    """Evaluate one model along an increasing OD grid with fixed bandwidth."""
-    od_grid = [float(od) for od in od_grid]
-    if any(od < 0 for od in od_grid):
-        raise ConfigError("od_grid values must be >= 0")
-    points = []
-    for od in od_grid:
-        medium = medium_template.with_od(od)
-        try:
-            if model == MODEL_EGALITARIAN:
-                breakdown = egalitarian_broadband(pulse, medium)
-            elif model == MODEL_MIN_COHERENT:
-                breakdown = min_coherent_model(pulse, medium, **model_kwargs)
-            else:
-                raise ConfigError(f"unknown model id {model!r}")
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ModelPointError(od, exc) from exc
-        points.append((od, breakdown))
-    return ModelCurve(model=model, sigma_t=pulse.intensity_rms,
-                      points=tuple(points))

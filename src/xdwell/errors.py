@@ -54,11 +54,3 @@ class InsufficientBinError(DataFormatError):
         )
         self.bin_name = bin_name
         self.count = count
-
-
-class ModelPointError(ConvergenceError):
-    """A dwell-model evaluation failed at one point of an OD sweep."""
-
-    def __init__(self, od, cause):
-        super().__init__(f"model evaluation failed at peak_od={od:g}: {cause}")
-        self.od = od

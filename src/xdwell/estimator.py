@@ -4,7 +4,8 @@ Shots are split into click / no-click bins; the per-sample difference
 trace isolates the effect of a single transmitted photon.  Amplitudes are
 extracted by weighted linear least squares against a cubic background
 plus the cross-phase-shift template, mirroring the fit used on the
-measured traces.
+measured traces.  `analyze_file` and `run_calibration` run that chain
+over a shot file and over bright calibration campaigns.
 """
 
 from __future__ import annotations
@@ -13,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import shotfile, shots
 from .errors import (
     ConfigError,
+    DataFormatError,
     InsufficientBinError,
     RankDeficiencyError,
 )
-from .shots import XpsTemplate
+from .shots import ExperimentConfig, XpsTemplate
 
 __all__ = [
     "RunningMoments",
@@ -34,6 +37,8 @@ __all__ = [
     "correct_phi_T",
     "combine_detunings",
     "click_inference_check",
+    "analyze_file",
+    "run_calibration",
 ]
 
 MIN_BIN_POPULATION = 100
@@ -84,7 +89,8 @@ class RunningMoments:
 
 @dataclass(frozen=True)
 class BinnedTraces:
-    """Per-sample means and errors in the click / no-click bins."""
+    """Per-sample means and errors in the click / no-click bins and over
+    all shots."""
 
     phi_click: np.ndarray
     phi_noclick: np.ndarray
@@ -94,6 +100,8 @@ class BinnedTraces:
     se_delta: np.ndarray
     n_click: int
     n_noclick: int
+    phi_all: np.ndarray
+    se_all: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -132,19 +140,15 @@ class ClickCheckReport:
     n_noclick: int
 
 
-def _as_batches(shots):
-    """Accept an iterable of (phases, clicks[, truth]) batches or one tuple."""
-    if isinstance(shots, tuple) and len(shots) in (2, 3) \
-            and isinstance(shots[0], np.ndarray):
-        return [shots]
-    return shots
+def bin_and_average(batches) -> BinnedTraces:
+    """Single-pass streaming means/variances per sample for each bin.
 
-
-def bin_and_average(shots) -> BinnedTraces:
-    """Single-pass streaming means/variances per sample for each bin."""
+    `batches` is an iterable of (phases, clicks[, truth]) batches.  The
+    all-shot moments are the merge of the two bins' moments.
+    """
     click_stats = None
     noclick_stats = None
-    for batch in _as_batches(shots):
+    for batch in batches:
         phases, clicks = batch[0], np.asarray(batch[1], dtype=bool)
         if click_stats is None:
             width = phases.shape[1]
@@ -157,6 +161,9 @@ def bin_and_average(shots) -> BinnedTraces:
     for name, stats in (("click", click_stats), ("no-click", noclick_stats)):
         if stats.count < MIN_BIN_POPULATION:
             raise InsufficientBinError(name, stats.count, MIN_BIN_POPULATION)
+    all_stats = RunningMoments(width)
+    all_stats.merge(click_stats)
+    all_stats.merge(noclick_stats)
     se_c = click_stats.standard_error
     se_n = noclick_stats.standard_error
     return BinnedTraces(
@@ -168,6 +175,8 @@ def bin_and_average(shots) -> BinnedTraces:
         se_delta=np.sqrt(se_c**2 + se_n**2),
         n_click=click_stats.count,
         n_noclick=noclick_stats.count,
+        phi_all=all_stats.mean,
+        se_all=all_stats.standard_error,
     )
 
 
@@ -308,15 +317,16 @@ def combine_detunings(entries) -> CombinedEstimate:
     return CombinedEstimate(ratio=ratio, se=se, inputs=tuple(inputs))
 
 
-def click_inference_check(shots_with_truth) -> ClickCheckReport:
+def click_inference_check(batches) -> ClickCheckReport:
     """Conditional photon-number excesses from truth metadata.
 
-    Computes E[n_T | click] - E[n_T | no click] and the lost-photon
-    analogue, with Monte Carlo errors; the small-efficiency analytic
-    expectations are 1 and 0 respectively.
+    `batches` is an iterable of (phases, clicks, truth) batches.  Computes
+    E[n_T | click] - E[n_T | no click] and the lost-photon analogue, with
+    Monte Carlo errors; the small-efficiency analytic expectations are 1
+    and 0 respectively.
     """
     stats = {True: RunningMoments(2), False: RunningMoments(2)}
-    for batch in _as_batches(shots_with_truth):
+    for batch in batches:
         if len(batch) < 3 or batch[2] is None:
             raise ConfigError("click_inference_check requires truth metadata")
         phases, clicks, truth = batch
@@ -342,3 +352,85 @@ def click_inference_check(shots_with_truth) -> ClickCheckReport:
         n_click=stats[True].count,
         n_noclick=stats[False].count,
     )
+
+
+def analyze_file(path, cfg: ExperimentConfig, s2: float = 0.0,
+                 s2_se: float = 0.0, force_digest: bool = False):
+    """Full estimator chain over one shot file.
+
+    Returns (report dict, BinnedTraces)."""
+    header = shotfile.read_header(path)
+    expected = shotfile.config_digest(shotfile.canonical_config_text(
+        shotfile.experiment_sections(cfg)))
+    if header.digest != expected and not force_digest:
+        raise DataFormatError(
+            f"{path}: config digest {header.digest.hex()[:16]}... does not "
+            f"match the analysis config ({expected.hex()[:16]}...); rerun "
+            "with --force-digest to analyze anyway")
+    if header.n_samples != cfg.n_samples:
+        raise DataFormatError(
+            f"{path}: file has {header.n_samples} samples per shot, config "
+            f"says {cfg.n_samples}")
+
+    template = shots.xps_template(cfg)
+    binned = bin_and_average(shotfile.iter_shot_batches(path))
+    phi0 = fit_phi0(binned.phi_all, cfg.mean_photons, template,
+                    sigma=binned.se_all)
+    phi_t = fit_transmitted(binned, template)
+    if s2 != 0.0:
+        phi_t = correct_phi_T(phi_t, s2, cfg.mean_photons, phi0, s2_se=s2_se)
+    combined = combine_detunings([(cfg.probe_detuning, phi_t, phi0)])
+
+    report = {
+        "phi0": phi0.amplitude,
+        "phi0_se": phi0.amplitude_se,
+        "phiT": phi_t.amplitude,
+        "phiT_se": phi_t.amplitude_se,
+        "ratio": combined.ratio,
+        "ratio_se": combined.se,
+        "s2": s2,
+        "chi2_per_dof": phi_t.chi2_per_dof,
+        "n_shots": header.n_shots,
+        "click_rate": binned.n_click / header.n_shots,
+    }
+    return report, binned
+
+
+def _calibration_eta(cfg: ExperimentConfig, mu: float,
+                     target_click: float) -> float:
+    """Detection efficiency giving the target click rate at mu photons."""
+    p_signal = (target_click - cfg.dark_prob) / (1.0 - cfg.dark_prob)
+    if not 0.0 < p_signal < 1.0:
+        raise ConfigError(
+            f"target_click_rate {target_click:g} unreachable with "
+            f"dark_prob {cfg.dark_prob:g}")
+    return float(-np.log1p(-p_signal) / (cfg.p_transmit * mu))
+
+
+def run_calibration(cfg: ExperimentConfig, photon_numbers, n_shots: int,
+                    seed: int, target_click: float = 0.10,
+                    workers: int = 1) -> dict:
+    """Bright campaigns at each photon number; fits e(mu) = 1 + s^2 mu."""
+    points = []
+    for i, mu in enumerate(photon_numbers):
+        cal_cfg = cfg.replace(mean_photons=mu, phi_atom=cfg.phi_atom,
+                              eta_detect=_calibration_eta(cfg, mu, target_click))
+        template = shots.xps_template(cal_cfg)
+        # wrap into the uint64 key space; every seed that fit stays unchanged
+        binned = bin_and_average(shots._campaign_batches(
+            cal_cfg, n_shots, (seed + i) % 2**64, workers))
+        phi0 = fit_phi0(binned.phi_all, mu, template, sigma=binned.se_all)
+        phi_t = fit_transmitted(binned, template)
+        excess = phi_t.amplitude / phi0.amplitude
+        excess_se = abs(excess) * np.sqrt(
+            (phi_t.amplitude_se / phi_t.amplitude) ** 2
+            + (phi0.amplitude_se / phi0.amplitude) ** 2)
+        points.append((mu, excess, float(excess_se)))
+    cal = calibrate_proportional_noise(points)
+    return {
+        "s2": cal.s2,
+        "s2_se": cal.s2_se,
+        "upper_bound": cal.upper_bound,
+        "points": [{"mean_photons": mu, "excess": e, "excess_se": se}
+                   for mu, e, se in points],
+    }

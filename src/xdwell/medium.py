@@ -21,12 +21,10 @@ __all__ = [
     "MediumSpec",
     "PulseSpec",
     "SampledEnvelope",
-    "TransferSample",
     "gaussian_envelope",
     "lorentzian_od",
     "dispersion_phase",
     "field_transfer",
-    "transfer_curve",
     "propagate_spectral",
     "transmission_probability",
     "pulse_spectrum",
@@ -123,19 +121,6 @@ class SampledEnvelope:
         return float((p[:k].sum() + p[-k:].sum()) / total)
 
 
-@dataclass(frozen=True)
-class TransferSample:
-    """One point of the medium transfer: amplitude OD a/2 and phase."""
-
-    detuning: float
-    amplitude_od: float
-    phase: float
-
-    def __post_init__(self):
-        if self.amplitude_od < 0:
-            raise ConfigError("amplitude_od must be >= 0")
-
-
 def gaussian_envelope(
     pulse: PulseSpec,
     n_samples: int = 2048,
@@ -174,15 +159,6 @@ def field_transfer(delta, medium: MediumSpec, depth_fraction: float = 1.0):
     a = lorentzian_od(delta, medium)
     phi = dispersion_phase(delta, medium)
     return np.exp(-depth_fraction * (0.5 * a + 1.0j * phi))
-
-
-def transfer_curve(deltas, medium: MediumSpec):
-    """Medium transfer sampled on a detuning grid, as TransferSample records."""
-    deltas = np.asarray(deltas, dtype=float)
-    a = lorentzian_od(deltas, medium)
-    phi = dispersion_phase(deltas, medium)
-    return [TransferSample(float(d), float(ai / 2.0), float(pi))
-            for d, ai, pi in zip(deltas, a, phi)]
 
 
 _INPUT_LEAK_TOL = 1e-6

@@ -26,11 +26,9 @@ __all__ = [
     "OscillationSpec",
     "ExperimentConfig",
     "XpsTemplate",
-    "ShotRecord",
     "CampaignSummary",
     "xps_template",
     "xps_template_curve",
-    "generate_shot",
     "iter_batches",
     "run_campaign",
     "anchored_phi_atom",
@@ -143,23 +141,6 @@ class XpsTemplate:
             raise ConfigError("template must be zero before pulse arrival")
         if s[-1] > 0.05:
             raise ConfigError("template must decay below 0.05 by the last sample")
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """One shot: 36 phase samples, click flag, optional truth metadata."""
-
-    phases: np.ndarray
-    click: bool
-    truth: tuple | None = None  # (n_incident, n_transmitted, n_detected, dwell_s)
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.phases)):
-            raise ConfigError("phases must be finite")
-        if self.truth is not None:
-            n, n_t, n_d, _ = self.truth
-            if not (n_d <= n_t <= n):
-                raise ConfigError("truth must satisfy n_det <= n_T <= n")
 
 
 @dataclass(frozen=True)
@@ -277,15 +258,6 @@ def _generate_batch(cfg: ExperimentConfig, template: XpsTemplate,
     return phases, clicks, truth
 
 
-def generate_shot(cfg: ExperimentConfig, rng: np.random.Generator,
-                  with_truth: bool = True) -> ShotRecord:
-    """Draw a single shot from an already positioned random stream."""
-    template = xps_template(cfg)
-    phases, clicks, truth = _generate_batch(cfg, template, rng, 1)
-    t = tuple(truth[0]) if with_truth else None
-    return ShotRecord(phases=phases[0], click=bool(clicks[0]), truth=t)
-
-
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     key = np.array([seed, batch_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -354,6 +326,8 @@ def _campaign_batches(cfg: ExperimentConfig, n_shots: int, seed: int,
     if workers <= 1:
         yield from iter_batches(cfg, n_shots, seed)
         return
+    if n_shots < 1:  # as iter_batches does on the serial path
+        raise ConfigError("n_shots must be >= 1")
     from concurrent.futures import ProcessPoolExecutor
 
     sizes = []
@@ -363,13 +337,13 @@ def _campaign_batches(cfg: ExperimentConfig, n_shots: int, seed: int,
         sizes.append(m)
         produced += m
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_worker_batch, cfg, n_shots, seed, i, m)
+        futures = [pool.submit(_worker_batch, cfg, seed, i, m)
                    for i, m in enumerate(sizes)]
         for fut in futures:  # submission order == batch order
             yield fut.result()
 
 
-def _worker_batch(cfg, n_shots, seed, batch_index, m):
+def _worker_batch(cfg, seed, batch_index, m):
     template = xps_template(cfg)
     rng = _batch_rng(seed, batch_index)
     return _generate_batch(cfg, template, rng, m)

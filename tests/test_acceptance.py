@@ -14,10 +14,12 @@ from xdwell import (
     ExperimentConfig,
     MediumSpec,
     PulseSpec,
+    bin_and_average,
     cli,
     correct_phi_T,
     egalitarian_monochromatic,
     fit_phi0,
+    fit_transmitted,
     gaussian_envelope,
     iter_batches,
     min_coherent_model,
@@ -27,8 +29,12 @@ from xdwell import (
     xps_template,
 )
 from xdwell.bloch import BlochConfig
-from xdwell.cli import _calibration_eta, analyze_file, run_calibration
-from xdwell.estimator import click_inference_check
+from xdwell.estimator import (
+    _calibration_eta,
+    analyze_file,
+    click_inference_check,
+    run_calibration,
+)
 from xdwell.shots import run_campaign
 
 from conftest import TAU_SP
@@ -66,8 +72,7 @@ def test_02_monochromatic_limit_and_area_theorem(capsys, medium4):
 
     pulse = PulseSpec(intensity_rms=10e-9)
     env = gaussian_envelope(pulse, n_samples=4096, tail=300e-9)
-    cfg = BlochConfig(gamma=1 / TAU_SP, rabi_per_amplitude=1.0,
-                      integrator_dt=0.2e-9)
+    cfg = BlochConfig(gamma=1 / TAU_SP, rabi_per_amplitude=1.0)
     area0 = pulse_area(env, cfg)
     area_ok = True
     worst = 0.0
@@ -214,22 +219,9 @@ def test_10_proportional_noise_calibration(capsys):
     cfg134 = base.replace(phi_atom=100 * base.phi_atom, prop_noise_s=0.03,
                           mean_photons=134.0,
                           eta_detect=_calibration_eta(base, 134.0, 0.10))
-    from xdwell import fit_transmitted
-    from xdwell.estimator import BinnedTraces, RunningMoments
-
     tpl = xps_template(cfg134)
-    all_s = RunningMoments(36)
-    c_s = RunningMoments(36)
-    n_s = RunningMoments(36)
-    for ph, ck, _ in iter_batches(cfg134, 2_000_000, seed=505):
-        all_s.add_batch(ph)
-        c_s.add_batch(ph[ck])
-        n_s.add_batch(ph[~ck])
-    se_c, se_n = c_s.standard_error, n_s.standard_error
-    binned = BinnedTraces(c_s.mean, n_s.mean, c_s.mean - n_s.mean, se_c,
-                          se_n, np.sqrt(se_c**2 + se_n**2), c_s.count,
-                          n_s.count)
-    phi0 = fit_phi0(all_s.mean, 134.0, tpl, sigma=all_s.standard_error)
+    binned = bin_and_average(iter_batches(cfg134, 2_000_000, seed=505))
+    phi0 = fit_phi0(binned.phi_all, 134.0, tpl, sigma=binned.se_all)
     corrected = correct_phi_T(fit_transmitted(binned, tpl), cal["s2"],
                               134.0, phi0, s2_se=cal["s2_se"])
     ratio = corrected.amplitude / phi0.amplitude

@@ -3,7 +3,6 @@ import pytest
 
 from xdwell import (
     BlochConfig,
-    ConfigError,
     MediumSpec,
     PulseSpec,
     SampledEnvelope,
@@ -27,14 +26,14 @@ def _resample(samples, t_src, t_dst):
             + 1j * np.interp(t_dst, t_src, samples.imag))
 
 
-def rk4_pe(omega, t_src, cfg):
+def rk4_pe(omega, t_src, cfg, max_step):
     """Fixed-step RK4 oracle for the weak-drive amplitude equation.
 
     omega: complex Rabi frequencies on t_src, linearly resampled onto a
-    grid of step <= cfg.integrator_dt.  Returns (step, pe).
+    grid of step <= max_step.  Returns (step, pe).
     """
     span = t_src[-1] - t_src[0]
-    n_steps = int(np.ceil(span / cfg.integrator_dt))
+    n_steps = int(np.ceil(span / max_step))
     h = span / n_steps
     grid = t_src[0] + h * np.arange(n_steps + 1)
     om_g = _resample(omega, t_src, grid)
@@ -86,9 +85,8 @@ def short_pulse_env(width=0.5e-9, after=16 * TAU_SP, n=40000, amp=1.0):
 
 def small_cfg(area, env, detuning=0.0):
     proj = np.trapezoid(env.samples.real, dx=env.dt)
-    dt = min(1.0 / GAMMA, 0.5e-9) / 50.0
     return BlochConfig(gamma=GAMMA, rabi_per_amplitude=area / proj,
-                       integrator_dt=dt, detuning=detuning)
+                       detuning=detuning)
 
 
 class TestIntegration:
@@ -96,8 +94,7 @@ class TestIntegration:
         env = short_pulse_env(amp=0.0)
         env = SampledEnvelope(t0=env.t0, dt=env.dt,
                               samples=np.zeros_like(env.samples))
-        cfg = BlochConfig(gamma=GAMMA, rabi_per_amplitude=1.0,
-                          integrator_dt=0.2e-9)
+        cfg = BlochConfig(gamma=GAMMA, rabi_per_amplitude=1.0)
         rec = integrate_weak_bloch(env, cfg)
         assert np.all(rec.pe == 0.0)
         assert np.all(rec.up_flow == 0.0)
@@ -123,8 +120,7 @@ class TestIntegration:
         dt = duration / n
         env = SampledEnvelope(t0=0.0, dt=dt, samples=np.ones(n) + 0j)
         omega = 1e7
-        cfg = BlochConfig(gamma=GAMMA, rabi_per_amplitude=omega,
-                          integrator_dt=dt * 2)
+        cfg = BlochConfig(gamma=GAMMA, rabi_per_amplitude=omega)
         rec = integrate_weak_bloch(env, cfg)
         assert rec.pe[-1] == pytest.approx((omega * duration / 2) ** 2, rel=2e-2)
 
@@ -139,11 +135,6 @@ class TestIntegration:
         with pytest.raises(WeakExcitationError) as exc:
             integrate_weak_bloch(env, small_cfg(1.0, env))
         assert exc.value.peak >= 1e-2
-
-    def test_step_size_guard(self):
-        with pytest.raises(ConfigError):
-            BlochConfig(gamma=GAMMA, rabi_per_amplitude=1.0,
-                        integrator_dt=TAU_SP)
 
     def test_gauge_invariance(self):
         env = short_pulse_env()
@@ -173,8 +164,9 @@ class TestIntegration:
         local = propagate_spectral(env, medium, depth)
         cfg = default_bloch_config(pulse, medium)
         rec = integrate_weak_bloch(local, cfg)
+        # RK4 step: a fiftieth of the shorter of lifetime and pulse width
         h, pe = rk4_pe(cfg.rabi_per_amplitude * local.samples, local.times(),
-                       cfg)
+                       cfg, 0.99 * min(TAU_SP, sigma) / 50.0)
         oracle = np.trapezoid(pe, dx=h)
         assert excitation_time(rec) == pytest.approx(oracle, rel=1e-4)
 
@@ -196,16 +188,14 @@ class TestIntegration:
 class TestPulseArea:
     def test_zero(self):
         env = SampledEnvelope(t0=0.0, dt=1e-9, samples=np.zeros(100) + 0j)
-        cfg = BlochConfig(gamma=GAMMA, rabi_per_amplitude=1.0,
-                          integrator_dt=0.2e-9)
+        cfg = BlochConfig(gamma=GAMMA, rabi_per_amplitude=1.0)
         assert pulse_area(env, cfg) == 0.0
 
     def test_gaussian_analytic(self):
         pulse = PulseSpec(intensity_rms=10e-9)
         env = gaussian_envelope(pulse, n_samples=8192)
         kappa = 1e3
-        cfg = BlochConfig(gamma=GAMMA, rabi_per_amplitude=kappa,
-                          integrator_dt=0.2e-9)
+        cfg = BlochConfig(gamma=GAMMA, rabi_per_amplitude=kappa)
         amp = np.abs(env.samples).max()
         analytic = kappa * amp * 2.0 * pulse.intensity_rms * np.sqrt(np.pi)
         assert pulse_area(env, cfg) == pytest.approx(analytic, rel=1e-6)
@@ -214,8 +204,7 @@ class TestPulseArea:
     def test_area_theorem(self, depth, medium_od4, pulse_10ns):
         # on resonance the area decays as exp(-a0 d / 2)
         env = gaussian_envelope(pulse_10ns, n_samples=4096, tail=300e-9)
-        cfg = BlochConfig(gamma=GAMMA, rabi_per_amplitude=1.0,
-                          integrator_dt=0.2e-9)
+        cfg = BlochConfig(gamma=GAMMA, rabi_per_amplitude=1.0)
         out = propagate_spectral(env, medium_od4, depth)
         ratio = pulse_area(out, cfg) / pulse_area(env, cfg)
         assert ratio == pytest.approx(np.exp(-4.0 * depth / 2.0), rel=1e-2)
@@ -248,8 +237,7 @@ class TestNarrowband:
         env = gaussian_envelope(pulse, n_samples=8192)
         mid = propagate_spectral(env, medium_od4, 0.5)
         kappa = 0.02 / np.trapezoid(np.abs(env.samples), dx=env.dt)
-        cfg = BlochConfig(gamma=GAMMA, rabi_per_amplitude=kappa,
-                          integrator_dt=(1.0 / GAMMA) / 51.0)
+        cfg = BlochConfig(gamma=GAMMA, rabi_per_amplitude=kappa)
         rec = integrate_weak_bloch(mid, cfg)
         coh = np.trapezoid(rec.coh_down_flow, dx=rec.dt)
         spont = np.trapezoid(rec.spont_flow, dx=rec.dt)

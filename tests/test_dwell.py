@@ -3,20 +3,17 @@ import pytest
 
 from xdwell import (
     ConfigError,
+    ConvergenceError,
     DwellBreakdown,
     MediumSpec,
-    ModelPointError,
     PulseSpec,
-    MODEL_EGALITARIAN,
-    MODEL_MIN_COHERENT,
+    cli,
     default_bloch_config,
     egalitarian_broadband,
     egalitarian_monochromatic,
     min_coherent_model,
-    sweep_od,
     transmission_probability,
 )
-from xdwell.dwell import ModelCurve
 
 from conftest import TAU_SP
 
@@ -173,36 +170,39 @@ class TestMinCoherent:
 
 class TestSweep:
     def test_single_zero_point(self, pulse_10ns, medium_od4):
-        curve = sweep_od(MODEL_EGALITARIAN, pulse_10ns, [0.0], medium_od4)
-        assert curve.points[0][1].tau0 == 0.0
+        assert egalitarian_broadband(pulse_10ns,
+                                     medium_od4.with_od(0.0)).tau0 == 0.0
 
     def test_monotone_p_loss(self, pulse_10ns, medium_od4):
-        curve = sweep_od(MODEL_EGALITARIAN, pulse_10ns, [0.5, 1, 2, 4],
-                         medium_od4)
-        p = [b.p_loss for _, b in curve.points]
+        p = [egalitarian_broadband(pulse_10ns, medium_od4.with_od(od)).p_loss
+             for od in (0.5, 1, 2, 4)]
         assert all(b > a for a, b in zip(p, p[1:]))
 
-    def test_decreasing_grid_rejected(self, pulse_10ns, medium_od4):
-        with pytest.raises(ConfigError):
-            ModelCurve(model=MODEL_EGALITARIAN, sigma_t=10e-9,
-                       points=((1.0, DwellBreakdown(0.1, 0.1, 0.1, 0.1)),
-                               (0.5, DwellBreakdown(0.1, 0.1, 0.1, 0.1))))
+    def test_point_failure_annotated(self, tmp_path, monkeypatch):
+        # the sweep is the `models` command: a failed point is written as
+        # a comment and the sweep goes on
+        real = cli.min_coherent_model
 
-    def test_point_failure_annotated(self, pulse_10ns, medium_od4):
-        too_strong = default_bloch_config(pulse_10ns, medium_od4, area=2.0)
-        with pytest.raises(ModelPointError) as exc:
-            sweep_od(MODEL_MIN_COHERENT, pulse_10ns, [4.0], medium_od4,
-                     bloch=too_strong)
-        assert exc.value.od == 4.0
+        def fail_at_od4(pulse, medium, **kw):
+            if medium.peak_od == 4.0:
+                raise ConvergenceError("synthetic failure")
+            return real(pulse, medium, **kw)
 
-    def test_unknown_model(self, pulse_10ns, medium_od4):
-        with pytest.raises(ConfigError):
-            sweep_od("mystery", pulse_10ns, [1.0], medium_od4)
+        monkeypatch.setattr(cli, "min_coherent_model", fail_at_od4)
+        cfg = tmp_path / "m.ini"
+        cfg.write_text("[models]\nod_grid = 1,4\nslices = 32\n")
+        out = tmp_path / "models"
+        assert cli.main(["models", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        rows = (out / "model_curves.csv").read_text().splitlines()
+        failed = [r for r in rows if r.startswith("#")]
+        assert len(failed) == 2  # both bandwidths at OD 4
+        assert all("peak_od=4 failed: synthetic failure" in r for r in failed)
+        assert len(rows) == 1 + 6 + 2
 
 
 class TestBreakdownValidation:
     def test_identity_violation_raises(self):
-        from xdwell import ConvergenceError
         bad = DwellBreakdown(tau0=0.5, tauL=0.9, tauT=0.9, p_loss=0.2)
         with pytest.raises(ConvergenceError):
             bad.check_identities()

@@ -79,7 +79,7 @@ class TestBinning:
     def test_identical_shots_zero_delta(self):
         phases = np.tile(np.sin(T_NORM), (400, 1))
         clicks = np.arange(400) % 2 == 0
-        binned = bin_and_average((phases, clicks))
+        binned = bin_and_average([(phases, clicks)])
         np.testing.assert_allclose(binned.delta_phi, 0.0, atol=1e-15)
 
     def test_recovers_injected_offset(self):
@@ -87,7 +87,7 @@ class TestBinning:
         offset = np.zeros(N)
         offset[13] = 5e-3
         phases, clicks = make_batch(40000, rng, offset=offset, noise=0.1)
-        binned = bin_and_average((phases, clicks))
+        binned = bin_and_average([(phases, clicks)])
         assert abs(binned.delta_phi[13] - 5e-3) < 3 * binned.se_delta[13]
 
     def test_streaming_equals_two_pass(self):
@@ -99,13 +99,19 @@ class TestBinning:
         direct = phases[clicks].mean(axis=0) - phases[~clicks].mean(axis=0)
         np.testing.assert_allclose(streamed.delta_phi, direct, rtol=1e-12,
                                    atol=1e-18)
+        np.testing.assert_allclose(streamed.phi_all, phases.mean(axis=0),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(
+            streamed.se_all,
+            phases.std(axis=0, ddof=1) / np.sqrt(phases.shape[0]),
+            rtol=1e-12)
 
     def test_underpopulated_bin_named(self):
         phases = np.zeros((150, N))
         clicks = np.zeros(150, dtype=bool)
         clicks[:10] = True
         with pytest.raises(InsufficientBinError) as exc:
-            bin_and_average((phases, clicks))
+            bin_and_average([(phases, clicks)])
         assert exc.value.bin_name == "click"
 
 
@@ -123,7 +129,7 @@ class TestFits:
     def test_zero_delta_gives_zero(self):
         phases = np.tile(1e-3 * TEMPLATE.samples, (400, 1))
         clicks = np.arange(400) % 2 == 0
-        binned = bin_and_average((phases, clicks))
+        binned = bin_and_average([(phases, clicks)])
         se = np.full(N, 1.0)
         binned = binned.__class__(**{**binned.__dict__,
                                      "se_delta": se})
@@ -136,7 +142,7 @@ class TestFits:
                 + 5e-4 * TEMPLATE.samples)
         phases = true + 1e-3 * rng.standard_normal((200000, N))
         clicks = rng.random(200000) < 0.5
-        binned = bin_and_average((phases, clicks))
+        binned = bin_and_average([(phases, clicks)])
         fit = fit_phi0(phases.mean(axis=0), 1.0, TEMPLATE,
                        sigma=phases.std(axis=0) / np.sqrt(phases.shape[0]))
         assert fit.amplitude == pytest.approx(5e-4, abs=3 * fit.amplitude_se)

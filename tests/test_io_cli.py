@@ -7,8 +7,8 @@ import pytest
 import xdwell
 from xdwell import ConfigError, DataFormatError, ExperimentConfig, cli
 from xdwell import shotfile
-from xdwell.cli import run_calibration
 from xdwell.errors import ConvergenceError
+from xdwell.estimator import run_calibration
 from xdwell.shots import run_campaign
 
 
@@ -273,6 +273,13 @@ class TestCli:
         value = row.split(",")[3]
         assert float(value) == float(format(float(value), ".17g"))
         assert len(value.split(".")[-1]) > 10  # 17 significant digits kept
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_calibrate_no_shots_exit_2(self, tmp_path, workers):
+        cfg = write_config(tmp_path / "c.ini",
+                           "[experiment]\n[calibrate]\nn_shots = 0\n")
+        assert cli.main(["calibrate", "--config", cfg, "--workers",
+                         str(workers), "--out", str(tmp_path / "o")]) == 2
 
     def test_calibration_seeds_wrap(self):
         # photon number i runs on seed + i modulo 2**64, so the seed after

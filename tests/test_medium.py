@@ -14,7 +14,6 @@ from xdwell import (
     propagate_spectral,
     pulse_spectrum,
     spectral_rms_hz,
-    transfer_curve,
     transmission_probability,
 )
 
@@ -40,19 +39,15 @@ class TestLineShape:
                                    -dispersion_phase(-d, medium_od4))
 
     def test_dispersion_extremum(self, medium_od4):
-        # |phi| peaks at delta = Gamma/2 with value a0/4
-        assert abs(dispersion_phase(medium_od4.gamma / 2, medium_od4)) == \
-            pytest.approx(medium_od4.peak_od / 4)
+        # |phi| peaks at delta = Gamma/2 with value a0/4, negative above
+        # resonance
+        assert dispersion_phase(medium_od4.gamma / 2, medium_od4) == \
+            pytest.approx(-medium_od4.peak_od / 4)
 
     def test_transfer_on_resonance_is_real(self, medium_od4):
         h = field_transfer(0.0, medium_od4)
         assert h.imag == 0.0
         assert h.real == pytest.approx(np.exp(-2.0))
-
-    def test_transfer_curve_records(self, medium_od4):
-        curve = transfer_curve([0.0, medium_od4.gamma / 2], medium_od4)
-        assert curve[0].amplitude_od == pytest.approx(2.0)
-        assert curve[1].phase == pytest.approx(-1.0)
 
 
 class TestTransmission:

@@ -7,13 +7,11 @@ from xdwell import (
     ExperimentConfig,
     OscillationSpec,
     expected_click_rate,
-    generate_shot,
     iter_batches,
     run_campaign,
     xps_template,
 )
 from xdwell.shots import (
-    _batch_rng,
     anchored_phi_atom,
     tau0_per_photon,
     xps_template_curve,
@@ -140,7 +138,10 @@ class TestStatistics:
         assert abs(clicks.mean() - p) < 5 * se
 
     def test_truth_ordering(self):
-        _, _, truth = collect(ExperimentConfig(), 50000, seed=2)
+        phases, clicks, truth = collect(ExperimentConfig(), 50000, seed=2)
+        assert phases.shape == (50000, 36)
+        assert clicks.dtype == bool
+        assert truth.shape == (50000, 4)
         n, n_t, n_d = truth[:, 0], truth[:, 1], truth[:, 2]
         assert np.all(n_d <= n_t)
         assert np.all(n_t <= n)
@@ -226,10 +227,3 @@ class TestDeterminism:
         assert (tmp_path / "a.bin").read_bytes() == \
             (tmp_path / "b.bin").read_bytes()
         assert s1.click_rate == s2.click_rate
-
-    def test_generate_shot(self):
-        rec = generate_shot(ExperimentConfig(), _batch_rng(5, 0))
-        assert rec.phases.shape == (36,)
-        assert isinstance(rec.click, bool)
-        n, n_t, n_d, dwell = rec.truth
-        assert n_d <= n_t <= n
