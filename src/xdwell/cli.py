@@ -264,8 +264,6 @@ def cmd_simulate(args) -> int:
     n_shots = _pop_int(body, "n_shots", 100000)
     with_truth = bool(_pop_int(body, "with_truth", 1))
     _reject_unknown(body, "campaign")
-    if n_shots < 1:
-        raise ConfigError("n_shots must be >= 1")
 
     out = _out_dir(args)
     summary = shots.run_campaign(cfg, n_shots=n_shots, seed=args.seed,
@@ -359,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--seed", type=int, default=0, help="campaign seed")
         p.add_argument("--workers", type=int, default=1,
-                       help="parallel batch workers")
+                       help="threads generating campaign batches")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--force-digest", action="store_true",
                        help="analyze despite a config-digest mismatch")

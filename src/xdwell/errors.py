@@ -14,7 +14,8 @@ class ConfigError(XdwellError):
 
 
 class DataFormatError(XdwellError):
-    """Malformed, truncated or mismatched data file."""
+    """Malformed, truncated or mismatched data file, or data too few to
+    resolve an estimate."""
 
 
 class ConvergenceError(XdwellError):

@@ -292,6 +292,8 @@ def combine_detunings(entries) -> CombinedEstimate:
     """Inverse-variance weighted mean of per-detuning phi_T/phi_0 ratios.
 
     `entries` is a sequence of (detuning, phi_T FitResult, phi_0 FitResult).
+    A phi_0 under 5 sigma means the data are too few to form the ratio, so
+    it raises DataFormatError.
     """
     entries = list(entries)
     if not entries:
@@ -301,7 +303,7 @@ def combine_detunings(entries) -> CombinedEstimate:
     variances = []
     for detuning, phi_t, phi_0 in entries:
         if abs(phi_0.amplitude) < _PHI0_SIGNIFICANCE * phi_0.amplitude_se:
-            raise ConfigError(
+            raise DataFormatError(
                 f"phi_0 at detuning {detuning:g} is not significant at "
                 f"{_PHI0_SIGNIFICANCE:g} sigma; cannot form the ratio")
         r = phi_t.amplitude / phi_0.amplitude
@@ -417,7 +419,7 @@ def run_calibration(cfg: ExperimentConfig, photon_numbers, n_shots: int,
                               eta_detect=_calibration_eta(cfg, mu, target_click))
         template = shots.xps_template(cal_cfg)
         # wrap into the uint64 key space; every seed that fit stays unchanged
-        binned = bin_and_average(shots._campaign_batches(
+        binned = bin_and_average(shots.iter_batches(
             cal_cfg, n_shots, (seed + i) % 2**64, workers))
         phi0 = fit_phi0(binned.phi_all, mu, template, sigma=binned.se_all)
         phi_t = fit_transmitted(binned, template)

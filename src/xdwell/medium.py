@@ -34,21 +34,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MediumSpec:
-    """Absorbing line: peak resonant OD, decay rate, optional partial length."""
+    """Absorbing line: peak resonant OD and decay rate."""
 
     peak_od: float
     gamma: float  # rad/s
-    length_fraction: float = 1.0
 
     def __post_init__(self):
         if self.peak_od < 0:
             raise ConfigError(f"peak_od must be >= 0, got {self.peak_od}")
         if self.gamma <= 0:
             raise ConfigError(f"gamma must be > 0, got {self.gamma}")
-        if not 0.0 <= self.length_fraction <= 1.0:
-            raise ConfigError(
-                f"length_fraction must be in [0, 1], got {self.length_fraction}"
-            )
 
     @property
     def tau_sp(self) -> float:
@@ -56,8 +51,8 @@ class MediumSpec:
         return 1.0 / self.gamma
 
     @classmethod
-    def from_lifetime(cls, peak_od, tau_sp, length_fraction=1.0):
-        return cls(peak_od=peak_od, gamma=1.0 / tau_sp, length_fraction=length_fraction)
+    def from_lifetime(cls, peak_od, tau_sp):
+        return cls(peak_od=peak_od, gamma=1.0 / tau_sp)
 
     def with_od(self, peak_od) -> "MediumSpec":
         return dataclasses.replace(self, peak_od=peak_od)
@@ -70,11 +65,8 @@ class PulseSpec:
     intensity_rms: float  # seconds
     carrier_detuning: float = 0.0  # rad/s from line centre
     mean_photons: float = 1.0
-    shape: str = "gaussian"
 
     def __post_init__(self):
-        if self.shape != "gaussian":
-            raise ConfigError(f"unsupported pulse shape {self.shape!r}")
         if self.intensity_rms <= 0:
             raise ConfigError("intensity_rms must be > 0")
         if self.mean_photons < 0:
@@ -189,14 +181,12 @@ def _slice_spectra(env: SampledEnvelope, medium: MediumSpec,
 
 
 def propagate_spectral(env: SampledEnvelope, medium: MediumSpec,
-                       depth_fraction: float | None = None) -> SampledEnvelope:
+                       depth_fraction: float = 1.0) -> SampledEnvelope:
     """Propagate an envelope through `depth_fraction` of the medium.
 
     FFT to the spectral domain, apply the causal Lorentzian transfer
     (absorption and dispersion both scaled by depth), and transform back.
     """
-    if depth_fraction is None:
-        depth_fraction = medium.length_fraction
     if not 0.0 <= depth_fraction <= 1.0:
         raise ConfigError(f"depth_fraction must be in [0, 1], got {depth_fraction}")
     leak_in = env.edge_energy_fraction()

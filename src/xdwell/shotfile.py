@@ -5,6 +5,8 @@ File layout (little endian):
           n_shots u64 | config digest (32 bytes, SHA-256)
   record: n_samples * float64 phases | click u8 | 3 bytes padding |
           [4 * float64 truth when flags bit 0 is set]
+A file is valid only at exactly header + n_shots records, so one cut short
+(or grown) after its header was written is rejected.
 
 The digest is the SHA-256 of the canonicalized experiment-config text
 (sorted keys, normalized whitespace), so an analysis run can refuse data
@@ -14,6 +16,7 @@ generated under a different configuration.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -64,24 +67,21 @@ def _record_dtype(n_samples: int, with_truth: bool) -> np.dtype:
 
 
 class ShotFileWriter:
-    """Append-only writer; patches the shot count into the header on close."""
+    """Append-only writer; the header, written at open, declares n_shots, so
+    a file left short by an interrupted run fails `read_header`."""
 
-    def __init__(self, path, n_samples: int, digest: bytes, with_truth: bool):
+    def __init__(self, path, n_samples: int, n_shots: int, digest: bytes,
+                 with_truth: bool):
         if len(digest) != 32:
             raise DataFormatError("config digest must be 32 bytes")
         self.path = str(path)
         self.n_samples = n_samples
         self.with_truth = with_truth
         self._dtype = _record_dtype(n_samples, with_truth)
-        self._n_shots = 0
-        self._digest = digest
+        flags = FLAG_TRUTH if with_truth else 0
         self._fh = open(self.path, "wb")
-        self._write_header()
-
-    def _write_header(self):
-        flags = FLAG_TRUTH if self.with_truth else 0
-        self._fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, flags,
-                                    self.n_samples, self._n_shots, self._digest))
+        self._fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, flags, n_samples,
+                                    n_shots, digest))
 
     def append(self, phases: np.ndarray, clicks: np.ndarray, truth=None):
         phases = np.asarray(phases, dtype=np.float64)
@@ -97,13 +97,8 @@ class ShotFileWriter:
         if self.with_truth:
             records["truth"] = np.asarray(truth, dtype=np.float64)
         records.tofile(self._fh)
-        self._n_shots += m
 
     def close(self):
-        if self._fh.closed:
-            return
-        self._fh.seek(0)
-        self._write_header()
         self._fh.close()
 
     def __enter__(self):
@@ -114,8 +109,11 @@ class ShotFileWriter:
 
 
 def read_header(path) -> Header:
+    """Parse the header and check that the file holds exactly the records
+    it declares."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
+        size = os.fstat(fh.fileno()).st_size
     if len(raw) < _HEADER.size:
         raise DataFormatError(f"{path}: truncated header")
     magic, version, flags, n_samples, n_shots, digest = _HEADER.unpack(raw)
@@ -124,8 +122,15 @@ def read_header(path) -> Header:
     if version != FORMAT_VERSION:
         raise DataFormatError(
             f"{path}: format version {version} != supported {FORMAT_VERSION}")
-    return Header(version=version, flags=flags, n_samples=n_samples,
-                  n_shots=n_shots, digest=digest)
+    header = Header(version=version, flags=flags, n_samples=n_samples,
+                    n_shots=n_shots, digest=digest)
+    expected = _HEADER.size + n_shots * _record_dtype(
+        n_samples, header.with_truth).itemsize
+    if size != expected:
+        raise DataFormatError(
+            f"{path}: {size} bytes, but the header declares {n_shots} shots "
+            f"({expected} bytes); the file is incomplete or corrupt")
+    return header
 
 
 def iter_shot_batches(path, batch_size: int = 1 << 16):

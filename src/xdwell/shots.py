@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,7 +149,6 @@ class XpsTemplate:
 class CampaignSummary:
     n_shots: int
     click_rate: float
-    mean_phases: np.ndarray
     mean_dwell: float | None
     mean_transmitted: float | None
     digest: str
@@ -264,19 +265,32 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
 
 
 def iter_batches(cfg: ExperimentConfig, n_shots: int, seed: int,
-                 batch_size: int = BATCH_SIZE):
-    """Yield (phases, clicks, truth) batches for a deterministic campaign."""
+                 workers: int = 1):
+    """Yield (phases, clicks, truth) batches for a deterministic campaign.
+
+    With workers > 1 the batches are generated on that many threads (numpy
+    releases the GIL in the RNG fills and the array arithmetic), at most
+    2 * workers in flight, and yielded in batch order, so the output is the
+    same at any worker count and memory does not grow with n_shots.
+    """
     if n_shots < 1:
         raise ConfigError("n_shots must be >= 1")
     template = xps_template(cfg)
-    produced = 0
-    batch_index = 0
-    while produced < n_shots:
-        m = min(batch_size, n_shots - produced)
-        rng = _batch_rng(seed, batch_index)
-        yield _generate_batch(cfg, template, rng, m)
-        produced += m
-        batch_index += 1
+    jobs = ((cfg, template, _batch_rng(seed, i),
+             min(BATCH_SIZE, n_shots - start))
+            for i, start in enumerate(range(0, n_shots, BATCH_SIZE)))
+    if workers <= 1:
+        for job in jobs:
+            yield _generate_batch(*job)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for job in jobs:
+            pending.append(pool.submit(_generate_batch, *job))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def run_campaign(cfg: ExperimentConfig, n_shots: int, seed: int,
@@ -289,20 +303,21 @@ def run_campaign(cfg: ExperimentConfig, n_shots: int, seed: int,
     """
     from . import shotfile  # deferred to keep the module graph acyclic
 
+    if n_shots < 1:  # before the file exists, which declares its size
+        raise ConfigError("n_shots must be >= 1")
     digest = shotfile.config_digest(shotfile.canonical_config_text(
         shotfile.experiment_sections(cfg)))
     writer = None
     if out_path is not None:
         writer = shotfile.ShotFileWriter(out_path, n_samples=cfg.n_samples,
-                                         digest=digest, with_truth=with_truth)
+                                         n_shots=n_shots, digest=digest,
+                                         with_truth=with_truth)
     n_click = 0
-    phase_sum = np.zeros(cfg.n_samples)
     dwell_sum = 0.0
     transmitted_sum = 0.0
     try:
-        for phases, clicks, truth in _campaign_batches(cfg, n_shots, seed, workers):
+        for phases, clicks, truth in iter_batches(cfg, n_shots, seed, workers):
             n_click += int(clicks.sum())
-            phase_sum += phases.sum(axis=0)
             dwell_sum += float(truth[:, 3].sum())
             transmitted_sum += float(truth[:, 1].sum())
             if writer is not None:
@@ -313,37 +328,8 @@ def run_campaign(cfg: ExperimentConfig, n_shots: int, seed: int,
     return CampaignSummary(
         n_shots=n_shots,
         click_rate=n_click / n_shots,
-        mean_phases=phase_sum / n_shots,
         mean_dwell=(dwell_sum / n_shots) if with_truth else None,
         mean_transmitted=(transmitted_sum / n_shots) if with_truth else None,
         digest=digest.hex(),
         path=None if out_path is None else str(out_path),
     )
-
-
-def _campaign_batches(cfg: ExperimentConfig, n_shots: int, seed: int,
-                      workers: int):
-    if workers <= 1:
-        yield from iter_batches(cfg, n_shots, seed)
-        return
-    if n_shots < 1:  # as iter_batches does on the serial path
-        raise ConfigError("n_shots must be >= 1")
-    from concurrent.futures import ProcessPoolExecutor
-
-    sizes = []
-    produced = 0
-    while produced < n_shots:
-        m = min(BATCH_SIZE, n_shots - produced)
-        sizes.append(m)
-        produced += m
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_worker_batch, cfg, seed, i, m)
-                   for i, m in enumerate(sizes)]
-        for fut in futures:  # submission order == batch order
-            yield fut.result()
-
-
-def _worker_batch(cfg, seed, batch_index, m):
-    template = xps_template(cfg)
-    rng = _batch_rng(seed, batch_index)
-    return _generate_batch(cfg, template, rng, m)

@@ -6,6 +6,7 @@ from scipy import stats
 
 from xdwell import (
     ConfigError,
+    DataFormatError,
     ExperimentConfig,
     InsufficientBinError,
     RankDeficiencyError,
@@ -266,7 +267,7 @@ class TestCombine:
         assert a.se == pytest.approx(single.se / np.sqrt(2), rel=1e-6)
 
     def test_insignificant_phi0_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataFormatError):
             combine_detunings([(1.0, self._fit(1e-6, 1e-6),
                                 self._fit(2e-6, 1e-6))])
 

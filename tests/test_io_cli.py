@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 import xdwell
 from xdwell import ConfigError, DataFormatError, ExperimentConfig, cli
-from xdwell import shotfile
+from xdwell import shotfile, shots
 from xdwell.errors import ConvergenceError
 from xdwell.estimator import run_calibration
 from xdwell.shots import run_campaign
@@ -26,8 +27,8 @@ class TestShotFileRoundTrip:
         clicks = rng.random(n) < 0.3
         truth = np.abs(rng.standard_normal((n, 4))) if with_truth else None
         digest = bytes(range(32))
-        with shotfile.ShotFileWriter(path, n_samples=n_samples, digest=digest,
-                                     with_truth=with_truth) as w:
+        with shotfile.ShotFileWriter(path, n_samples=n_samples, n_shots=n,
+                                     digest=digest, with_truth=with_truth) as w:
             w.append(phases[:200], clicks[:200],
                      truth[:200] if with_truth else None)
             w.append(phases[200:], clicks[200:],
@@ -82,6 +83,14 @@ class TestShotFileRoundTrip:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(DataFormatError):
             list(shotfile.iter_shot_batches(path))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.bin"
+        self._write(path)
+        with open(path, "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(DataFormatError):
+            shotfile.read_header(path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "h.bin"
@@ -187,6 +196,46 @@ class TestCli:
         assert cli.main(["analyze", "--config", other, "--out", out]) == 3
         assert cli.main(["analyze", "--config", other, "--out", out,
                          "--force-digest"]) == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interrupted_campaign_rejected_exit_3(self, tmp_path, monkeypatch,
+                                                  capsys, workers):
+        # the run dies after one batch; its file declares every shot it was
+        # to hold, so analyze refuses it instead of fitting the prefix
+        cfg = write_config(tmp_path / "c.ini", SIM_INI.format(n_shots=200000))
+        out = tmp_path / "run"
+        real = shots._generate_batch
+        calls = itertools.count()
+
+        def fail_after_one(*args):
+            if next(calls) >= 1:
+                raise RuntimeError("interrupted")
+            return real(*args)
+
+        monkeypatch.setattr(shots, "_generate_batch", fail_after_one)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            cli.main(["simulate", "--config", cfg, "--workers", str(workers),
+                      "--out", str(out)])
+        monkeypatch.undo()
+        assert shotfile._HEADER.size < (out / "shots.bin").stat().st_size
+        assert cli.main(["analyze", "--config", cfg, "--out", str(out)]) == 3
+        assert "incomplete" in capsys.readouterr().err
+
+    def test_zero_shots_make_no_file(self, tmp_path):
+        path = tmp_path / "shots.bin"
+        with pytest.raises(ConfigError):
+            run_campaign(ExperimentConfig(), 0, seed=0, out_path=path)
+        assert not path.exists()
+
+    def test_unresolved_phi0_exit_3(self, tmp_path, capsys):
+        # a valid default campaign of 100k shots resolves phi_0 at under
+        # 5 sigma: too few data, not a bad config
+        cfg = write_config(tmp_path / "c.ini",
+                           "[experiment]\n[campaign]\nn_shots = 100000\n")
+        out = str(tmp_path / "run")
+        assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
+        assert cli.main(["analyze", "--config", cfg, "--out", out]) == 3
+        assert "not significant" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini",

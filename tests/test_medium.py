@@ -100,8 +100,6 @@ class TestEnvelope:
         with pytest.raises(ConfigError):
             PulseSpec(intensity_rms=0.0)
         with pytest.raises(ConfigError):
-            PulseSpec(intensity_rms=1e-8, shape="sech")
-        with pytest.raises(ConfigError):
             MediumSpec(peak_od=-1.0, gamma=1.0)
         with pytest.raises(ConfigError):
             SampledEnvelope(t0=0.0, dt=1e-9, samples=np.array([np.nan, 1.0]))

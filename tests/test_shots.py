@@ -1,8 +1,12 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from xdwell import (
+    BATCH_SIZE,
     ConfigError,
     ExperimentConfig,
     OscillationSpec,
@@ -11,6 +15,7 @@ from xdwell import (
     run_campaign,
     xps_template,
 )
+from xdwell import shots
 from xdwell.shots import (
     anchored_phi_atom,
     tau0_per_photon,
@@ -212,12 +217,29 @@ class TestDeterminism:
     def test_prefix_stability_full_batches(self):
         # substreams are keyed per fixed-size batch, so campaigns agree on
         # whole-batch prefixes regardless of total length
-        from xdwell import BATCH_SIZE
-
         cfg = ExperimentConfig()
         small = collect(cfg, BATCH_SIZE, seed=9)[0]
         big = collect(cfg, BATCH_SIZE + 500, seed=9)[0]
         np.testing.assert_array_equal(big[:BATCH_SIZE], small)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_batches_in_flight_bounded(self, monkeypatch, workers):
+        # a slow consumer must not let the generating threads run ahead by
+        # more than 2 * workers batches
+        real = shots._generate_batch
+        generated = itertools.count(1)
+        consumed = 0
+
+        def one_row(cfg, template, rng, m):
+            assert next(generated) - consumed <= 2 * workers
+            return real(cfg, template, rng, 1)
+
+        monkeypatch.setattr(shots, "_generate_batch", one_row)
+        for _ in iter_batches(ExperimentConfig(), 12 * BATCH_SIZE, seed=0,
+                              workers=workers):
+            consumed += 1
+            time.sleep(0.01)
+        assert next(generated) - 1 == consumed == 12
 
     def test_workers_equivalent(self, tmp_path):
         cfg = ExperimentConfig()
