@@ -101,7 +101,10 @@ def _weak_amplitudes(spectra: np.ndarray, dt: float,
     w = 2.0 * np.pi * np.fft.fftfreq(n, dt)
     spectra *= (0.5j * cfg.rabi_per_amplitude) / (1j * w - lam)
     c = np.fft.ifft(spectra, axis=-1, out=spectra)
-    c -= c[..., :1] * np.exp(lam * dt * np.arange(n))
+    decay = np.exp(lam * dt * np.arange(n))
+    homogeneous = np.empty_like(decay)
+    for row in np.atleast_2d(c):  # one row at a time: no (rows, n) temporary
+        row -= np.multiply(row[:1], decay, out=homogeneous)
     return c
 
 
@@ -186,26 +189,31 @@ def _fate_fractions_many(pe: np.ndarray, coh_down: np.ndarray, h: float,
     removal the hazard is zero, so a_n = 0 and f stays at its final 0:
     that excitation can only decay spontaneously.  Rows are contiguous in
     time, so each step of the recurrence is one pass over all columns.
+
+    Consumes `coh_down`: it is overwritten in turn by the hazard, lam and
+    b, and a_n is kept in the returned array, so the whole recurrence
+    needs no buffer beyond the result and one row block.
     """
-    f = np.zeros_like(pe)
     peak = pe.max()
     if peak <= 0:
-        return f
+        return np.zeros_like(pe)
     # where P_e touches zero under active coherent removal (a 0-pi flip
     # emptying the state) the hazard diverges; flooring P_e saturates the
     # fate fraction at 1 there, and pe * f keeps those points weightless
-    hz = np.maximum(pe, peak * 1e-12)
-    np.divide(coh_down, hz, out=hz)
-    hm = hz[:-1] + hz[1:]
+    f = np.maximum(pe, peak * 1e-12)
+    hz = np.divide(coh_down, f, out=coh_down)
+    hm = np.add(hz[:-1], hz[1:], out=f[:-1])
     hm *= 0.5
-    del hz
-    lam = hm + gamma
-    b = np.exp(np.multiply(lam, -h))
+    f[-1] = 0.0
+    lam = np.add(hm, gamma, out=coh_down[:-1])
     a = np.divide(hm, lam, out=hm)
-    a *= np.subtract(1.0, b, out=lam)
-    for n in range(a.shape[0] - 1, -1, -1):
-        np.multiply(b[n], f[n + 1], out=f[n])
-        f[n] += a[n]
+    b = np.exp(np.multiply(lam, -h, out=lam), out=lam)
+    rows = max(1, (1 << 16) // pe.shape[1])
+    for i in range(0, b.shape[0], rows):
+        a[i:i + rows] *= np.subtract(1.0, b[i:i + rows])
+    step = np.empty(pe.shape[1:])
+    for b_n, f_n, f_next in zip(b[::-1], f[-2::-1], f[::-1]):
+        f_n += np.multiply(b_n, f_next, out=step)
     over = max(f.max() - 1.0, -f.min(), 0.0)
     if over > _CLAMP_REPORT:
         warnings.warn(f"f_coh clamped by {over:.2e} (> {_CLAMP_REPORT:g})")
@@ -214,6 +222,8 @@ def _fate_fractions_many(pe: np.ndarray, coh_down: np.ndarray, h: float,
 
 def fate_fractions(rec: ExcitationRecord) -> FateProfile:
     """Probability that excitation present at each time ends in coherent return."""
-    f = _fate_fractions_many(rec.pe[:, None], rec.coh_down_flow[:, None],
+    # the recurrence consumes its coh_down argument: hand it a copy
+    f = _fate_fractions_many(rec.pe[:, None],
+                             rec.coh_down_flow[:, None].copy(),
                              rec.dt, rec.gamma)
     return FateProfile(t0=rec.t0, dt=rec.dt, f_coh=f[:, 0])

@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -227,20 +229,26 @@ def cmd_models(args) -> int:
     if sorted(od_grid) != od_grid or len(set(od_grid)) != len(od_grid):
         raise ConfigError("od_grid must be strictly increasing")
 
-    curves = [(model, sigma)
-              for model in (MODEL_EGALITARIAN, MODEL_MIN_COHERENT)
-              for sigma in (sigma_broad, sigma_narrow)]
+    medium_base = MediumSpec.from_lifetime(peak_od=1.0, tau_sp=tau_sp)
+    grid = [(model, PulseSpec(intensity_rms=sigma, carrier_detuning=carrier),
+             medium_base.with_od(od))
+            for model in (MODEL_EGALITARIAN, MODEL_MIN_COHERENT)
+            for sigma in (sigma_broad, sigma_narrow)
+            for od in od_grid]
     out = _out_dir(args)
-    path = out / "model_curves.csv"
-    with open(path, "w") as fh:
-        fh.write(",".join(_MODELS_HEADER) + "\n")
-        for model, sigma in curves:
-            pulse = PulseSpec(intensity_rms=sigma, carrier_detuning=carrier)
-            medium_base = MediumSpec.from_lifetime(peak_od=1.0, tau_sp=tau_sp)
-            for od in od_grid:
-                medium = medium_base.with_od(od)
+    # points run on --workers threads (numpy releases the GIL in the FFTs
+    # and array passes); rows are written in grid order, so the file is
+    # the same at any worker count
+    pool = ThreadPoolExecutor(max_workers=args.workers)
+    try:
+        points = [pool.submit(_model_point, model, pulse, medium, slices)
+                  for model, pulse, medium in grid]
+        with open(out / "model_curves.csv", "w") as fh:
+            fh.write(",".join(_MODELS_HEADER) + "\n")
+            for (model, pulse, medium), point in zip(grid, points):
+                sigma, od = pulse.intensity_rms, medium.peak_od
                 try:
-                    b = _model_point(model, pulse, medium, slices)
+                    b = point.result()
                 except (ConvergenceError, ConfigError) as exc:
                     fh.write(f"# {model},sigma_t={sigma:g},peak_od={od:g} "
                              f"failed: {exc}\n")
@@ -251,6 +259,8 @@ def cmd_models(args) -> int:
                     model, _fmt(sigma * 1e9), _fmt(od), _fmt(b.p_loss),
                     _fmt(b.tau0), _fmt(b.tauL), _fmt(b.tauT), _fmt(ratio),
                 ]) + "\n")
+    finally:
+        pool.shutdown(cancel_futures=True)
     return EXIT_OK
 
 
@@ -340,6 +350,12 @@ def cmd_calibrate(args) -> int:
 # --- entry point -------------------------------------------------------------
 
 
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xdwell",
@@ -356,8 +372,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--seed", type=int, default=0, help="campaign seed")
-        p.add_argument("--workers", type=int, default=1,
-                       help="threads generating campaign batches")
+        p.add_argument("--workers", type=int, default=_available_cpus(),
+                       help="threads generating campaign batches or model "
+                       "points (default: the CPUs this process may use)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--force-digest", action="store_true",
                        help="analyze despite a config-digest mismatch")

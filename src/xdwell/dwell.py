@@ -154,7 +154,9 @@ def _min_coherent_once(pulse: PulseSpec, medium: MediumSpec, slices: int,
     n_photons = env.photon_number
     h = env.dt
     c = _weak_amplitudes(_slice_spectra(env, medium, slices), h, bloch)
-    pe = np.ascontiguousarray((c.real ** 2 + c.imag ** 2).T)  # (N, slices)
+    # |c|^2 written time-major, (N, slices), with no transpose copy
+    pe = np.square(c.real.T, out=np.empty(c.shape[::-1]))
+    pe += np.square(c.imag, out=c.imag).T
     del c
     _check_weak(pe)
     net = _net_flow(pe, h, medium.gamma)

@@ -68,7 +68,12 @@ def _record_dtype(n_samples: int, with_truth: bool) -> np.dtype:
 
 class ShotFileWriter:
     """Append-only writer; the header, written at open, declares n_shots, so
-    a file left short by an interrupted run fails `read_header`."""
+    a file left short by an interrupted run fails `read_header`.
+
+    Records go to `<path>.partial`, which a clean `close` renames to
+    `path` and `discard` (or leaving a `with` block by an exception)
+    deletes, so an interrupted run never replaces a complete file.
+    """
 
     def __init__(self, path, n_samples: int, n_shots: int, digest: bytes,
                  with_truth: bool):
@@ -79,7 +84,8 @@ class ShotFileWriter:
         self.with_truth = with_truth
         self._dtype = _record_dtype(n_samples, with_truth)
         flags = FLAG_TRUTH if with_truth else 0
-        self._fh = open(self.path, "wb")
+        self._partial = self.path + ".partial"
+        self._fh = open(self._partial, "wb")
         self._fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, flags, n_samples,
                                     n_shots, digest))
 
@@ -100,20 +106,31 @@ class ShotFileWriter:
 
     def close(self):
         self._fh.close()
+        os.replace(self._partial, self.path)
+
+    def discard(self):
+        self._fh.close()
+        os.remove(self._partial)
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        self.close()
+    def __exit__(self, exc_type, *exc):
+        if exc_type is None:
+            self.close()
+        else:
+            self.discard()
 
 
 def read_header(path) -> Header:
     """Parse the header and check that the file holds exactly the records
     it declares."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        size = os.fstat(fh.fileno()).st_size
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read(_HEADER.size)
+            size = os.fstat(fh.fileno()).st_size
+    except OSError as exc:
+        raise DataFormatError(f"cannot read shot file {path}: {exc}") from exc
     if len(raw) < _HEADER.size:
         raise DataFormatError(f"{path}: truncated header")
     magic, version, flags, n_samples, n_shots, digest = _HEADER.unpack(raw)

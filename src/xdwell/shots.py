@@ -13,6 +13,7 @@ by (seed, batch index), so any parallelism width yields identical output.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import warnings
 from collections import deque
@@ -307,24 +308,22 @@ def run_campaign(cfg: ExperimentConfig, n_shots: int, seed: int,
         raise ConfigError("n_shots must be >= 1")
     digest = shotfile.config_digest(shotfile.canonical_config_text(
         shotfile.experiment_sections(cfg)))
-    writer = None
+    writer = contextlib.nullcontext()
     if out_path is not None:
+        # an interrupted run leaves no file and keeps any earlier one
         writer = shotfile.ShotFileWriter(out_path, n_samples=cfg.n_samples,
                                          n_shots=n_shots, digest=digest,
                                          with_truth=with_truth)
     n_click = 0
     dwell_sum = 0.0
     transmitted_sum = 0.0
-    try:
+    with writer:
         for phases, clicks, truth in iter_batches(cfg, n_shots, seed, workers):
             n_click += int(clicks.sum())
             dwell_sum += float(truth[:, 3].sum())
             transmitted_sum += float(truth[:, 1].sum())
-            if writer is not None:
+            if out_path is not None:
                 writer.append(phases, clicks, truth if with_truth else None)
-    finally:
-        if writer is not None:
-            writer.close()
     return CampaignSummary(
         n_shots=n_shots,
         click_rate=n_click / n_shots,

@@ -305,6 +305,18 @@ class TestFateFractions:
         se = np.sqrt(frac * (1 - frac) / n_tokens)
         assert abs(frac - predicted) < 3 * se
 
+    def test_record_flows_unchanged(self, pulse_10ns, medium_od4):
+        # the recurrence consumes its coh_down buffer; fate_fractions must
+        # hand it a copy, not the record's own flow
+        env = gaussian_envelope(pulse_10ns, n_samples=4096, tail=300e-9)
+        cfg = default_bloch_config(pulse_10ns, medium_od4)
+        rec = integrate_weak_bloch(propagate_spectral(env, medium_od4, 0.5),
+                                   cfg)
+        coh_down, pe = rec.coh_down_flow.copy(), rec.pe.copy()
+        fate_fractions(rec)
+        np.testing.assert_array_equal(rec.coh_down_flow, coh_down)
+        np.testing.assert_array_equal(rec.pe, pe)
+
     def test_clamped_to_unit_interval(self):
         pe = np.full(100, 1e-4)
         f = _fate_fractions_many(pe[:, None], (50 * GAMMA * pe)[:, None],

@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -191,14 +194,56 @@ class TestSweep:
         monkeypatch.setattr(cli, "min_coherent_model", fail_at_od4)
         cfg = tmp_path / "m.ini"
         cfg.write_text("[models]\nod_grid = 1,4\nslices = 32\n")
-        out = tmp_path / "models"
-        assert cli.main(["models", "--config", str(cfg),
-                         "--out", str(out)]) == 0
-        rows = (out / "model_curves.csv").read_text().splitlines()
-        failed = [r for r in rows if r.startswith("#")]
-        assert len(failed) == 2  # both bandwidths at OD 4
-        assert all("peak_od=4 failed: synthetic failure" in r for r in failed)
-        assert len(rows) == 1 + 6 + 2
+        for workers in ("1", "2"):
+            out = tmp_path / f"models{workers}"
+            assert cli.main(["models", "--config", str(cfg), "--workers",
+                             workers, "--out", str(out)]) == 0
+            rows = (out / "model_curves.csv").read_text().splitlines()
+            # grid order: each failed point sits between its curve's OD 1
+            # row and the next curve
+            assert [r.split(",")[0] for r in rows[1:]] == (
+                ["egalitarian"] * 4 + ["min-coherent", "# min-coherent"] * 2)
+            failed = [r for r in rows if r.startswith("#")]
+            assert len(failed) == 2  # both bandwidths at OD 4
+            assert all("peak_od=4 failed: synthetic failure" in r
+                       for r in failed)
+            assert [r.split(",")[1] for r in failed] == [
+                "sigma_t=1e-08", "sigma_t=5e-08"]
+
+    def test_workers_identical(self, tmp_path):
+        # 4 threads is more than the cores; a short switch interval makes
+        # the threads interleave inside every point
+        cfg = tmp_path / "m.ini"
+        cfg.write_text("[models]\nod_grid = 0,0.5,2,4\nslices = 32\n")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            texts = set()
+            for workers in ("1", "2", "4"):
+                out = tmp_path / f"w{workers}"
+                assert cli.main(["models", "--config", str(cfg), "--workers",
+                                 workers, "--out", str(out)]) == 0
+                texts.add((out / "model_curves.csv").read_bytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(texts) == 1
+        assert len(texts.pop().splitlines()) == 1 + 16
+
+
+class TestMemory:
+    def test_min_coherent_point_peak(self, pulse_10ns, medium_od4):
+        # the peak of one warm point at 128 slices x 4096 samples is the
+        # complex slice spectra plus P_e, 12 MiB; a full-size temporary on
+        # top of that would pass 16 MiB
+        min_coherent_model(pulse_10ns, medium_od4)
+        tracemalloc.start()
+        try:
+            min_coherent_model(pulse_10ns, medium_od4, slices=128,
+                               n_samples=4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestBreakdownValidation:

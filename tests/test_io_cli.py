@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -197,13 +198,8 @@ class TestCli:
         assert cli.main(["analyze", "--config", other, "--out", out,
                          "--force-digest"]) == 0
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_interrupted_campaign_rejected_exit_3(self, tmp_path, monkeypatch,
-                                                  capsys, workers):
-        # the run dies after one batch; its file declares every shot it was
-        # to hold, so analyze refuses it instead of fitting the prefix
-        cfg = write_config(tmp_path / "c.ini", SIM_INI.format(n_shots=200000))
-        out = tmp_path / "run"
+    @staticmethod
+    def _interrupt_after_one_batch(monkeypatch):
         real = shots._generate_batch
         calls = itertools.count()
 
@@ -213,13 +209,40 @@ class TestCli:
             return real(*args)
 
         monkeypatch.setattr(shots, "_generate_batch", fail_after_one)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interrupted_campaign_rejected_exit_3(self, tmp_path, monkeypatch,
+                                                  capsys, workers):
+        # the run dies after one batch: its records went to shots.bin.partial,
+        # which is deleted, so analyze finds no file instead of fitting the
+        # prefix
+        cfg = write_config(tmp_path / "c.ini", SIM_INI.format(n_shots=200000))
+        out = tmp_path / "run"
+        self._interrupt_after_one_batch(monkeypatch)
         with pytest.raises(RuntimeError, match="interrupted"):
             cli.main(["simulate", "--config", cfg, "--workers", str(workers),
                       "--out", str(out)])
         monkeypatch.undo()
-        assert shotfile._HEADER.size < (out / "shots.bin").stat().st_size
+        assert list(out.iterdir()) == []
         assert cli.main(["analyze", "--config", cfg, "--out", str(out)]) == 3
-        assert "incomplete" in capsys.readouterr().err
+        assert "cannot read shot file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interrupted_run_keeps_complete_file(self, tmp_path, monkeypatch,
+                                                 workers):
+        cfg = write_config(tmp_path / "c.ini", SIM_INI.format(n_shots=200000))
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", cfg, "--seed", "3",
+                         "--out", str(out)]) == 0
+        complete = (out / "shots.bin").read_bytes()
+        self._interrupt_after_one_batch(monkeypatch)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            cli.main(["simulate", "--config", cfg, "--seed", "4", "--workers",
+                      str(workers), "--out", str(out)])
+        monkeypatch.undo()
+        assert (out / "shots.bin").read_bytes() == complete
+        assert not (out / "shots.bin.partial").exists()
+        assert cli.main(["analyze", "--config", cfg, "--out", str(out)]) == 0
 
     def test_zero_shots_make_no_file(self, tmp_path):
         path = tmp_path / "shots.bin"
@@ -306,6 +329,13 @@ class TestCli:
             p_loss, tau0, tau_l, tau_t = map(float, (r[3], r[4], r[5], r[6]))
             assert abs(tau0 - p_loss) < 1e-3
             assert abs(p_loss * tau_l + (1 - p_loss) * tau_t - tau0) < 1e-3
+
+    def test_workers_default_is_available_cpus(self):
+        args = cli._build_parser().parse_args(["models", "--config", "m.ini"])
+        if hasattr(os, "sched_getaffinity"):
+            assert args.workers == len(os.sched_getaffinity(0))
+        else:
+            assert args.workers == os.cpu_count()
 
     def test_models_bad_grid_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "m.ini", "[models]\nod_grid = 4,1\n")
