@@ -10,9 +10,7 @@ post-selection estimator that recovers the injected dwell ratio.
 from .bloch import (
     BlochConfig,
     ExcitationRecord,
-    FateProfile,
     detect_phase_flip,
-    excitation_time,
     fate_fractions,
     integrate_weak_bloch,
     pulse_area,

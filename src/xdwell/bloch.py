@@ -19,20 +19,13 @@ from .medium import SampledEnvelope
 __all__ = [
     "BlochConfig",
     "ExcitationRecord",
-    "FateProfile",
-    "TruncatedDecayWarning",
     "integrate_weak_bloch",
     "pulse_area",
     "detect_phase_flip",
-    "excitation_time",
     "fate_fractions",
 ]
 
 _WEAK_PE_LIMIT = 1e-2
-
-
-class TruncatedDecayWarning(UserWarning):
-    pass
 
 
 @dataclass(frozen=True)
@@ -64,18 +57,6 @@ class ExcitationRecord:
 
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.pe.size)
-
-
-@dataclass(frozen=True)
-class FateProfile:
-    """f_coh(t): probability that excitation present at t returns coherently."""
-
-    t0: float
-    dt: float
-    f_coh: np.ndarray
-
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.f_coh.size)
 
 
 def _check_weak(pe: np.ndarray):
@@ -164,16 +145,6 @@ def detect_phase_flip(env: SampledEnvelope, min_run: int = 3):
     return None
 
 
-def excitation_time(rec: ExcitationRecord) -> float:
-    """Trapezoidal integral of P_e over the record's grid, in seconds."""
-    peak = rec.pe.max()
-    if peak > 0 and rec.pe[-1] > 1e-6 * peak:
-        warnings.warn(
-            f"P_e at the final sample is {rec.pe[-1] / peak:.2e} of its peak; "
-            "the decay tail is truncated", TruncatedDecayWarning)
-    return float(np.trapezoid(rec.pe, dx=rec.dt))
-
-
 _CLAMP_REPORT = 1e-6
 
 
@@ -220,10 +191,11 @@ def _fate_fractions_many(pe: np.ndarray, coh_down: np.ndarray, h: float,
     return np.clip(f, 0.0, 1.0, out=f)
 
 
-def fate_fractions(rec: ExcitationRecord) -> FateProfile:
-    """Probability that excitation present at each time ends in coherent return."""
+def fate_fractions(rec: ExcitationRecord) -> np.ndarray:
+    """f_coh(t): probability that excitation present at each of the record's
+    times ends in coherent return."""
     # the recurrence consumes its coh_down argument: hand it a copy
     f = _fate_fractions_many(rec.pe[:, None],
                              rec.coh_down_flow[:, None].copy(),
                              rec.dt, rec.gamma)
-    return FateProfile(t0=rec.t0, dt=rec.dt, f_coh=f[:, 0])
+    return f[:, 0]

@@ -92,9 +92,12 @@ def _pop_float(section: dict, key: str, default=None) -> float:
         return float(default)
     raw = section.pop(key)
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"{key!r} must be finite, got {raw!r}")
+    return value
 
 
 def _pop_int(section: dict, key: str, default=None) -> int:
@@ -107,9 +110,12 @@ def _pop_int(section: dict, key: str, default=None) -> int:
 def _pop_list(section: dict, key: str, default: str) -> list:
     raw = section.pop(key, default)
     try:
-        return [float(p) for p in str(raw).split(",") if p.strip()]
+        values = [float(p) for p in str(raw).split(",") if p.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{key!r} values must be finite, got {raw!r}")
+    return values
 
 
 def _reject_unknown(section: dict, name: str):
@@ -222,7 +228,7 @@ def cmd_models(args) -> int:
     sigma_narrow = _pop_float(body, "sigma_t_narrow", 50e-9)
     tau_sp = _pop_float(body, "tau_sp", 26.5e-9)
     carrier = _pop_float(body, "carrier_detuning", 0.0)
-    slices = _pop_int(body, "slices", 128)
+    slices = _pop_int(body, "slices", 32)
     _reject_unknown(body, "models")
     if any(od < 0 for od in od_grid):
         raise ConfigError("od_grid values must be >= 0")

@@ -52,6 +52,8 @@ class MediumSpec:
 
     @classmethod
     def from_lifetime(cls, peak_od, tau_sp):
+        if not tau_sp > 0:
+            raise ConfigError(f"tau_sp must be > 0, got {tau_sp}")
         return cls(peak_od=peak_od, gamma=1.0 / tau_sp)
 
     def with_od(self, peak_od) -> "MediumSpec":
@@ -147,10 +149,16 @@ def dispersion_phase(delta, medium: MediumSpec):
 
 
 def field_transfer(delta, medium: MediumSpec, depth_fraction: float = 1.0):
-    """Complex field amplitude transfer over `depth_fraction` of the medium."""
+    """Complex field amplitude transfer over `depth_fraction` of the medium.
+
+    `delta` and `depth_fraction` broadcast: a column of depth fractions
+    against a row of detunings gives one row of transfers per depth.
+    """
     a = lorentzian_od(delta, medium)
     phi = dispersion_phase(delta, medium)
-    return np.exp(-depth_fraction * (0.5 * a + 1.0j * phi))
+    z = -depth_fraction * (0.5 * a + 1.0j * phi)
+    # exp in place on arrays, so a block of depths costs one buffer, not two
+    return np.exp(z, out=z if isinstance(z, np.ndarray) else None)
 
 
 _INPUT_LEAK_TOL = 1e-6
@@ -161,23 +169,6 @@ def _detunings(env: SampledEnvelope) -> np.ndarray:
     """Detuning from line centre of each FFT bin of the envelope, in rad/s."""
     w = 2.0 * np.pi * np.fft.fftfreq(env.samples.size, env.dt)
     return env.carrier_detuning + w
-
-
-def _slice_spectra(env: SampledEnvelope, medium: MediumSpec,
-                   slices: int) -> np.ndarray:
-    """Envelope spectrum at the midpoints of `slices` equal depth slices.
-
-    Returns shape (slices, N).  Each row is the one before it times the
-    one-slice transfer, which costs a product per bin instead of an exp.
-    """
-    delta = _detunings(env)
-    step = field_transfer(delta, medium, 1.0 / slices)
-    spectra = np.empty((slices, delta.size), dtype=complex)
-    np.multiply(np.fft.fft(env.samples),
-                field_transfer(delta, medium, 0.5 / slices), out=spectra[0])
-    for k in range(1, slices):
-        np.multiply(spectra[k - 1], step, out=spectra[k])
-    return spectra
 
 
 def propagate_spectral(env: SampledEnvelope, medium: MediumSpec,

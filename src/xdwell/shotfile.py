@@ -212,9 +212,16 @@ def experiment_sections(cfg: ExperimentConfig) -> dict:
     return {"experiment": body}
 
 
+def _finite(raw) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
 def config_from_sections(section: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from string key/value pairs; unknown keys
-    and malformed values raise ConfigError."""
+    and malformed or non-finite values raise ConfigError."""
     from .errors import ConfigError
 
     kwargs = {}
@@ -226,19 +233,19 @@ def config_from_sections(section: dict) -> ExperimentConfig:
                 name = key[4:]
                 if name not in _OSC_FIELDS:
                     raise ConfigError(f"unknown experiment key {raw_key!r}")
-                osc_kwargs[name] = float(raw)
+                osc_kwargs[name] = _finite(raw)
             elif key == "drift":
                 parts = str(raw).split(",")
-                kwargs["drift"] = tuple(float(p) for p in parts)
+                kwargs["drift"] = tuple(_finite(p) for p in parts)
             elif key in ("n_samples", "arrival_index"):
                 kwargs[key] = int(raw)
             elif key in ("tautfrac", "taut_frac"):
-                kwargs["tauT_frac"] = float(raw)
+                kwargs["tauT_frac"] = _finite(raw)
             elif key in ("taulfrac", "taul_frac"):
-                kwargs["tauL_frac"] = float(raw)
+                kwargs["tauL_frac"] = _finite(raw)
             elif key in (f.lower() for f in _EXPERIMENT_FIELDS):
                 field = next(f for f in _EXPERIMENT_FIELDS if f.lower() == key)
-                kwargs[field] = float(raw)
+                kwargs[field] = _finite(raw)
             else:
                 raise ConfigError(f"unknown experiment key {raw_key!r}")
         except (TypeError, ValueError) as exc:

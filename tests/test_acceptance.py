@@ -39,6 +39,10 @@ from xdwell.shots import run_campaign
 
 from conftest import TAU_SP
 
+# shot files are byte-identical at any worker count (criterion 11), so the
+# large campaigns run on every available CPU
+WORKERS = cli._available_cpus()
+
 
 def report(capsys, number, ok, detail):
     with capsys.disabled():
@@ -178,7 +182,7 @@ def test_08_end_to_end_recovery(capsys, tmp_path_factory, boosted_cfg):
     for n in (100_000, 1_000_000, 10_000_000):
         path = root / f"shots_{n}.bin"
         run_campaign(boosted_cfg, n, seed=2024, out_path=path,
-                     with_truth=False)
+                     with_truth=False, workers=WORKERS)
         reports[n], _ = analyze_file(path, boosted_cfg)
         path.unlink()
     elapsed = time.time() - start
@@ -199,7 +203,8 @@ def test_09_null_campaign(capsys, tmp_path_factory, boosted_cfg):
     cfg = boosted_cfg.replace(tauT_frac=0.0, phi_atom=boosted_cfg.phi_atom)
     root = tmp_path_factory.mktemp("null")
     path = root / "null.bin"
-    run_campaign(cfg, 10_000_000, seed=909, out_path=path, with_truth=False)
+    run_campaign(cfg, 10_000_000, seed=909, out_path=path, with_truth=False,
+                 workers=WORKERS)
     rep, _ = analyze_file(path, cfg)
     path.unlink()
     z = abs(rep["ratio"]) / rep["ratio_se"]
@@ -213,14 +218,16 @@ def test_10_proportional_noise_calibration(capsys):
     cal_cfg = base.replace(phi_atom=50 * base.phi_atom, tauT_frac=1.0,
                            prop_noise_s=0.03)
     cal = run_calibration(cal_cfg, [588, 898, 1527, 3040],
-                          n_shots=2_000_000, seed=404, target_click=0.10)
+                          n_shots=2_000_000, seed=404, target_click=0.10,
+                          workers=WORKERS)
     s2_ok = abs(cal["s2"] / 9e-4 - 1.0) < 0.20
 
     cfg134 = base.replace(phi_atom=100 * base.phi_atom, prop_noise_s=0.03,
                           mean_photons=134.0,
                           eta_detect=_calibration_eta(base, 134.0, 0.10))
     tpl = xps_template(cfg134)
-    binned = bin_and_average(iter_batches(cfg134, 2_000_000, seed=505))
+    binned = bin_and_average(iter_batches(cfg134, 2_000_000, seed=505,
+                                          workers=WORKERS))
     phi0 = fit_phi0(binned.phi_all, 134.0, tpl, sigma=binned.se_all)
     corrected = correct_phi_T(fit_transmitted(binned, tpl), cal["s2"],
                               134.0, phi0, s2_se=cal["s2_se"])

@@ -151,9 +151,15 @@ class TestMinCoherent:
                                    pulse_10ns, medium_od4, area=0.04))
         assert a.tauT / a.tau0 == pytest.approx(b.tauT / b.tau0, abs=1e-3)
 
-    def test_slice_convergence_check(self, pulse_10ns, medium_od4):
-        min_coherent_model(pulse_10ns, medium_od4, slices=64,
-                           check_convergence=True)
+    @pytest.mark.parametrize("sigma", [10e-9, 50e-9])
+    def test_depth_nodes_converged(self, sigma, medium_od4):
+        # doubling the Gauss-Legendre depth nodes moves tauT/tau0 by well
+        # under the 1e-3 frozen-value tolerance
+        pulse = PulseSpec(intensity_rms=sigma)
+        ratios = [min_coherent_model(pulse, medium_od4, slices=n)
+                  for n in (32, 64)]
+        r32, r64 = (b.tauT / b.tau0 for b in ratios)
+        assert abs(r32 - r64) <= 2e-5
 
     def test_energy_consistency_internal(self, pulse_10ns, medium_od4):
         b = min_coherent_model(pulse_10ns, medium_od4)
@@ -232,9 +238,9 @@ class TestSweep:
 
 class TestMemory:
     def test_min_coherent_point_peak(self, pulse_10ns, medium_od4):
-        # the peak of one warm point at 128 slices x 4096 samples is the
-        # complex slice spectra plus P_e, 12 MiB; a full-size temporary on
-        # top of that would pass 16 MiB
+        # the peak of one warm point at 128 depth nodes x 4096 samples is
+        # the complex node spectra plus P_e, 12 MiB; a full-size temporary
+        # on top of that would pass 16 MiB
         min_coherent_model(pulse_10ns, medium_od4)
         tracemalloc.start()
         try:
@@ -249,6 +255,12 @@ class TestMemory:
 class TestBreakdownValidation:
     def test_identity_violation_raises(self):
         bad = DwellBreakdown(tau0=0.5, tauL=0.9, tauT=0.9, p_loss=0.2)
+        with pytest.raises(ConvergenceError):
+            bad.check_identities()
+
+    def test_nan_identity_raises(self):
+        bad = DwellBreakdown(tau0=float("nan"), tauL=0.5, tauT=0.5,
+                             p_loss=0.5)
         with pytest.raises(ConvergenceError):
             bad.check_identities()
 

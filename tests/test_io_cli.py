@@ -130,6 +130,12 @@ class TestConfigCanonicalization:
         with pytest.raises(ConfigError):
             shotfile.config_from_sections({"mean_photons": "many"})
 
+    @pytest.mark.parametrize("key,raw", [
+        ("phi_atom", "nan"), ("drift", "0,0,-inf,0"), ("osc_period", "nan")])
+    def test_non_finite_value_rejected(self, key, raw):
+        with pytest.raises(ConfigError):
+            shotfile.config_from_sections({key: raw})
+
 
 def write_config(path, text):
     path.write_text(text)
@@ -341,6 +347,21 @@ class TestCli:
         cfg = write_config(tmp_path / "m.ini", "[models]\nod_grid = 4,1\n")
         assert cli.main(["models", "--config", cfg,
                          "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("command,text", [
+        ("models", "[models]\nod_grid = 0.5,inf\n"),
+        ("models", "[models]\nsigma_t_broad = nan\n"),
+        ("models", "[models]\ntau_sp = 0\n"),
+        ("simulate", "[experiment]\nphi_atom = nan\n"),
+        ("propagate", "[pulse]\nsigma_t = 10e-9\n[medium]\npeak_od = inf\n"),
+        ("propagate", "[pulse]\nsigma_t = 10e-9\n[medium]\npeak_od = 4\n"
+                      "tau_sp = 0\n"),
+    ])
+    def test_non_finite_or_zero_lifetime_exit_2(self, tmp_path, command, text):
+        cfg = write_config(tmp_path / "c.ini", text)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_csv_floats_full_precision(self, tmp_path):
         cfg = write_config(tmp_path / "m.ini",
