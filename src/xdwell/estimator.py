@@ -418,9 +418,8 @@ def run_calibration(cfg: ExperimentConfig, photon_numbers, n_shots: int,
         cal_cfg = cfg.replace(mean_photons=mu, phi_atom=cfg.phi_atom,
                               eta_detect=_calibration_eta(cfg, mu, target_click))
         template = shots.xps_template(cal_cfg)
-        # wrap into the uint64 key space; every seed that fit stays unchanged
         binned = bin_and_average(shots.iter_batches(
-            cal_cfg, n_shots, (seed + i) % 2**64, workers))
+            cal_cfg, n_shots, seed, workers, campaign=i))
         phi0 = fit_phi0(binned.phi_all, mu, template, sigma=binned.se_all)
         phi_t = fit_transmitted(binned, template)
         excess = phi_t.amplitude / phi0.amplitude

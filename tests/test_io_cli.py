@@ -381,11 +381,14 @@ class TestCli:
         assert cli.main(["calibrate", "--config", cfg, "--workers",
                          str(workers), "--out", str(tmp_path / "o")]) == 2
 
-    def test_calibration_seeds_wrap(self):
-        # photon number i runs on seed + i modulo 2**64, so the seed after
-        # the largest one is 0
+    def test_calibration_seed_streams_distinct(self):
+        # every photon-number point of every seed has its own stream, so at
+        # one photon number no point of seed s repeats a point of seed s + 1
         cfg = ExperimentConfig()
         last = run_calibration(cfg, [588, 898, 1527, 3040], 5000,
                                seed=2**64 - 1)
-        first = run_calibration(cfg, [898, 1527, 3040, 588], 5000, seed=0)
-        assert last["points"][1:] == first["points"][:3]
+        assert np.isfinite(last["s2"])
+        excess = [{p["excess"] for p in run_calibration(
+            cfg, [898] * 4, 5000, seed=seed)["points"]} for seed in (6, 7)]
+        assert len(excess[0]) == len(excess[1]) == 4
+        assert not excess[0] & excess[1]

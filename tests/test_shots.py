@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from xdwell import (
     xps_template,
 )
 from xdwell import shots
+from xdwell.estimator import bin_and_average
 from xdwell.shots import (
     anchored_phi_atom,
     tau0_per_photon,
@@ -109,6 +111,23 @@ class TestConfig:
 
     def test_default_click_rate_in_expected_band(self):
         assert 0.2 <= expected_click_rate(ExperimentConfig()) <= 0.3
+
+    @pytest.mark.parametrize("make", [
+        lambda: ExperimentConfig(phi_atom=float("nan")),
+        lambda: ExperimentConfig(tauL_frac=float("nan")),
+        lambda: ExperimentConfig(drift=(float("inf"), 0, 0, 0)),
+        lambda: ExperimentConfig(probe_detuning=float("inf")),
+        lambda: ExperimentConfig(mean_photons=float("nan")),
+        lambda: ExperimentConfig(osc=OscillationSpec(amplitude=float("nan"))),
+        lambda: ExperimentConfig(osc=OscillationSpec(period=float("inf"))),
+        lambda: next(iter_batches(ExperimentConfig(), 10, seed=-1)),
+        lambda: next(iter_batches(ExperimentConfig(), 10, seed=2**64)),
+    ], ids=["phi_atom-nan", "tauL_frac-nan", "drift-inf", "detuning-inf",
+            "mean_photons-nan", "osc-amplitude-nan", "osc-period-inf",
+            "seed-negative", "seed-2**64"])
+    def test_non_finite_or_bad_seed_rejected(self, make):
+        with pytest.raises(ConfigError):
+            make()
 
 
 class TestPhiAnchor:
@@ -214,6 +233,16 @@ class TestDeterminism:
         b = collect(cfg, 1000, seed=2)
         assert not np.array_equal(a[0], b[0])
 
+    def test_keys_distinct_across_seeds_and_campaigns(self):
+        # a seed above 2**32 must not spell the key of a smaller seed's
+        # later campaign and batch, and campaigns of one seed differ
+        cfg = ExperimentConfig()
+        big = next(iter_batches(cfg, BATCH_SIZE, seed=2**32 + 5, campaign=2))
+        small = list(iter_batches(cfg, 3 * BATCH_SIZE, seed=5, campaign=1))
+        other = next(iter_batches(cfg, BATCH_SIZE, seed=5, campaign=0))
+        assert not np.array_equal(big[0], small[2][0])
+        assert not np.array_equal(other[0], small[0][0])
+
     def test_prefix_stability_full_batches(self):
         # substreams are keyed per fixed-size batch, so campaigns agree on
         # whole-batch prefixes regardless of total length
@@ -249,3 +278,19 @@ class TestDeterminism:
         assert (tmp_path / "a.bin").read_bytes() == \
             (tmp_path / "b.bin").read_bytes()
         assert s1.click_rate == s2.click_rate
+
+
+class TestMemory:
+    def test_campaign_peak(self):
+        # batches in flight at two workers plus the running moments stay
+        # near 10 MiB whatever the campaign size; holding the campaign or
+        # L2-busting batches would pass 16 MiB
+        cfg = ExperimentConfig()
+        bin_and_average(iter_batches(cfg, 100_000, seed=1, workers=2))
+        tracemalloc.start()
+        try:
+            bin_and_average(iter_batches(cfg, 1_000_000, seed=1, workers=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
