@@ -165,13 +165,14 @@ def _fate_fractions_many(pe: np.ndarray, coh_down: np.ndarray, h: float,
     b, and a_n is kept in the returned array, so the whole recurrence
     needs no buffer beyond the result and one row block.
     """
-    peak = pe.max()
-    if peak <= 0:
-        return np.zeros_like(pe)
     # where P_e touches zero under active coherent removal (a 0-pi flip
     # emptying the state) the hazard diverges; flooring P_e saturates the
-    # fate fraction at 1 there, and pe * f keeps those points weightless
-    f = np.maximum(pe, peak * 1e-12)
+    # fate fraction at 1 there, and pe * f keeps those points weightless.
+    # The floor is per column, so a column's result does not depend on
+    # the columns beside it; a column without excitation has no removal,
+    # and any positive floor leaves its fraction at 0
+    peak = pe.max(axis=0)
+    f = np.maximum(pe, np.where(peak > 0, peak * 1e-12, 1.0))
     hz = np.divide(coh_down, f, out=coh_down)
     hm = np.add(hz[:-1], hz[1:], out=f[:-1])
     hm *= 0.5

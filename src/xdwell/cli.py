@@ -213,11 +213,18 @@ _MODELS_HEADER = ("model", "sigma_t_ns", "peak_od", "p_loss", "tau0",
 _DEFAULT_OD_GRID = "0.01,0.25,0.5,1,1.5,2,3,4"
 
 
-def _model_point(model: str, pulse: PulseSpec, medium: MediumSpec,
-                 slices: int):
-    if model == MODEL_EGALITARIAN:
-        return egalitarian_broadband(pulse, medium)
-    return min_coherent_model(pulse, medium, slices=slices)
+def _model_curve(model: str, pulse: PulseSpec, medium: MediumSpec,
+                 od_grid: list, slices: int) -> list:
+    """One entry per OD: a DwellBreakdown, or the error that OD failed with."""
+    if model == MODEL_MIN_COHERENT:
+        return min_coherent_model(pulse, medium, od_grid, slices=slices)
+    results = []
+    for od in od_grid:
+        try:
+            results.append(egalitarian_broadband(pulse, medium.with_od(od)))
+        except (ConvergenceError, ConfigError) as exc:
+            results.append(exc)
+    return results
 
 
 def cmd_models(args) -> int:
@@ -228,43 +235,45 @@ def cmd_models(args) -> int:
     sigma_narrow = _pop_float(body, "sigma_t_narrow", 50e-9)
     tau_sp = _pop_float(body, "tau_sp", 26.5e-9)
     carrier = _pop_float(body, "carrier_detuning", 0.0)
-    slices = _pop_int(body, "slices", 32)
+    slices = _pop_int(body, "slices", 8)
     _reject_unknown(body, "models")
     if any(od < 0 for od in od_grid):
         raise ConfigError("od_grid values must be >= 0")
     if sorted(od_grid) != od_grid or len(set(od_grid)) != len(od_grid):
         raise ConfigError("od_grid must be strictly increasing")
 
-    medium_base = MediumSpec.from_lifetime(peak_od=1.0, tau_sp=tau_sp)
-    grid = [(model, PulseSpec(intensity_rms=sigma, carrier_detuning=carrier),
-             medium_base.with_od(od))
-            for model in (MODEL_EGALITARIAN, MODEL_MIN_COHERENT)
-            for sigma in (sigma_broad, sigma_narrow)
-            for od in od_grid]
+    medium = MediumSpec.from_lifetime(peak_od=1.0, tau_sp=tau_sp)
+    curves = [(model, PulseSpec(intensity_rms=sigma, carrier_detuning=carrier))
+              for model in (MODEL_EGALITARIAN, MODEL_MIN_COHERENT)
+              for sigma in (sigma_broad, sigma_narrow)]
     out = _out_dir(args)
-    # points run on --workers threads (numpy releases the GIL in the FFTs
-    # and array passes); rows are written in grid order, so the file is
-    # the same at any worker count
+    # curves run on --workers threads, one curve per thread (numpy releases
+    # the GIL in the FFTs and array passes); rows are written in grid
+    # order, so the file is the same at any worker count
     pool = ThreadPoolExecutor(max_workers=args.workers)
     try:
-        points = [pool.submit(_model_point, model, pulse, medium, slices)
-                  for model, pulse, medium in grid]
+        jobs = [pool.submit(_model_curve, model, pulse, medium, od_grid,
+                            slices)
+                for model, pulse in curves]
         with open(out / "model_curves.csv", "w") as fh:
             fh.write(",".join(_MODELS_HEADER) + "\n")
-            for (model, pulse, medium), point in zip(grid, points):
-                sigma, od = pulse.intensity_rms, medium.peak_od
+            for (model, pulse), job in zip(curves, jobs):
+                sigma = pulse.intensity_rms
                 try:
-                    b = point.result()
+                    results = job.result()
                 except (ConvergenceError, ConfigError) as exc:
-                    fh.write(f"# {model},sigma_t={sigma:g},peak_od={od:g} "
-                             f"failed: {exc}\n")
-                    continue
-                b.check_identities()
-                ratio = b.tauT / b.tau0 if b.tau0 > 0 else 0.0
-                fh.write(",".join([
-                    model, _fmt(sigma * 1e9), _fmt(od), _fmt(b.p_loss),
-                    _fmt(b.tau0), _fmt(b.tauL), _fmt(b.tauT), _fmt(ratio),
-                ]) + "\n")
+                    results = [exc] * len(od_grid)
+                for od, b in zip(od_grid, results):
+                    if isinstance(b, Exception):
+                        fh.write(f"# {model},sigma_t={sigma:g},peak_od={od:g} "
+                                 f"failed: {b}\n")
+                        continue
+                    b.check_identities()
+                    ratio = b.tauT / b.tau0 if b.tau0 > 0 else 0.0
+                    fh.write(",".join([
+                        model, _fmt(sigma * 1e9), _fmt(od), _fmt(b.p_loss),
+                        _fmt(b.tau0), _fmt(b.tauL), _fmt(b.tauT), _fmt(ratio),
+                    ]) + "\n")
     finally:
         pool.shutdown(cancel_futures=True)
     return EXIT_OK
@@ -380,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="campaign seed")
         p.add_argument("--workers", type=int, default=_available_cpus(),
                        help="threads generating campaign batches or model "
-                       "points (default: the CPUs this process may use)")
+                       "curves (default: the CPUs this process may use)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--force-digest", action="store_true",
                        help="analyze despite a config-digest mismatch")

@@ -146,23 +146,41 @@ def default_bloch_config(pulse: PulseSpec, medium: MediumSpec,
 
 _ENERGY_CONSISTENCY_TOL = 2e-2
 _DECAY_TAIL_LIFETIMES = 10.0
+_MIN_SLICES = 8
+_PANEL_MAX_OD = 1.0
+_BLOCK_NODES = 32
 
 
-def _min_coherent_once(pulse: PulseSpec, medium: MediumSpec, slices: int,
-                       bloch: BlochConfig, n_samples: int) -> DwellBreakdown:
-    env = gaussian_envelope(pulse, n_samples=n_samples,
-                            tail=_DECAY_TAIL_LIFETIMES / medium.gamma)
-    n_photons = env.photon_number
-    h = env.dt
-    # Gauss-Legendre nodes and weights on depth fraction [0, 1]
+def _depth_nodes(od_grid: np.ndarray, slices: int):
+    """Gauss-Legendre nodes and weights in absolute depth (OD units) for
+    the panels between consecutive grid ODs, starting at 0, and the number
+    of nodes at or below each OD.  A panel wider than _PANEL_MAX_OD is split
+    into equal sub-panels; a zero-width panel gets no nodes."""
     x, w = np.polynomial.legendre.leggauss(slices)
-    x, w = 0.5 * (x + 1.0), 0.5 * w
-    # node spectra (slices, N), turned into amplitudes in place; one name
+    edges = [0.0]
+    ends = []
+    for lo, hi in zip(np.concatenate([[0.0], od_grid]), od_grid):
+        parts = int(np.ceil((hi - lo) / _PANEL_MAX_OD))
+        edges.extend(np.linspace(lo, hi, parts + 1)[1:])
+        ends.append((len(edges) - 1) * slices)
+    edges = np.asarray(edges)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = edges[:-1, None] + half * (x + 1.0)
+    return nodes.ravel(), (half * w).ravel(), np.asarray(ends, dtype=int)
+
+
+def _node_integrals(depths: np.ndarray, spectrum: np.ndarray,
+                    detunings: np.ndarray, h: float, medium: MediumSpec,
+                    bloch: BlochConfig):
+    """Time integrals of P_e and of P_e f_coh at each of `depths` (OD
+    units, at most _BLOCK_NODES of them); the block's arrays die on
+    return."""
+    # node spectra (nodes, N), turned into amplitudes in place; one name
     # only, so `del c` frees them
-    c = field_transfer(_detunings(env), medium, x[:, None])
-    c *= np.fft.fft(env.samples)
+    c = field_transfer(detunings, medium, depths[:, None])
+    c *= spectrum
     c = _weak_amplitudes(c, h, bloch)
-    # |c|^2 written time-major, (N, slices), with no transpose copy
+    # |c|^2 written time-major, (N, nodes), with no transpose copy
     pe = np.square(c.real.T, out=np.empty(c.shape[::-1]))
     pe += np.square(c.imag, out=c.imag).T
     del c
@@ -170,45 +188,76 @@ def _min_coherent_once(pulse: PulseSpec, medium: MediumSpec, slices: int,
     net = _net_flow(pe, h, medium.gamma)
     coh_down = np.maximum(np.negative(net, out=net), 0.0, out=net)
     f_coh = _fate_fractions_many(pe, coh_down, h, medium.gamma)
-
-    int_pe = np.trapezoid(pe @ w, dx=h)
-    int_coh = np.trapezoid(np.einsum("ts,ts,s->t", pe, f_coh, w), dx=h)
-    # atom weight making gross scattering match Beer-Lambert loss
-    weight = medium.peak_od * medium.gamma / (
-        bloch.rabi_per_amplitude ** 2 * n_photons)
-    p_loss = float(medium.gamma * int_pe * weight)
-    d_coh = float(int_coh * weight)
-    d_sp = float((int_pe - int_coh) * weight)
-    tau_sp = 1.0 / medium.gamma
-    tau0 = (d_coh + d_sp) / tau_sp
-    tau_t = d_coh / ((1.0 - p_loss) * tau_sp) if p_loss < 1.0 else 0.0
-    tau_l = d_sp / (p_loss * tau_sp) if p_loss > 0.0 else 0.0
-    return DwellBreakdown(tau0=tau0, tauL=tau_l, tauT=tau_t, p_loss=p_loss)
+    del net, coh_down
+    int_pe = np.trapezoid(pe, dx=h, axis=0)
+    int_coh = np.trapezoid(np.multiply(f_coh, pe, out=f_coh), dx=h, axis=0)
+    return int_pe, int_coh
 
 
-def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, slices: int = 32,
+def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, od_grid=None,
+                       slices: int = _MIN_SLICES,
                        bloch: BlochConfig | None = None,
-                       n_samples: int = 4096) -> DwellBreakdown:
-    """Dwell breakdown under the minimum-coherent-emission attribution.
+                       n_samples: int = 4096) -> list:
+    """Dwell breakdowns under the minimum-coherent-emission attribution,
+    one per peak OD of `od_grid` (default: `medium.peak_od` alone).
 
-    Carries the envelope spectrum to `slices` Gauss-Legendre depth nodes,
-    solves the weak Bloch response at each on the envelope's FFT grid,
-    splits the dwell by the coherent/spontaneous fate of the excitation,
-    and integrates over depth with the node weights, normalized per
-    incident photon.
+    `medium` gives the line's decay rate.  Depth is integrated on
+    `slices` Gauss-Legendre nodes per panel between consecutive grid ODs
+    (panels of at most 1 OD), so every OD reuses the nodes below it: the
+    per-depth dwell depends only on the absolute depth.  At each node the
+    envelope spectrum is carried to that depth, the weak Bloch response
+    is solved on the envelope's FFT grid, and the dwell is split by the
+    coherent/spontaneous fate of the excitation, per incident photon.
+
+    Each entry is a DwellBreakdown, or the ConvergenceError of an OD whose
+    P_L disagrees with the spectral transmission; the other ODs stand.
     """
-    if slices < 32:
-        raise ConfigError(f"slices must be >= 32, got {slices}")
+    if slices < _MIN_SLICES:
+        raise ConfigError(f"slices must be >= {_MIN_SLICES}, got {slices}")
+    ods = np.asarray([medium.peak_od] if od_grid is None else od_grid,
+                     dtype=float)
+    if (ods.ndim != 1 or not np.all(np.isfinite(ods)) or np.any(ods < 0)
+            or np.any(np.diff(ods) <= 0)):
+        raise ConfigError("od_grid must be finite, >= 0 and strictly "
+                          f"increasing, got {list(ods)}")
     if bloch is None:
         bloch = default_bloch_config(pulse, medium)
-    result = _min_coherent_once(pulse, medium, slices, bloch, n_samples)
+    unit = medium.with_od(1.0)
+    env = gaussian_envelope(pulse, n_samples=n_samples,
+                            tail=_DECAY_TAIL_LIFETIMES / medium.gamma)
+    spectrum = np.fft.fft(env.samples)
+    detunings = _detunings(env)
+    depths, weights, ends = _depth_nodes(ods, slices)
+    int_pe = np.empty(depths.size)
+    int_coh = np.empty(depths.size)
+    for i in range(0, depths.size, _BLOCK_NODES):
+        block = slice(i, i + _BLOCK_NODES)
+        int_pe[block], int_coh[block] = _node_integrals(
+            depths[block], spectrum, detunings, env.dt, unit, bloch)
+    # each OD sums the node integrals below its panel edge; the atom
+    # weight makes gross scattering match Beer-Lambert loss, and the
+    # dwell is in tau_sp units
+    scale = medium.gamma ** 2 / (bloch.rabi_per_amplitude ** 2
+                                 * env.photon_number)
+    tau0 = np.concatenate([[0.0], np.cumsum(weights * int_pe)])[ends] * scale
+    coh = np.concatenate([[0.0], np.cumsum(weights * int_coh)])[ends] * scale
+    return [_breakdown(pulse, unit.with_od(od), float(t), float(c))
+            for od, t, c in zip(ods, tau0, coh)]
 
+
+def _breakdown(pulse: PulseSpec, medium: MediumSpec, tau0: float,
+               coh: float):
+    """The breakdown at one OD from its dwell and coherent-fate dwell, or
+    the ConvergenceError of a failed P_L consistency check."""
+    p_loss = tau0  # P_L = tau0 / tau_sp
     if medium.peak_od > 0:
         p_loss_spectral = 1.0 - transmission_probability(pulse, medium)
-        gap = abs(result.p_loss - p_loss_spectral)
+        gap = abs(p_loss - p_loss_spectral)
         if gap > _ENERGY_CONSISTENCY_TOL:
-            raise ConvergenceError(
-                f"min-coherent P_L={result.p_loss:.4f} disagrees with spectral "
+            return ConvergenceError(
+                f"min-coherent P_L={p_loss:.4f} disagrees with spectral "
                 f"transmission P_L={p_loss_spectral:.4f} by {gap:.2e} "
                 f"(limit {_ENERGY_CONSISTENCY_TOL:g})", achieved=gap)
-    return result
+    tau_t = coh / (1.0 - p_loss) if p_loss < 1.0 else 0.0
+    tau_l = (tau0 - coh) / p_loss if p_loss > 0.0 else 0.0
+    return DwellBreakdown(tau0=tau0, tauL=tau_l, tauT=tau_t, p_loss=p_loss)

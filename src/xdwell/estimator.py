@@ -288,6 +288,14 @@ def correct_phi_T(raw: FitResult, s2: float, mean_photons: float,
 _PHI0_SIGNIFICANCE = 5.0
 
 
+def _require_phi0(phi_0: FitResult, where: str):
+    """A phi_0 under 5 sigma means the data are too few to divide by it."""
+    if abs(phi_0.amplitude) < _PHI0_SIGNIFICANCE * phi_0.amplitude_se:
+        raise DataFormatError(
+            f"phi_0 at {where} is not significant at "
+            f"{_PHI0_SIGNIFICANCE:g} sigma; cannot form the ratio")
+
+
 def combine_detunings(entries) -> CombinedEstimate:
     """Inverse-variance weighted mean of per-detuning phi_T/phi_0 ratios.
 
@@ -302,10 +310,7 @@ def combine_detunings(entries) -> CombinedEstimate:
     ratios = []
     variances = []
     for detuning, phi_t, phi_0 in entries:
-        if abs(phi_0.amplitude) < _PHI0_SIGNIFICANCE * phi_0.amplitude_se:
-            raise DataFormatError(
-                f"phi_0 at detuning {detuning:g} is not significant at "
-                f"{_PHI0_SIGNIFICANCE:g} sigma; cannot form the ratio")
+        _require_phi0(phi_0, f"detuning {detuning:g}")
         r = phi_t.amplitude / phi_0.amplitude
         var = (phi_t.amplitude_se / phi_0.amplitude) ** 2 \
             + (phi_t.amplitude * phi_0.amplitude_se / phi_0.amplitude**2) ** 2
@@ -412,7 +417,9 @@ def _calibration_eta(cfg: ExperimentConfig, mu: float,
 def run_calibration(cfg: ExperimentConfig, photon_numbers, n_shots: int,
                     seed: int, target_click: float = 0.10,
                     workers: int = 1) -> dict:
-    """Bright campaigns at each photon number; fits e(mu) = 1 + s^2 mu."""
+    """Bright campaigns at each photon number; fits e(mu) = 1 + s^2 mu.
+
+    A point whose phi_0 is under 5 sigma raises DataFormatError."""
     points = []
     for i, mu in enumerate(photon_numbers):
         cal_cfg = cfg.replace(mean_photons=mu, phi_atom=cfg.phi_atom,
@@ -421,6 +428,7 @@ def run_calibration(cfg: ExperimentConfig, photon_numbers, n_shots: int,
         binned = bin_and_average(shots.iter_batches(
             cal_cfg, n_shots, seed, workers, campaign=i))
         phi0 = fit_phi0(binned.phi_all, mu, template, sigma=binned.se_all)
+        _require_phi0(phi0, f"{mu:g} photons")
         phi_t = fit_transmitted(binned, template)
         excess = phi_t.amplitude / phi0.amplitude
         excess_se = abs(excess) * np.sqrt(

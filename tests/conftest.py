@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xdwell import MediumSpec, PulseSpec
+from xdwell import MediumSpec, PulseSpec, min_coherent_model
 
 TAU_SP = 26.5e-9
 GAMMA = 1.0 / TAU_SP
@@ -31,3 +31,12 @@ def dense_transmission_oracle(pulse, medium, n=200001, span=12.0):
     a = medium.peak_od / (1.0 + (2.0 * d / medium.gamma) ** 2)
     rho = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
     return float(np.trapezoid(rho * np.exp(-a), x))
+
+
+def min_coherent_point(pulse, medium, **kwargs):
+    """The min-coherent breakdown at `medium.peak_od` alone; raises the
+    error that OD failed with."""
+    [b] = min_coherent_model(pulse, medium, **kwargs)
+    if isinstance(b, Exception):
+        raise b
+    return b

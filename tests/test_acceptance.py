@@ -22,7 +22,6 @@ from xdwell import (
     fit_transmitted,
     gaussian_envelope,
     iter_batches,
-    min_coherent_model,
     propagate_spectral,
     pulse_area,
     transmission_probability,
@@ -37,7 +36,7 @@ from xdwell.estimator import (
 )
 from xdwell.shots import run_campaign
 
-from conftest import TAU_SP
+from conftest import TAU_SP, min_coherent_point
 
 # shot files are byte-identical at any worker count (criterion 11), so the
 # large campaigns run on every available CPU
@@ -123,10 +122,10 @@ def test_04_egalitarian_limits(capsys):
 
 def test_05_min_coherent_limits(capsys, medium4):
     start = time.time()
-    thin = min_coherent_model(PulseSpec(intensity_rms=10e-9),
+    thin = min_coherent_point(PulseSpec(intensity_rms=10e-9),
                               MediumSpec.from_lifetime(0.01, TAU_SP))
-    broad = min_coherent_model(PulseSpec(intensity_rms=10e-9), medium4)
-    narrow = min_coherent_model(PulseSpec(intensity_rms=50e-9), medium4)
+    broad = min_coherent_point(PulseSpec(intensity_rms=10e-9), medium4)
+    narrow = min_coherent_point(PulseSpec(intensity_rms=50e-9), medium4)
     elapsed = time.time() - start
     r_broad = broad.tauT / broad.tau0
     r_narrow = narrow.tauT / narrow.tau0
@@ -143,7 +142,7 @@ def test_06_energy_conservation(capsys, pulse10):
     worst = 0.0
     for od in (0.5, 1.0, 2.0, 4.0):
         medium = MediumSpec.from_lifetime(od, TAU_SP)
-        b = min_coherent_model(pulse10, medium)
+        b = min_coherent_point(pulse10, medium)
         p_loss = 1.0 - transmission_probability(pulse10, medium)
         worst = max(worst, abs(b.p_loss - p_loss))
     report(capsys, 6, worst < 0.02,

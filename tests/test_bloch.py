@@ -53,9 +53,9 @@ def rk4_pe(omega, t_src, cfg, max_step):
 
 def fate_fractions_loop(pe, coh_down, h, gamma):
     """Per-step, per-row reference for _fate_fractions_many: one row per
-    slice, time on the last axis."""
-    peak = pe.max()
-    floor = peak * 1e-12 if peak > 0 else 0.0
+    slice, time on the last axis; each row has its own P_e floor."""
+    peak = pe.max(axis=-1, keepdims=True)
+    floor = np.where(peak > 0, peak * 1e-12, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         hz = np.where(coh_down > 0, coh_down / np.maximum(pe, floor), 0.0)
     f = np.zeros_like(pe)
@@ -324,6 +324,24 @@ class TestFateFractions:
         f = _fate_fractions_many(pe[:, None], (50 * GAMMA * pe)[:, None],
                                  0.1e-9, GAMMA)
         assert f.min() >= 0.0 and f.max() <= 1.0
+
+    def test_column_independent_of_block(self, pulse_10ns, medium_od4):
+        # the P_e floor is per column: a column gives the same fractions
+        # alone as beside a column 1e13 times brighter
+        env = gaussian_envelope(pulse_10ns, n_samples=4096, tail=300e-9)
+        cfg = default_bloch_config(pulse_10ns, medium_od4)
+        rec = integrate_weak_bloch(propagate_spectral(env, medium_od4, 1.0),
+                                   cfg)
+        pe = np.stack([rec.pe, 1e-13 * rec.pe, rec.pe], axis=1)
+        coh = np.stack([rec.coh_down_flow, 1e-13 * rec.coh_down_flow,
+                        0.0 * rec.coh_down_flow], axis=1)
+        block = _fate_fractions_many(pe.copy(), coh.copy(), rec.dt, GAMMA)
+        for j in range(pe.shape[1]):
+            alone = _fate_fractions_many(pe[:, j:j + 1].copy(),
+                                         coh[:, j:j + 1].copy(), rec.dt, GAMMA)
+            np.testing.assert_allclose(block[:, j], alone[:, 0], rtol=1e-14,
+                                       atol=0)
+        assert np.any(block[:, 1] > 0.0)
 
     def test_matches_loop_reference(self, pulse_10ns, medium_od4):
         # a stack of slices with and without phase flips, time on axis 0;

@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +19,17 @@ from xdwell import (
     transmission_probability,
 )
 
-from conftest import TAU_SP
+from conftest import TAU_SP, min_coherent_point
 
 # regression targets frozen from pre-build oracle runs
 EGAL_10NS_OD4 = {"tauT": 0.5916947, "tauL": 0.6023804, "ratio": 0.9893143}
 MINCOH_10NS_OD4_RATIO = 0.683707
 MINCOH_50NS_OD4_RATIO = 0.423962
 MINCOH_10NS_OD001_TAUL = 0.998889
+DEFAULT_OD_GRID = [0.01, 0.25, 0.5, 1, 1.5, 2, 3, 4]
+# `xdwell models` on an empty [models] section, written by the point-by-point
+# sweep on 32 Gauss-Legendre nodes over [0, OD] that the panel sweep replaced
+GOLDEN_CURVES = Path(__file__).parent / "data" / "model_curves_default.csv"
 
 
 def uniform_accrual_oracle(a, n=2_000_001):
@@ -119,61 +124,88 @@ class TestEgalitarianBroadband:
 
 class TestMinCoherent:
     def test_frozen_od4_broadband(self, pulse_10ns, medium_od4):
-        b = min_coherent_model(pulse_10ns, medium_od4)
+        b = min_coherent_point(pulse_10ns, medium_od4)
         assert b.tauT / b.tau0 == pytest.approx(MINCOH_10NS_OD4_RATIO,
                                                 abs=1e-3)
         b.check_identities()
 
     def test_frozen_od4_narrowband(self, pulse_50ns, medium_od4):
-        b = min_coherent_model(pulse_50ns, medium_od4)
+        b = min_coherent_point(pulse_50ns, medium_od4)
         assert b.tauT / b.tau0 == pytest.approx(MINCOH_50NS_OD4_RATIO,
                                                 abs=1e-3)
 
     def test_bandwidth_ordering(self, pulse_10ns, pulse_50ns, medium_od4):
-        broad = min_coherent_model(pulse_10ns, medium_od4)
-        narrow = min_coherent_model(pulse_50ns, medium_od4)
+        broad = min_coherent_point(pulse_10ns, medium_od4)
+        narrow = min_coherent_point(pulse_50ns, medium_od4)
         assert narrow.tauT / narrow.tau0 < broad.tauT / broad.tau0
 
     def test_low_od_limits(self, pulse_10ns):
         medium = MediumSpec.from_lifetime(0.01, TAU_SP)
-        b = min_coherent_model(pulse_10ns, medium)
+        b = min_coherent_point(pulse_10ns, medium)
         assert b.tauL == pytest.approx(1.0, abs=0.05)
         assert b.tauL == pytest.approx(MINCOH_10NS_OD001_TAUL, abs=1e-3)
         assert b.tauT / b.tau0 < 0.1
 
     def test_drive_scale_invariance(self, pulse_10ns, medium_od4):
         # normalized dwell is independent of the probe area in the weak regime
-        a = min_coherent_model(pulse_10ns, medium_od4,
+        a = min_coherent_point(pulse_10ns, medium_od4,
                                bloch=default_bloch_config(
                                    pulse_10ns, medium_od4, area=0.01))
-        b = min_coherent_model(pulse_10ns, medium_od4,
+        b = min_coherent_point(pulse_10ns, medium_od4,
                                bloch=default_bloch_config(
                                    pulse_10ns, medium_od4, area=0.04))
         assert a.tauT / a.tau0 == pytest.approx(b.tauT / b.tau0, abs=1e-3)
 
     @pytest.mark.parametrize("sigma", [10e-9, 50e-9])
     def test_depth_nodes_converged(self, sigma, medium_od4):
-        # doubling the Gauss-Legendre depth nodes moves tauT/tau0 by well
-        # under the 1e-3 frozen-value tolerance
+        # doubling the Gauss-Legendre nodes per panel moves tauT/tau0 by
+        # well under the 1e-3 frozen-value tolerance
         pulse = PulseSpec(intensity_rms=sigma)
-        ratios = [min_coherent_model(pulse, medium_od4, slices=n)
-                  for n in (32, 64)]
-        r32, r64 = (b.tauT / b.tau0 for b in ratios)
-        assert abs(r32 - r64) <= 2e-5
+        for n in (8, 32):
+            coarse, fine = (min_coherent_point(pulse, medium_od4, slices=k)
+                            for k in (n, 2 * n))
+            assert abs(coarse.tauT / coarse.tau0
+                       - fine.tauT / fine.tau0) <= 2e-5, n
 
     def test_energy_consistency_internal(self, pulse_10ns, medium_od4):
-        b = min_coherent_model(pulse_10ns, medium_od4)
+        b = min_coherent_point(pulse_10ns, medium_od4)
         p_t = transmission_probability(pulse_10ns, medium_od4)
         assert b.p_loss == pytest.approx(1.0 - p_t, abs=2e-2)
 
     def test_too_few_slices(self, pulse_10ns, medium_od4):
         with pytest.raises(ConfigError):
-            min_coherent_model(pulse_10ns, medium_od4, slices=16)
+            min_coherent_point(pulse_10ns, medium_od4, slices=7)
+
+    @pytest.mark.parametrize("grid", [[4, 1], [0.5, 0.5], [-1, 1],
+                                      [1, float("inf")]])
+    def test_bad_od_grid(self, pulse_10ns, medium_od4, grid):
+        with pytest.raises(ConfigError):
+            min_coherent_model(pulse_10ns, medium_od4, grid)
+
+    @pytest.mark.parametrize("pulse", [PulseSpec(intensity_rms=10e-9),
+                                       PulseSpec(intensity_rms=50e-9)])
+    def test_grid_matches_single_od(self, pulse, medium_od4):
+        # the grid's nodes differ from those of a lone OD (its own panels
+        # of at most 1 OD); both rules are converged to a few 1e-7..1e-6
+        curve = min_coherent_model(pulse, medium_od4, DEFAULT_OD_GRID)
+        for od, b in zip(DEFAULT_OD_GRID, curve):
+            one = min_coherent_point(pulse, medium_od4.with_od(od))
+            for got, want in ((b.p_loss, one.p_loss), (b.tau0, one.tau0),
+                              (b.tauL, one.tauL), (b.tauT, one.tauT),
+                              (b.tauT / b.tau0, one.tauT / one.tau0)):
+                assert got == pytest.approx(want, abs=2e-6), od
+
+    def test_zero_od_row(self, pulse_10ns, medium_od4):
+        # a zero-width panel has no nodes
+        zero, one = min_coherent_model(pulse_10ns, medium_od4, [0.0, 1.0])
+        assert zero == DwellBreakdown(tau0=0.0, tauL=0.0, tauT=0.0,
+                                      p_loss=0.0)
+        assert one.p_loss > 0.0
 
     def test_no_super_lifetime_loss_dwell(self, pulse_10ns, pulse_50ns,
                                           medium_od4):
         for pulse in (pulse_10ns, pulse_50ns):
-            b = min_coherent_model(pulse, medium_od4)
+            b = min_coherent_point(pulse, medium_od4)
             assert b.tauL <= 1.0 + 1e-3
 
 
@@ -192,10 +224,10 @@ class TestSweep:
         # a comment and the sweep goes on
         real = cli.min_coherent_model
 
-        def fail_at_od4(pulse, medium, **kw):
-            if medium.peak_od == 4.0:
-                raise ConvergenceError("synthetic failure")
-            return real(pulse, medium, **kw)
+        def fail_at_od4(pulse, medium, od_grid, **kw):
+            return [ConvergenceError("synthetic failure") if od == 4.0 else b
+                    for od, b in zip(od_grid,
+                                     real(pulse, medium, od_grid, **kw))]
 
         monkeypatch.setattr(cli, "min_coherent_model", fail_at_od4)
         cfg = tmp_path / "m.ini"
@@ -235,12 +267,26 @@ class TestSweep:
         assert len(texts) == 1
         assert len(texts.pop().splitlines()) == 1 + 16
 
+    def test_default_curves_match_golden(self, tmp_path):
+        cfg = tmp_path / "m.ini"
+        cfg.write_text("[models]\n")
+        assert cli.main(["models", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 0
+        rows = [r.split(",") for r in
+                (tmp_path / "model_curves.csv").read_text().splitlines()]
+        golden = [r.split(",") for r in GOLDEN_CURVES.read_text().splitlines()]
+        assert rows[0] == golden[0]
+        assert [r[:3] for r in rows] == [r[:3] for r in golden]
+        got = np.array([r[3:] for r in rows[1:]], dtype=float)
+        want = np.array([r[3:] for r in golden[1:]], dtype=float)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+
 
 class TestMemory:
     def test_min_coherent_point_peak(self, pulse_10ns, medium_od4):
-        # the peak of one warm point at 128 depth nodes x 4096 samples is
-        # the complex node spectra plus P_e, 12 MiB; a full-size temporary
-        # on top of that would pass 16 MiB
+        # 128 nodes in one block, their complex spectra plus P_e, would
+        # take 12 MiB; a full-size temporary on top of that would pass
+        # 16 MiB (the curve test below bounds the blocked peak)
         min_coherent_model(pulse_10ns, medium_od4)
         tracemalloc.start()
         try:
@@ -250,6 +296,22 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+    @pytest.mark.parametrize("od_grid,slices", [(DEFAULT_OD_GRID, 8),
+                                                ([4.0], 128)])
+    def test_min_coherent_curve_peak(self, pulse_10ns, medium_od4, od_grid,
+                                     slices):
+        # nodes go through in blocks of at most 32, each freed before the
+        # next: the peak is one block's spectra and P_e, whatever the
+        # number of nodes (512 at OD 4 x 128)
+        min_coherent_model(pulse_10ns, medium_od4, od_grid, slices=slices)
+        tracemalloc.start()
+        try:
+            min_coherent_model(pulse_10ns, medium_od4, od_grid, slices=slices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
 
 
 class TestBreakdownValidation:

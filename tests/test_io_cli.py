@@ -381,10 +381,22 @@ class TestCli:
         assert cli.main(["calibrate", "--config", cfg, "--workers",
                          str(workers), "--out", str(tmp_path / "o")]) == 2
 
+    def test_calibrate_unresolved_phi0_exit_3(self, tmp_path):
+        # at 5,000 default shots and this seed, phi_0 of the 588-photon
+        # point is at 4.4 sigma: too weak to divide by
+        cfg = write_config(tmp_path / "c.ini",
+                           "[experiment]\n[calibrate]\nn_shots = 5000\n")
+        out = tmp_path / "o"
+        assert cli.main(["calibrate", "--config", cfg, "--seed",
+                         str(2**64 - 1), "--out", str(out)]) == 3
+        assert not (out / "calibration.json").exists()
+
     def test_calibration_seed_streams_distinct(self):
         # every photon-number point of every seed has its own stream, so at
-        # one photon number no point of seed s repeats a point of seed s + 1
-        cfg = ExperimentConfig()
+        # one photon number no point of seed s repeats a point of seed s + 1;
+        # the x50 phi_atom acceptance config resolves phi_0 at 5,000 shots
+        base = ExperimentConfig()
+        cfg = base.replace(phi_atom=50 * base.phi_atom)
         last = run_calibration(cfg, [588, 898, 1527, 3040], 5000,
                                seed=2**64 - 1)
         assert np.isfinite(last["s2"])
