@@ -26,6 +26,7 @@ from .dwell import (
     default_bloch_config,
     egalitarian_broadband,
     min_coherent_model,
+    od_grid_array,
 )
 from .errors import (
     ConfigError,
@@ -218,13 +219,7 @@ def _model_curve(model: str, pulse: PulseSpec, medium: MediumSpec,
     """One entry per OD: a DwellBreakdown, or the error that OD failed with."""
     if model == MODEL_MIN_COHERENT:
         return min_coherent_model(pulse, medium, od_grid, slices=slices)
-    results = []
-    for od in od_grid:
-        try:
-            results.append(egalitarian_broadband(pulse, medium.with_od(od)))
-        except (ConvergenceError, ConfigError) as exc:
-            results.append(exc)
-    return results
+    return egalitarian_broadband(pulse, medium, od_grid)
 
 
 def cmd_models(args) -> int:
@@ -237,12 +232,9 @@ def cmd_models(args) -> int:
     carrier = _pop_float(body, "carrier_detuning", 0.0)
     slices = _pop_int(body, "slices", 8)
     _reject_unknown(body, "models")
-    if any(od < 0 for od in od_grid):
-        raise ConfigError("od_grid values must be >= 0")
-    if sorted(od_grid) != od_grid or len(set(od_grid)) != len(od_grid):
-        raise ConfigError("od_grid must be strictly increasing")
 
     medium = MediumSpec.from_lifetime(peak_od=1.0, tau_sp=tau_sp)
+    od_grid_array(medium, od_grid)  # a bad grid exits 2 before any job
     curves = [(model, PulseSpec(intensity_rms=sigma, carrier_detuning=carrier))
               for model in (MODEL_EGALITARIAN, MODEL_MIN_COHERENT)
               for sigma in (sigma_broad, sigma_narrow)]

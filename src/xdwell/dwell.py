@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bloch import (
     BlochConfig,
@@ -26,7 +25,7 @@ from .medium import (
     MediumSpec,
     PulseSpec,
     _detunings,
-    _spectral_sigma,
+    _spectral_average,
     field_transfer,
     gaussian_envelope,
     transmission_probability,
@@ -39,6 +38,7 @@ __all__ = [
     "egalitarian_monochromatic",
     "egalitarian_broadband",
     "min_coherent_model",
+    "od_grid_array",
     "default_bloch_config",
 ]
 
@@ -93,42 +93,58 @@ def egalitarian_monochromatic(od: float) -> DwellBreakdown:
                           tauT=float(tau_t), p_loss=float(p_loss))
 
 
-_BROADBAND_QUAD_TOL = 1e-4
+_BROADBAND_TOL = 1e-4
 
 
-def egalitarian_broadband(pulse: PulseSpec, medium: MediumSpec) -> DwellBreakdown:
-    """Frequency-resolved egalitarian aggregation over the pulse spectrum.
+def od_grid_array(medium: MediumSpec, od_grid=None) -> np.ndarray:
+    """The peak ODs of `od_grid` (default: `medium.peak_od` alone) as an
+    array; ConfigError unless they are finite, >= 0 and strictly
+    increasing."""
+    ods = np.asarray([medium.peak_od] if od_grid is None else od_grid,
+                     dtype=float)
+    if (ods.ndim != 1 or not np.all(np.isfinite(ods)) or np.any(ods < 0)
+            or np.any(np.diff(ods) <= 0)):
+        raise ConfigError("od_grid must be finite, >= 0 and strictly "
+                          f"increasing, got {list(ods)}")
+    return ods
+
+
+def _egalitarian_terms(a):
+    """P_L, P_T tauT and P_L tauL of one spectral component at local OD a."""
+    p_loss = -np.expm1(-a)
+    pt_taut = a * np.exp(-a)
+    return np.stack([p_loss, pt_taut, p_loss - pt_taut])
+
+
+def egalitarian_broadband(pulse: PulseSpec, medium: MediumSpec,
+                          od_grid=None) -> list:
+    """Frequency-resolved egalitarian aggregation over the pulse spectrum,
+    one entry per peak OD of `od_grid` (default: `medium.peak_od` alone).
 
     Each spectral component gets the monochromatic breakdown at its local
     depth a(delta); tau0 and P_L average with the spectral weight, tauT and
-    tauL with the transmitted / lost weight respectively.
+    tauL with the transmitted / lost weight respectively.  Each entry is a
+    DwellBreakdown, or the ConvergenceError of an OD whose spectral
+    averages miss their tolerance; the other ODs stand.  At OD 0 every
+    average is exactly 0, and so is the breakdown.
     """
-    if medium.peak_od == 0:
-        return DwellBreakdown(tau0=0.0, tauL=0.0, tauT=0.0, p_loss=0.0)
-    sw = _spectral_sigma(pulse)
-    gamma = medium.gamma
-    a0 = medium.peak_od
-
-    def weighted(f):
-        def integrand(x):
-            d = pulse.carrier_detuning + sw * x
-            a = a0 / (1.0 + (2.0 * d / gamma) ** 2)
-            return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi) * f(a)
-
-        value, abserr = quad(integrand, -np.inf, np.inf, limit=200)
-        if abserr > _BROADBAND_QUAD_TOL:
-            raise ConvergenceError(
-                f"broadband aggregation quadrature error {abserr:.2e} > "
-                f"{_BROADBAND_QUAD_TOL:g}", achieved=abserr)
-        return value
-
-    p_loss = weighted(lambda a: -np.expm1(-a))
-    pt_taut = weighted(lambda a: a * np.exp(-a))  # sum of P_T(d) tauT(d)
-    pl_taul = weighted(lambda a: -np.expm1(-a) - a * np.exp(-a))
-    tau_t = pt_taut / (1.0 - p_loss) if p_loss < 1.0 else 0.0
-    tau_l = pl_taul / p_loss if p_loss > 0.0 else 0.0
-    return DwellBreakdown(tau0=float(p_loss), tauL=float(tau_l),
-                          tauT=float(tau_t), p_loss=float(p_loss))
+    ods = od_grid_array(medium, od_grid)
+    (p_losses, pt_tauts, pl_tauls), errors = _spectral_average(
+        pulse, medium, ods, _egalitarian_terms)
+    results = []
+    for p_loss, pt_taut, pl_taul, err in zip(p_losses, pt_tauts, pl_tauls,
+                                             errors.max(axis=0)):
+        if err > _BROADBAND_TOL:
+            results.append(ConvergenceError(
+                f"broadband aggregation error {err:.2e} > "
+                f"{_BROADBAND_TOL:g}", achieved=float(err)))
+        else:
+            tau_t = pt_taut / (1.0 - p_loss) if p_loss < 1.0 else 0.0
+            tau_l = pl_taul / p_loss if p_loss > 0.0 else 0.0
+            results.append(DwellBreakdown(
+                tau0=float(p_loss), tauL=float(tau_l), tauT=float(tau_t),
+                p_loss=float(p_loss)))
+    return results
 
 
 def default_bloch_config(pulse: PulseSpec, medium: MediumSpec,
@@ -214,12 +230,7 @@ def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, od_grid=None,
     """
     if slices < _MIN_SLICES:
         raise ConfigError(f"slices must be >= {_MIN_SLICES}, got {slices}")
-    ods = np.asarray([medium.peak_od] if od_grid is None else od_grid,
-                     dtype=float)
-    if (ods.ndim != 1 or not np.all(np.isfinite(ods)) or np.any(ods < 0)
-            or np.any(np.diff(ods) <= 0)):
-        raise ConfigError("od_grid must be finite, >= 0 and strictly "
-                          f"increasing, got {list(ods)}")
+    ods = od_grid_array(medium, od_grid)
     if bloch is None:
         bloch = default_bloch_config(pulse, medium)
     unit = medium.with_od(1.0)
@@ -241,23 +252,22 @@ def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, od_grid=None,
                                  * env.photon_number)
     tau0 = np.concatenate([[0.0], np.cumsum(weights * int_pe)])[ends] * scale
     coh = np.concatenate([[0.0], np.cumsum(weights * int_coh)])[ends] * scale
-    return [_breakdown(pulse, unit.with_od(od), float(t), float(c))
-            for od, t, c in zip(ods, tau0, coh)]
+    p_loss_spectral = 1.0 - transmission_probability(pulse, unit, ods)
+    return [_breakdown(float(t), float(c), float(p))
+            for t, c, p in zip(tau0, coh, p_loss_spectral)]
 
 
-def _breakdown(pulse: PulseSpec, medium: MediumSpec, tau0: float,
-               coh: float):
-    """The breakdown at one OD from its dwell and coherent-fate dwell, or
-    the ConvergenceError of a failed P_L consistency check."""
+def _breakdown(tau0: float, coh: float, p_loss_spectral: float):
+    """The breakdown at one OD from its dwell, coherent-fate dwell and
+    spectral P_L, or the ConvergenceError of a failed P_L consistency
+    check."""
     p_loss = tau0  # P_L = tau0 / tau_sp
-    if medium.peak_od > 0:
-        p_loss_spectral = 1.0 - transmission_probability(pulse, medium)
-        gap = abs(p_loss - p_loss_spectral)
-        if gap > _ENERGY_CONSISTENCY_TOL:
-            return ConvergenceError(
-                f"min-coherent P_L={p_loss:.4f} disagrees with spectral "
-                f"transmission P_L={p_loss_spectral:.4f} by {gap:.2e} "
-                f"(limit {_ENERGY_CONSISTENCY_TOL:g})", achieved=gap)
+    gap = abs(p_loss - p_loss_spectral)
+    if gap > _ENERGY_CONSISTENCY_TOL:
+        return ConvergenceError(
+            f"min-coherent P_L={p_loss:.4f} disagrees with spectral "
+            f"transmission P_L={p_loss_spectral:.4f} by {gap:.2e} "
+            f"(limit {_ENERGY_CONSISTENCY_TOL:g})", achieved=gap)
     tau_t = coh / (1.0 - p_loss) if p_loss < 1.0 else 0.0
     tau_l = (tau0 - coh) / p_loss if p_loss > 0.0 else 0.0
     return DwellBreakdown(tau0=tau0, tauL=tau_l, tauT=tau_t, p_loss=p_loss)

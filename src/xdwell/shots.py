@@ -22,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ConfigError
 
@@ -194,10 +193,21 @@ def xps_template_curve(cfg: ExperimentConfig, dt_fine: float = 0.25e-9):
     intensity = np.exp(-0.5 * ((t - center) / cfg.sigma_t) ** 2)
     intensity /= intensity.sum() * dt_fine
     b_life = np.exp(-dt_fine / cfg.tau_sp)
-    curve = lfilter([cfg.tau_sp * (1.0 - b_life)], [1.0, -b_life], intensity)
+    curve = _first_order_filter(cfg.tau_sp * (1.0 - b_life), b_life, intensity)
     b_lp = np.exp(-2.0 * np.pi * cfg.meas_bandwidth * dt_fine)
-    curve = lfilter([1.0 - b_lp], [1.0, -b_lp], curve)
+    curve = _first_order_filter(1.0 - b_lp, b_lp, curve)
     return t, curve
+
+
+def _first_order_filter(b0: float, a: float, x: np.ndarray) -> np.ndarray:
+    """y[n] = b0 x[n] + a y[n-1] from rest: scipy.signal.lfilter([b0],
+    [1, -a], x) in its operation order, so the two agree bit for bit."""
+    b0, a = float(b0), float(a)
+    y, prev = [], 0.0
+    for xn in x.tolist():
+        prev = b0 * xn + a * prev
+        y.append(prev)
+    return np.array(y)
 
 
 def xps_template(cfg: ExperimentConfig) -> XpsTemplate:

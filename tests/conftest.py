@@ -22,15 +22,26 @@ def pulse_50ns():
     return PulseSpec(intensity_rms=50e-9)
 
 
-def dense_transmission_oracle(pulse, medium, n=200001, span=12.0):
-    """Independent trapezoid quadrature of the spectrally averaged
-    transmission, used to cross-check the adaptive-quadrature path."""
+def dense_spectral_oracle(pulse, medium, f, n=200001, span=12.0):
+    """Independent dense trapezoid average of f(a(delta)) over the pulse's
+    spectral intensity density, used to cross-check the package's rule."""
     sw = 1.0 / (2.0 * pulse.intensity_rms)
     x = np.linspace(-span, span, n)
     d = pulse.carrier_detuning + sw * x
     a = medium.peak_od / (1.0 + (2.0 * d / medium.gamma) ** 2)
     rho = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    return float(np.trapezoid(rho * np.exp(-a), x))
+    return float(np.trapezoid(rho * f(a), x))
+
+
+def dense_transmission_oracle(pulse, medium, n=200001, span=12.0):
+    """Dense-trapezoid spectrally averaged transmission."""
+    return dense_spectral_oracle(pulse, medium, lambda a: np.exp(-a), n, span)
+
+
+# pulse widths and carrier detunings (rad/s) for the spectral-rule checks
+SPECTRAL_PULSES = [(s, c) for s in (1e-9, 10e-9, 50e-9, 1e-6)
+                   for c in (0.0, 2e7)]
+SPECTRAL_ODS = [0.01, 0.5, 4.0, 20.0]
 
 
 def min_coherent_point(pulse, medium, **kwargs):

@@ -13,13 +13,20 @@ from xdwell import (
     PulseSpec,
     cli,
     default_bloch_config,
+    dwell,
     egalitarian_broadband,
     egalitarian_monochromatic,
     min_coherent_model,
     transmission_probability,
 )
 
-from conftest import TAU_SP, min_coherent_point
+from conftest import (
+    SPECTRAL_ODS,
+    SPECTRAL_PULSES,
+    TAU_SP,
+    dense_spectral_oracle,
+    min_coherent_point,
+)
 
 # regression targets frozen from pre-build oracle runs
 EGAL_10NS_OD4 = {"tauT": 0.5916947, "tauL": 0.6023804, "ratio": 0.9893143}
@@ -27,6 +34,8 @@ MINCOH_10NS_OD4_RATIO = 0.683707
 MINCOH_50NS_OD4_RATIO = 0.423962
 MINCOH_10NS_OD001_TAUL = 0.998889
 DEFAULT_OD_GRID = [0.01, 0.25, 0.5, 1, 1.5, 2, 3, 4]
+# decreasing, repeated, negative, infinite
+BAD_OD_GRIDS = [[4, 1], [0.5, 0.5], [-1, 1], [1, float("inf")]]
 # `xdwell models` on an empty [models] section, written by the point-by-point
 # sweep on 32 Gauss-Legendre nodes over [0, OD] that the panel sweep replaced
 GOLDEN_CURVES = Path(__file__).parent / "data" / "model_curves_default.csv"
@@ -95,31 +104,69 @@ class TestEgalitarianBroadband:
         # is ~3e-3 in tauT, reaching 1e-3 needs a few microseconds rms
         mono = egalitarian_monochromatic(4.0)
         for sigma_t, tol in ((1e-6, 3e-3), (5e-6, 1e-3)):
-            bb = egalitarian_broadband(PulseSpec(intensity_rms=sigma_t),
-                                       medium_od4)
+            [bb] = egalitarian_broadband(PulseSpec(intensity_rms=sigma_t),
+                                         medium_od4)
             for name in ("tau0", "tauL", "tauT", "p_loss"):
                 assert getattr(bb, name) == pytest.approx(
                     getattr(mono, name), abs=tol), (sigma_t, name)
 
     def test_od_zero(self, pulse_10ns):
-        b = egalitarian_broadband(pulse_10ns,
-                                  MediumSpec.from_lifetime(0.0, TAU_SP))
+        [b] = egalitarian_broadband(pulse_10ns,
+                                    MediumSpec.from_lifetime(0.0, TAU_SP))
         assert b.tau0 == 0.0 and b.p_loss == 0.0
 
     def test_frozen_broadband_values(self, pulse_10ns, medium_od4):
-        b = egalitarian_broadband(pulse_10ns, medium_od4)
+        [b] = egalitarian_broadband(pulse_10ns, medium_od4)
         assert b.tauT == pytest.approx(EGAL_10NS_OD4["tauT"], abs=1e-6)
         assert b.tauL == pytest.approx(EGAL_10NS_OD4["tauL"], abs=1e-6)
         assert b.tauT / b.tau0 == pytest.approx(EGAL_10NS_OD4["ratio"],
                                                 abs=1e-6)
 
     def test_p_loss_matches_transmission(self, pulse_10ns, medium_od4):
-        b = egalitarian_broadband(pulse_10ns, medium_od4)
+        [b] = egalitarian_broadband(pulse_10ns, medium_od4)
         p_t = transmission_probability(pulse_10ns, medium_od4)
         assert b.p_loss == pytest.approx(1.0 - p_t, abs=1e-8)
 
     def test_identities(self, pulse_10ns, medium_od4):
-        egalitarian_broadband(pulse_10ns, medium_od4).check_identities(1e-9)
+        [b] = egalitarian_broadband(pulse_10ns, medium_od4)
+        b.check_identities(1e-9)
+
+    @pytest.mark.parametrize("sigma,carrier", SPECTRAL_PULSES)
+    def test_averages_match_dense_oracle(self, sigma, carrier, medium_od4):
+        # P_L, P_T tauT and P_L tauL, each a spectral average
+        pulse = PulseSpec(intensity_rms=sigma, carrier_detuning=carrier)
+        curve = egalitarian_broadband(pulse, medium_od4, SPECTRAL_ODS)
+        for od, b in zip(SPECTRAL_ODS, curve):
+            medium = medium_od4.with_od(od)
+            p_loss = dense_spectral_oracle(pulse, medium,
+                                           lambda a: -np.expm1(-a))
+            pt_taut = dense_spectral_oracle(pulse, medium,
+                                            lambda a: a * np.exp(-a))
+            pl_taul = dense_spectral_oracle(
+                pulse, medium, lambda a: -np.expm1(-a) - a * np.exp(-a))
+            assert b.p_loss == pytest.approx(p_loss, abs=1e-9), od
+            assert b.tauT * (1.0 - b.p_loss) == pytest.approx(pt_taut,
+                                                              abs=1e-9), od
+            assert b.tauL * b.p_loss == pytest.approx(pl_taul, abs=1e-9), od
+
+    @pytest.mark.parametrize("grid", BAD_OD_GRIDS)
+    def test_bad_od_grid(self, pulse_10ns, medium_od4, grid):
+        with pytest.raises(ConfigError):
+            egalitarian_broadband(pulse_10ns, medium_od4, grid)
+
+    def test_grid_equals_per_od_calls(self, pulse_10ns, medium_od4):
+        grid = [0.0] + SPECTRAL_ODS
+        assert egalitarian_broadband(pulse_10ns, medium_od4, grid) == [
+            egalitarian_broadband(pulse_10ns, medium_od4.with_od(od))[0]
+            for od in grid]
+
+    def test_missed_tolerance_fails_each_od(self, pulse_10ns, medium_od4,
+                                            monkeypatch):
+        # the halving estimate is >= 0, so a negative tolerance fails
+        # every OD
+        monkeypatch.setattr(dwell, "_BROADBAND_TOL", -1.0)
+        curve = egalitarian_broadband(pulse_10ns, medium_od4, [0.0, 0.5, 4.0])
+        assert all(isinstance(b, ConvergenceError) for b in curve)
 
 
 class TestMinCoherent:
@@ -176,8 +223,7 @@ class TestMinCoherent:
         with pytest.raises(ConfigError):
             min_coherent_point(pulse_10ns, medium_od4, slices=7)
 
-    @pytest.mark.parametrize("grid", [[4, 1], [0.5, 0.5], [-1, 1],
-                                      [1, float("inf")]])
+    @pytest.mark.parametrize("grid", BAD_OD_GRIDS)
     def test_bad_od_grid(self, pulse_10ns, medium_od4, grid):
         with pytest.raises(ConfigError):
             min_coherent_model(pulse_10ns, medium_od4, grid)
@@ -211,11 +257,12 @@ class TestMinCoherent:
 
 class TestSweep:
     def test_single_zero_point(self, pulse_10ns, medium_od4):
-        assert egalitarian_broadband(pulse_10ns,
-                                     medium_od4.with_od(0.0)).tau0 == 0.0
+        [b] = egalitarian_broadband(pulse_10ns, medium_od4.with_od(0.0))
+        assert b.tau0 == 0.0
 
     def test_monotone_p_loss(self, pulse_10ns, medium_od4):
-        p = [egalitarian_broadband(pulse_10ns, medium_od4.with_od(od)).p_loss
+        p = [egalitarian_broadband(pulse_10ns,
+                                   medium_od4.with_od(od))[0].p_loss
              for od in (0.5, 1, 2, 4)]
         assert all(b > a for a, b in zip(p, p[1:]))
 
@@ -247,6 +294,21 @@ class TestSweep:
                        for r in failed)
             assert [r.split(",")[1] for r in failed] == [
                 "sigma_t=1e-08", "sigma_t=5e-08"]
+
+    def test_egalitarian_failure_annotated(self, tmp_path, monkeypatch):
+        # every egalitarian OD misses the tolerance: one comment line each,
+        # and the min-coherent curves are written in full
+        monkeypatch.setattr(dwell, "_BROADBAND_TOL", -1.0)
+        cfg = tmp_path / "m.ini"
+        cfg.write_text("[models]\nod_grid = 0.5,4\n")
+        out = tmp_path / "models"
+        assert cli.main(["models", "--config", str(cfg), "--out",
+                         str(out)]) == 0
+        rows = (out / "model_curves.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == (
+            ["# egalitarian"] * 4 + ["min-coherent"] * 4)
+        assert all("failed: broadband aggregation error" in r
+                   for r in rows[:4])
 
     def test_workers_identical(self, tmp_path):
         # 4 threads is more than the cores; a short switch interval makes

@@ -1,6 +1,8 @@
 import itertools
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -404,3 +406,63 @@ class TestCli:
             cfg, [898] * 4, 5000, seed=seed)["points"]} for seed in (6, 7)]
         assert len(excess[0]) == len(excess[1]) == 4
         assert not excess[0] & excess[1]
+
+
+# the x50 phi_atom of the boosted acceptance campaign
+BOOSTED_INI = """
+[pulse]
+sigma_t = 10e-9
+[medium]
+peak_od = 4
+[models]
+od_grid = 0,1
+[experiment]
+phi_atom = -2.551e-3
+[campaign]
+n_shots = 20000
+[calibrate]
+n_shots = 5000
+"""
+
+NO_SCIPY_RUN = """
+import sys
+
+import xdwell.cli
+
+loaded = [m for m in sys.modules if m.startswith("scipy")]
+if loaded:
+    sys.exit(f"import xdwell.cli loaded {len(loaded)} scipy modules, "
+             f"{loaded[0]} first")
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+cfg, out = sys.argv[1:]
+for command in ("propagate", "models", "simulate", "analyze", "calibrate"):
+    code = xdwell.cli.main([command, "--config", cfg, "--out", out,
+                            "--workers", "2"])
+    if code != 0:
+        sys.exit(f"{command} exited {code}")
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # every subcommand runs with scipy unimportable, and importing the CLI
+    # loads no scipy module
+    cfg = write_config(tmp_path / "c.ini", BOOSTED_INI)
+    src = Path(xdwell.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, cfg,
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    for name in ("diagnostics.json", "model_curves.csv", "shots.bin",
+                 "report.json", "calibration.json"):
+        assert (tmp_path / "out" / name).is_file(), name

@@ -3,6 +3,7 @@ import pytest
 
 from xdwell import (
     ConfigError,
+    ConvergenceError,
     MediumSpec,
     PulseSpec,
     SampledEnvelope,
@@ -16,8 +17,14 @@ from xdwell import (
     spectral_rms_hz,
     transmission_probability,
 )
+from xdwell import medium as medium_module
 
-from conftest import TAU_SP, dense_transmission_oracle
+from conftest import (
+    SPECTRAL_ODS,
+    SPECTRAL_PULSES,
+    TAU_SP,
+    dense_transmission_oracle,
+)
 
 # regression targets frozen from the dense-quadrature oracle
 P_T_10NS_OD4 = 0.401914341
@@ -78,6 +85,36 @@ class TestTransmission:
         hi = MediumSpec.from_lifetime(od + 0.5, TAU_SP)
         assert transmission_probability(pulse_10ns, hi) < \
             transmission_probability(pulse_10ns, lo)
+
+
+class TestSpectralRule:
+    @pytest.mark.parametrize("sigma,carrier", SPECTRAL_PULSES)
+    def test_matches_dense_oracle(self, sigma, carrier, medium_od4):
+        pulse = PulseSpec(intensity_rms=sigma, carrier_detuning=carrier)
+        values = transmission_probability(pulse, medium_od4, SPECTRAL_ODS)
+        for od, value in zip(SPECTRAL_ODS, values):
+            assert value == pytest.approx(dense_transmission_oracle(
+                pulse, medium_od4.with_od(od)), abs=1e-9), od
+
+    def test_grid_equals_per_od_calls(self, pulse_10ns, medium_od4):
+        grid = [0.0] + SPECTRAL_ODS
+        values = transmission_probability(pulse_10ns, medium_od4, grid)
+        assert values.tolist() == [
+            transmission_probability(pulse_10ns, medium_od4.with_od(od))
+            for od in grid]
+
+    def test_missed_tolerance_raises(self, pulse_10ns, medium_od4,
+                                     monkeypatch):
+        # the halving estimate is >= 0, so a negative tolerance fails it
+        monkeypatch.setattr(medium_module, "_SPECTRAL_TOL", -1.0)
+        with pytest.raises(ConvergenceError):
+            transmission_probability(pulse_10ns, medium_od4)
+
+    def test_too_short_pulse_raises(self, medium_od4):
+        # 1 ps against a 26.5 ns line would need 7.6M nodes
+        with pytest.raises(ConvergenceError, match="too short"):
+            transmission_probability(PulseSpec(intensity_rms=1e-12),
+                                     medium_od4)
 
 
 class TestEnvelope:

@@ -76,6 +76,25 @@ class TestTemplate:
         gauss /= gauss.max()
         np.testing.assert_allclose(curve / curve.max(), gauss, atol=5e-3)
 
+    @pytest.mark.parametrize("kw", [
+        {}, {"tau_sp": 1e-12, "meas_bandwidth": 1e12},
+        {"tau_sp": 10e-9, "meas_bandwidth": 50e6, "sigma_t": 5e-9}])
+    def test_filters_match_lfilter(self, kw):
+        # the in-package recurrence is scipy's lfilter bit for bit, so shot
+        # files do not depend on which one built the template
+        lfilter = pytest.importorskip("scipy.signal").lfilter
+        cfg = ExperimentConfig(**kw)
+        dt = 0.25e-9
+        t, curve = xps_template_curve(cfg, dt)
+        center = cfg.arrival_index * cfg.sample_dt + 1.5 * cfg.sigma_t
+        want = np.exp(-0.5 * ((t - center) / cfg.sigma_t) ** 2)
+        want /= want.sum() * dt
+        b_life = np.exp(-dt / cfg.tau_sp)
+        want = lfilter([cfg.tau_sp * (1.0 - b_life)], [1.0, -b_life], want)
+        b_lp = np.exp(-2.0 * np.pi * cfg.meas_bandwidth * dt)
+        want = lfilter([1.0 - b_lp], [1.0, -b_lp], want)
+        assert np.array_equal(curve, want)
+
     def test_area_equals_dwell_times_gain(self):
         # unnormalized curve integral = (1 photon s) x tau_sp x unit DC gain
         cfg = ExperimentConfig()
