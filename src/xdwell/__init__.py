@@ -59,8 +59,6 @@ from .medium import (
     gaussian_envelope,
     lorentzian_od,
     propagate_spectral,
-    pulse_spectrum,
-    spectral_rms_hz,
     transmission_probability,
 )
 from .shots import (

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import os
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import shotfile, shots
+from . import shots
 from .bloch import detect_phase_flip, pulse_area
 from .dwell import (
     MODEL_EGALITARIAN,
@@ -44,25 +45,25 @@ from .medium import (
 
 __all__ = ["main"]
 
-_FLOAT_FMT = ".17g"
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_CONVERGENCE = 4
 
 
-def _fmt(x) -> str:
-    return format(float(x), _FLOAT_FMT)
-
-
 def _write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(
-                cell if isinstance(cell, str) else _fmt(cell)
-                for cell in row) + "\n")
+            fh.write(",".join(cell if isinstance(cell, str)
+                              else format(float(cell), ".17g")
+                              for cell in row) + "\n")
+
+
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def _load_config(path) -> configparser.ConfigParser:
@@ -146,8 +147,31 @@ def _medium_from_config(parser) -> MediumSpec:
     return medium
 
 
+def _pop_fields(section: dict, spec, prefix: str = "") -> dict:
+    """Keyword arguments for the dataclass `spec` from the `section` keys
+    `prefix` + field name, lower-cased, each read by its default's type."""
+    kwargs = {}
+    for f in dataclasses.fields(spec):
+        key = prefix + f.name.lower()
+        if dataclasses.is_dataclass(f.default_factory):  # osc
+            kwargs[f.name] = f.default_factory(
+                **_pop_fields(section, f.default_factory, key + "_"))
+        elif key not in section:
+            continue
+        elif isinstance(f.default, tuple):
+            kwargs[f.name] = tuple(_pop_list(section, key, ""))
+        elif isinstance(f.default, int):
+            kwargs[f.name] = _pop_int(section, key)
+        else:
+            kwargs[f.name] = _pop_float(section, key)
+    return kwargs
+
+
 def _experiment_from_config(parser) -> shots.ExperimentConfig:
-    return shotfile.config_from_sections(_section(parser, "experiment"))
+    body = _section(parser, "experiment")
+    kwargs = _pop_fields(body, shots.ExperimentConfig)
+    _reject_unknown(body, "experiment")
+    return shots.ExperimentConfig(**kwargs)
 
 
 def _out_dir(args) -> Path:
@@ -200,9 +224,7 @@ def cmd_propagate(args) -> int:
         "peak_od": medium.peak_od,
         "sigma_t": pulse.intensity_rms,
     }
-    with open(out / "diagnostics.json", "w") as fh:
-        json.dump(diagnostics, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "diagnostics.json", diagnostics)
     return EXIT_OK
 
 
@@ -247,27 +269,25 @@ def cmd_models(args) -> int:
         jobs = [pool.submit(_model_curve, model, pulse, medium, od_grid,
                             slices)
                 for model, pulse in curves]
-        with open(out / "model_curves.csv", "w") as fh:
-            fh.write(",".join(_MODELS_HEADER) + "\n")
-            for (model, pulse), job in zip(curves, jobs):
-                sigma = pulse.intensity_rms
-                try:
-                    results = job.result()
-                except (ConvergenceError, ConfigError) as exc:
-                    results = [exc] * len(od_grid)
-                for od, b in zip(od_grid, results):
-                    if isinstance(b, Exception):
-                        fh.write(f"# {model},sigma_t={sigma:g},peak_od={od:g} "
-                                 f"failed: {b}\n")
-                        continue
-                    b.check_identities()
-                    ratio = b.tauT / b.tau0 if b.tau0 > 0 else 0.0
-                    fh.write(",".join([
-                        model, _fmt(sigma * 1e9), _fmt(od), _fmt(b.p_loss),
-                        _fmt(b.tau0), _fmt(b.tauL), _fmt(b.tauT), _fmt(ratio),
-                    ]) + "\n")
+        rows = []
+        for (model, pulse), job in zip(curves, jobs):
+            sigma = pulse.intensity_rms
+            try:
+                results = job.result()
+            except (ConvergenceError, ConfigError) as exc:
+                results = [exc] * len(od_grid)
+            for od, b in zip(od_grid, results):
+                if isinstance(b, Exception):
+                    rows.append((f"# {model},sigma_t={sigma:g},peak_od={od:g} "
+                                 f"failed: {b}",))
+                    continue
+                b.check_identities()
+                ratio = b.tauT / b.tau0 if b.tau0 > 0 else 0.0
+                rows.append((model, sigma * 1e9, od, b.p_loss, b.tau0,
+                             b.tauL, b.tauT, ratio))
     finally:
         pool.shutdown(cancel_futures=True)
+    _write_csv(out / "model_curves.csv", _MODELS_HEADER, rows)
     return EXIT_OK
 
 
@@ -296,9 +316,7 @@ def cmd_simulate(args) -> int:
         "path": summary.path,
         "seed": args.seed,
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "summary.json", report)
     return EXIT_OK
 
 
@@ -319,9 +337,7 @@ def cmd_analyze(args) -> int:
     report, binned = analyze_file(input_path, cfg, s2=s2, s2_se=s2_se,
                                   force_digest=args.force_digest)
     out = _out_dir(args)
-    with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "report.json", report)
     t = cfg.sample_dt * np.arange(cfg.n_samples)
     rows = zip(t, binned.delta_phi, binned.se_delta)
     _write_csv(out / "delta_phi.csv", ("t", "delta_phi", "se"), rows)
@@ -348,9 +364,7 @@ def cmd_calibrate(args) -> int:
     result = run_calibration(cfg, photon_numbers, n_shots, args.seed,
                              target_click=target_click, workers=args.workers)
     out = _out_dir(args)
-    with open(out / "calibration.json", "w") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "calibration.json", result)
     return EXIT_OK
 
 

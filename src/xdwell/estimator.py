@@ -188,7 +188,9 @@ def _design_matrix(n_samples: int, template: XpsTemplate) -> np.ndarray:
     return np.column_stack([np.ones_like(x), x, x**2, x**3, template.samples])
 
 
-def _weighted_fit(y: np.ndarray, sigma, template: XpsTemplate):
+def _weighted_fit(y: np.ndarray, sigma, template: XpsTemplate,
+                  scale: float = 1.0) -> FitResult:
+    """Template amplitude over a cubic background, divided by `scale`."""
     n = y.size
     design = _design_matrix(n, template)
     if sigma is None:
@@ -216,7 +218,12 @@ def _weighted_fit(y: np.ndarray, sigma, template: XpsTemplate):
     if sigma is None:
         # unweighted fit: scale errors by the residual variance estimate
         cov = cov * chi2_per_dof
-    return coeffs, cov, chi2_per_dof
+    return FitResult(
+        amplitude=float(coeffs[4] / scale),
+        amplitude_se=float(np.sqrt(cov[4, 4]) / scale),
+        cubic_coeffs=tuple(float(c) for c in coeffs[:4]),
+        chi2_per_dof=chi2_per_dof,
+    )
 
 
 def fit_phi0(mean_trace: np.ndarray, mean_photons: float,
@@ -225,26 +232,14 @@ def fit_phi0(mean_trace: np.ndarray, mean_photons: float,
     divided by the mean photon number."""
     if mean_photons <= 0:
         raise ConfigError("mean_photons must be > 0 for a phi_0 fit")
-    coeffs, cov, chi2 = _weighted_fit(np.asarray(mean_trace, float),
-                                      sigma, template)
-    return FitResult(
-        amplitude=float(coeffs[4] / mean_photons),
-        amplitude_se=float(np.sqrt(cov[4, 4]) / mean_photons),
-        cubic_coeffs=tuple(float(c) for c in coeffs[:4]),
-        chi2_per_dof=chi2,
-    )
+    return _weighted_fit(np.asarray(mean_trace, float), sigma, template,
+                         scale=mean_photons)
 
 
 def fit_transmitted(delta: BinnedTraces, template: XpsTemplate) -> FitResult:
     """Single-transmitted-photon amplitude phi_T from the difference trace,
     inverse-variance weighted per sample."""
-    coeffs, cov, chi2 = _weighted_fit(delta.delta_phi, delta.se_delta, template)
-    return FitResult(
-        amplitude=float(coeffs[4]),
-        amplitude_se=float(np.sqrt(cov[4, 4])),
-        cubic_coeffs=tuple(float(c) for c in coeffs[:4]),
-        chi2_per_dof=chi2,
-    )
+    return _weighted_fit(delta.delta_phi, delta.se_delta, template)
 
 
 def calibrate_proportional_noise(points) -> NoiseCalibration:
@@ -296,6 +291,13 @@ def _require_phi0(phi_0: FitResult, where: str):
             f"{_PHI0_SIGNIFICANCE:g} sigma; cannot form the ratio")
 
 
+def _ratio(phi_t: FitResult, phi_0: FitResult):
+    """phi_T/phi_0 and its first-order variance (never divides by phi_T)."""
+    var = (phi_t.amplitude_se / phi_0.amplitude) ** 2 \
+        + (phi_t.amplitude * phi_0.amplitude_se / phi_0.amplitude**2) ** 2
+    return phi_t.amplitude / phi_0.amplitude, var
+
+
 def combine_detunings(entries) -> CombinedEstimate:
     """Inverse-variance weighted mean of per-detuning phi_T/phi_0 ratios.
 
@@ -311,9 +313,7 @@ def combine_detunings(entries) -> CombinedEstimate:
     variances = []
     for detuning, phi_t, phi_0 in entries:
         _require_phi0(phi_0, f"detuning {detuning:g}")
-        r = phi_t.amplitude / phi_0.amplitude
-        var = (phi_t.amplitude_se / phi_0.amplitude) ** 2 \
-            + (phi_t.amplitude * phi_0.amplitude_se / phi_0.amplitude**2) ** 2
+        r, var = _ratio(phi_t, phi_0)
         ratios.append(r)
         variances.append(var)
         inputs.append((detuning, phi_t.amplitude, phi_0.amplitude,
@@ -361,14 +361,23 @@ def click_inference_check(batches) -> ClickCheckReport:
     )
 
 
+def _fit_chain(cfg: ExperimentConfig, batches):
+    """Bin `batches` by click and fit phi_0 on the all-shot mean and raw
+    phi_T on the difference trace: (BinnedTraces, phi_0, phi_T)."""
+    template = shots.xps_template(cfg)
+    binned = bin_and_average(batches)
+    phi0 = fit_phi0(binned.phi_all, cfg.mean_photons, template,
+                    sigma=binned.se_all)
+    return binned, phi0, fit_transmitted(binned, template)
+
+
 def analyze_file(path, cfg: ExperimentConfig, s2: float = 0.0,
                  s2_se: float = 0.0, force_digest: bool = False):
     """Full estimator chain over one shot file.
 
     Returns (report dict, BinnedTraces)."""
     header = shotfile.read_header(path)
-    expected = shotfile.config_digest(shotfile.canonical_config_text(
-        shotfile.experiment_sections(cfg)))
+    expected = shotfile.experiment_digest(cfg)
     if header.digest != expected and not force_digest:
         raise DataFormatError(
             f"{path}: config digest {header.digest.hex()[:16]}... does not "
@@ -379,11 +388,7 @@ def analyze_file(path, cfg: ExperimentConfig, s2: float = 0.0,
             f"{path}: file has {header.n_samples} samples per shot, config "
             f"says {cfg.n_samples}")
 
-    template = shots.xps_template(cfg)
-    binned = bin_and_average(shotfile.iter_shot_batches(path))
-    phi0 = fit_phi0(binned.phi_all, cfg.mean_photons, template,
-                    sigma=binned.se_all)
-    phi_t = fit_transmitted(binned, template)
+    binned, phi0, phi_t = _fit_chain(cfg, shotfile.iter_shot_batches(path))
     if s2 != 0.0:
         phi_t = correct_phi_T(phi_t, s2, cfg.mean_photons, phi0, s2_se=s2_se)
     combined = combine_detunings([(cfg.probe_detuning, phi_t, phi0)])
@@ -424,17 +429,11 @@ def run_calibration(cfg: ExperimentConfig, photon_numbers, n_shots: int,
     for i, mu in enumerate(photon_numbers):
         cal_cfg = cfg.replace(mean_photons=mu, phi_atom=cfg.phi_atom,
                               eta_detect=_calibration_eta(cfg, mu, target_click))
-        template = shots.xps_template(cal_cfg)
-        binned = bin_and_average(shots.iter_batches(
+        _, phi0, phi_t = _fit_chain(cal_cfg, shots.iter_batches(
             cal_cfg, n_shots, seed, workers, campaign=i))
-        phi0 = fit_phi0(binned.phi_all, mu, template, sigma=binned.se_all)
         _require_phi0(phi0, f"{mu:g} photons")
-        phi_t = fit_transmitted(binned, template)
-        excess = phi_t.amplitude / phi0.amplitude
-        excess_se = abs(excess) * np.sqrt(
-            (phi_t.amplitude_se / phi_t.amplitude) ** 2
-            + (phi0.amplitude_se / phi0.amplitude) ** 2)
-        points.append((mu, excess, float(excess_se)))
+        excess, var = _ratio(phi_t, phi0)
+        points.append((mu, excess, float(np.sqrt(var))))
     cal = calibrate_proportional_noise(points)
     return {
         "s2": cal.s2,

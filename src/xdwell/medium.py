@@ -26,8 +26,6 @@ __all__ = [
     "field_transfer",
     "propagate_spectral",
     "transmission_probability",
-    "pulse_spectrum",
-    "spectral_rms_hz",
 ]
 
 
@@ -200,27 +198,9 @@ def propagate_spectral(env: SampledEnvelope, medium: MediumSpec,
     return result
 
 
-def spectral_rms_hz(pulse: PulseSpec) -> float:
-    """Rms width in Hz of the Gaussian spectral intensity density, 1/(4 pi sigma_t)."""
-    return 1.0 / (4.0 * np.pi * pulse.intensity_rms)
-
-
 def _spectral_sigma(pulse: PulseSpec) -> float:
     # rms of the spectral intensity density, in rad/s
     return 1.0 / (2.0 * pulse.intensity_rms)
-
-
-def pulse_spectrum(pulse: PulseSpec, n_points: int = 2001, span_sigmas: float = 8.0):
-    """Normalized spectral intensity density of the pulse.
-
-    Returns (detunings, density): detunings in rad/s from line centre,
-    density in s/rad, integrating to 1.
-    """
-    sw = _spectral_sigma(pulse)
-    delta = pulse.carrier_detuning + np.linspace(-span_sigmas, span_sigmas, n_points) * sw
-    x = (delta - pulse.carrier_detuning) / sw
-    density = np.exp(-0.5 * x * x) / (sw * np.sqrt(2.0 * np.pi))
-    return delta, density
 
 
 # the rule spans +-9 spectral sigmas, where the density is 2.6e-18 of its

@@ -8,13 +8,15 @@ File layout (little endian):
 A file is valid only at exactly header + n_shots records, so one cut short
 (or grown) after its header was written is rejected.
 
-The digest is the SHA-256 of the canonicalized experiment-config text
-(sorted keys, normalized whitespace), so an analysis run can refuse data
-generated under a different configuration.
+The digest (`experiment_digest`) is the SHA-256 of the canonicalized
+experiment-config text (sorted keys, normalized whitespace), so an analysis
+run can refuse data generated under a different configuration.  Its keys
+are the ExperimentConfig field names, read from the dataclass itself.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import struct
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError
-from .shots import ExperimentConfig, OscillationSpec
 
 __all__ = [
     "MAGIC",
@@ -36,7 +37,7 @@ __all__ = [
     "canonical_config_text",
     "config_digest",
     "experiment_sections",
-    "config_from_sections",
+    "experiment_digest",
 ]
 
 MAGIC = b"XDWL"
@@ -196,60 +197,20 @@ def config_digest(text: str) -> bytes:
     return hashlib.sha256(text.encode("utf-8")).digest()
 
 
-_EXPERIMENT_FIELDS = (
-    "mean_photons", "p_transmit", "eta_detect", "dark_prob", "phi_atom",
-    "probe_detuning", "tau_sp", "sigma_t", "shot_len", "n_samples",
-    "sample_dt", "arrival_index", "meas_bandwidth", "phase_noise_rms",
-    "drift", "prop_noise_s", "od_coupling", "tauT_frac", "tauL_frac",
-)
-_OSC_FIELDS = ("amplitude", "period", "damping", "eps_coupling")
-
-
-def experiment_sections(cfg: ExperimentConfig) -> dict:
-    body = {name: getattr(cfg, name) for name in _EXPERIMENT_FIELDS}
-    for name in _OSC_FIELDS:
-        body[f"osc_{name}"] = getattr(cfg.osc, name)
+def experiment_sections(cfg) -> dict:
+    """The canonical sections of an ExperimentConfig: one key per field, and
+    `<field>_<subfield>` for each field of a nested dataclass (`osc`)."""
+    body = {}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            body.update({f"{f.name}_{sub.name}": getattr(value, sub.name)
+                         for sub in dataclasses.fields(value)})
+        else:
+            body[f.name] = value
     return {"experiment": body}
 
 
-def _finite(raw) -> float:
-    value = float(raw)
-    if not np.isfinite(value):
-        raise ValueError("not finite")
-    return value
-
-
-def config_from_sections(section: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from string key/value pairs; unknown keys
-    and malformed or non-finite values raise ConfigError."""
-    from .errors import ConfigError
-
-    kwargs = {}
-    osc_kwargs = {}
-    for raw_key, raw in section.items():
-        key = raw_key.strip().lower()
-        try:
-            if key.startswith("osc_"):
-                name = key[4:]
-                if name not in _OSC_FIELDS:
-                    raise ConfigError(f"unknown experiment key {raw_key!r}")
-                osc_kwargs[name] = _finite(raw)
-            elif key == "drift":
-                parts = str(raw).split(",")
-                kwargs["drift"] = tuple(_finite(p) for p in parts)
-            elif key in ("n_samples", "arrival_index"):
-                kwargs[key] = int(raw)
-            elif key in ("tautfrac", "taut_frac"):
-                kwargs["tauT_frac"] = _finite(raw)
-            elif key in ("taulfrac", "taul_frac"):
-                kwargs["tauL_frac"] = _finite(raw)
-            elif key in (f.lower() for f in _EXPERIMENT_FIELDS):
-                field = next(f for f in _EXPERIMENT_FIELDS if f.lower() == key)
-                kwargs[field] = _finite(raw)
-            else:
-                raise ConfigError(f"unknown experiment key {raw_key!r}")
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {raw_key!r}: {raw!r}") from exc
-    if osc_kwargs:
-        kwargs["osc"] = OscillationSpec(**osc_kwargs)
-    return ExperimentConfig(**kwargs)
+def experiment_digest(cfg) -> bytes:
+    """SHA-256 of an ExperimentConfig's canonical text: the shot-file key."""
+    return config_digest(canonical_config_text(experiment_sections(cfg)))

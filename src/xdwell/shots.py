@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import shotfile
 from .errors import ConfigError
 
 __all__ = [
@@ -334,12 +335,9 @@ def run_campaign(cfg: ExperimentConfig, n_shots: int, seed: int,
     Deterministic for fixed (cfg, seed): identical inputs yield byte-identical
     files at any worker count, because every batch has its own keyed substream.
     """
-    from . import shotfile  # deferred to keep the module graph acyclic
-
     if n_shots < 1:  # before the file exists, which declares its size
         raise ConfigError("n_shots must be >= 1")
-    digest = shotfile.config_digest(shotfile.canonical_config_text(
-        shotfile.experiment_sections(cfg)))
+    digest = shotfile.experiment_digest(cfg)
     writer = contextlib.nullcontext()
     if out_path is not None:
         # an interrupted run leaves no file and keeps any earlier one

@@ -113,30 +113,101 @@ class TestConfigCanonicalization:
         text = shotfile.canonical_config_text({"s": {"x": 0.1 + 0.2}})
         assert "0.30000000000000004" in text
 
-    def test_sections_round_trip(self):
+    def test_experiment_text_and_digest_pinned(self):
+        # the shot-file header key of an explicit-phi_atom config; a change
+        # to the canonical form would orphan every existing shot file
+        cfg = ExperimentConfig(phi_atom=0.001)
+        text = shotfile.canonical_config_text(shotfile.experiment_sections(cfg))
+        assert text == EXPERIMENT_TEXT
+        assert shotfile.experiment_digest(cfg).hex() == EXPERIMENT_DIGEST
+        assert shotfile.config_digest(text).hex() == EXPERIMENT_DIGEST
+
+    def test_sections_round_trip(self, tmp_path):
+        # the canonical text is itself an [experiment] section the CLI reads
         cfg = ExperimentConfig(mean_photons=21.5, prop_noise_s=0.02)
         sections = shotfile.experiment_sections(cfg)
-        as_text = {k: {kk: shotfile._canonical_value(vv)
-                       for kk, vv in v.items()}
-                   for k, v in sections.items()}
-        back = shotfile.config_from_sections(as_text["experiment"])
+        back = read_experiment(tmp_path,
+                               shotfile.canonical_config_text(sections))
         assert shotfile.canonical_config_text(
             shotfile.experiment_sections(back)) == \
             shotfile.canonical_config_text(sections)
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            shotfile.config_from_sections({"mean_photons": "3", "bogus": "1"})
+    def test_integer_keys_accept_integral_floats(self, tmp_path):
+        cfg = read_experiment(tmp_path, "[experiment]\nn_samples = 36.0\n")
+        assert cfg.n_samples == 36 and isinstance(cfg.n_samples, int)
 
-    def test_bad_value_rejected(self):
+    def test_unknown_key_rejected(self, tmp_path):
+        with pytest.raises(ConfigError,
+                           match=r"unknown keys in \[experiment\]: bogus"):
+            read_experiment(tmp_path,
+                            "[experiment]\nmean_photons = 3\nbogus = 1\n")
+
+    def test_bad_value_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
-            shotfile.config_from_sections({"mean_photons": "many"})
+            read_experiment(tmp_path, "[experiment]\nmean_photons = many\n")
 
     @pytest.mark.parametrize("key,raw", [
         ("phi_atom", "nan"), ("drift", "0,0,-inf,0"), ("osc_period", "nan")])
-    def test_non_finite_value_rejected(self, key, raw):
+    def test_non_finite_value_rejected(self, tmp_path, key, raw):
         with pytest.raises(ConfigError):
-            shotfile.config_from_sections({key: raw})
+            read_experiment(tmp_path, f"[experiment]\n{key} = {raw}\n")
+
+
+EXPERIMENT_TEXT = """[experiment]
+arrival_index=11
+dark_prob=0.01
+drift=0.0030000000000000001,0.0030000000000000001,0.002,0.002
+eta_detect=0.0212
+mean_photons=34
+meas_bandwidth=25000000
+n_samples=36
+od_coupling=0
+osc_amplitude=0
+osc_damping=3.9999999999999998e-07
+osc_eps_coupling=1
+osc_period=4.9999999999999998e-07
+p_transmit=0.40189999999999998
+phase_noise_rms=0.14999999999999999
+phi_atom=0.001
+probe_detuning=-35185837.72020568
+prop_noise_s=0
+sample_dt=1.6000000000000001e-08
+shot_len=5.7599999999999997e-07
+sigma_t=1e-08
+taul_frac=0.90000000000000002
+taut_frac=0.77000000000000002
+tau_sp=2.6499999999999999e-08
+"""
+EXPERIMENT_DIGEST = \
+    "72dd3bada54a2a2da53ab6b9d1caea41a7ff4f5e62fa595d38019dd6a572d4f0"
+
+
+def read_experiment(tmp_path, text):
+    """The ExperimentConfig that the CLI reads from an INI text."""
+    path = write_config(tmp_path / "experiment.ini", text)
+    return cli._experiment_from_config(cli._load_config(path))
+
+
+SHOTFILE_ALONE = """
+import sys
+import types
+
+# a bare package module, so that only shotfile's own imports run
+package = types.ModuleType("xdwell")
+package.__path__ = [sys.argv[1]]
+sys.modules["xdwell"] = package
+import xdwell.shotfile
+
+if "xdwell.shots" in sys.modules:
+    sys.exit("import xdwell.shotfile loaded xdwell.shots")
+"""
+
+
+def test_shotfile_does_not_import_shots():
+    package = Path(xdwell.__file__).resolve().parent
+    run = subprocess.run([sys.executable, "-c", SHOTFILE_ALONE, str(package)],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
 
 
 def write_config(path, text):
@@ -273,6 +344,14 @@ class TestCli:
                            "[experiment]\nwibble = 3\n")
         assert cli.main(["simulate", "--config", cfg,
                          "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("line", [
+        "n_samples = 36.5", "drift = 0,0,0", "osc_bogus = 1", "tautfrac = 1"])
+    def test_bad_experiment_key_exit_2(self, tmp_path, line):
+        cfg = write_config(tmp_path / "c.ini", f"[experiment]\n{line}\n")
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_missing_section_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", "[pulse]\nsigma_t = 1e-8\n")

@@ -13,8 +13,6 @@ from xdwell import (
     gaussian_envelope,
     lorentzian_od,
     propagate_spectral,
-    pulse_spectrum,
-    spectral_rms_hz,
     transmission_probability,
 )
 from xdwell import medium as medium_module
@@ -122,16 +120,6 @@ class TestEnvelope:
         pulse = PulseSpec(intensity_rms=10e-9, mean_photons=34.0)
         env = gaussian_envelope(pulse, n_samples=4096)
         assert env.photon_number == pytest.approx(34.0, rel=1e-9)
-
-    def test_spectral_rms_values(self):
-        assert spectral_rms_hz(PulseSpec(intensity_rms=10e-9)) == \
-            pytest.approx(7.9577e6, rel=1e-4)
-        assert spectral_rms_hz(PulseSpec(intensity_rms=50e-9)) == \
-            pytest.approx(1.59155e6, rel=1e-4)
-
-    def test_spectrum_normalized(self, pulse_10ns):
-        delta, rho = pulse_spectrum(pulse_10ns)
-        assert np.trapezoid(rho, delta) == pytest.approx(1.0, abs=1e-6)
 
     def test_invalid_inputs(self):
         with pytest.raises(ConfigError):
