@@ -55,9 +55,6 @@ class ExcitationRecord:
     coh_down_flow: np.ndarray
     spont_flow: np.ndarray
 
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.pe.size)
-
 
 def _check_weak(pe: np.ndarray):
     peak = float(pe.max())
@@ -89,6 +86,18 @@ def _weak_amplitudes(spectra: np.ndarray, dt: float,
     return c
 
 
+def _weak_pe(spectra: np.ndarray, dt: float, cfg: BlochConfig) -> np.ndarray:
+    """P_e = |c|^2 of the weak response to each row of `spectra` (consumed:
+    it ends up holding c), time-major: (N, rows) for (rows, N) spectra.
+    Raises WeakExcitationError past the weak-drive limit."""
+    c = _weak_amplitudes(spectra, dt, cfg)
+    # |c|^2 written time-major, with no transpose copy
+    pe = np.square(c.real.T, out=np.empty(c.shape[::-1]))
+    pe += np.square(c.imag, out=c.imag).T
+    _check_weak(pe)
+    return pe
+
+
 def _net_flow(pe: np.ndarray, h: float, gamma: float) -> np.ndarray:
     """dP_e/dt + gamma P_e along axis 0: excitation gained where positive,
     coherently returned where negative.  Centred differences, one-sided at
@@ -100,9 +109,7 @@ def _net_flow(pe: np.ndarray, h: float, gamma: float) -> np.ndarray:
 
 def integrate_weak_bloch(env: SampledEnvelope, cfg: BlochConfig) -> ExcitationRecord:
     """Weak-drive excitation of one envelope, on the envelope's own grid."""
-    c = _weak_amplitudes(np.fft.fft(env.samples), env.dt, cfg)
-    pe = c.real ** 2 + c.imag ** 2
-    _check_weak(pe)
+    pe = _weak_pe(np.fft.fft(env.samples), env.dt, cfg)
     net = _net_flow(pe, env.dt, cfg.gamma)
     return ExcitationRecord(t0=env.t0, dt=env.dt, gamma=cfg.gamma, pe=pe,
                             up_flow=np.maximum(net, 0.0),
@@ -121,9 +128,13 @@ def pulse_area(env: SampledEnvelope, cfg: BlochConfig) -> float:
     return float(cfg.rabi_per_amplitude * np.trapezoid(proj, dx=env.dt))
 
 
-def detect_phase_flip(env: SampledEnvelope, min_run: int = 3):
+_FLIP_MIN_RUN = 3
+
+
+def detect_phase_flip(env: SampledEnvelope):
     """Earliest time where the envelope's initial-phase projection goes and
-    stays negative for at least `min_run` samples; None if it never does."""
+    stays negative for at least _FLIP_MIN_RUN samples; None if it never
+    does."""
     samples = env.samples
     peak_idx = int(np.argmax(np.abs(samples)))
     ref = samples[peak_idx]
@@ -136,13 +147,9 @@ def detect_phase_flip(env: SampledEnvelope, min_run: int = 3):
     # only the trailing side counts; leading-edge ringing is grid artifact
     neg = proj < floor
     neg[:peak_idx] = False
-    run = 0
-    for i in range(neg.size):
-        run = run + 1 if neg[i] else 0
-        if run >= min_run:
-            start = i - min_run + 1
-            return float(env.t0 + env.dt * start)
-    return None
+    starts = np.flatnonzero(np.lib.stride_tricks.sliding_window_view(
+        neg, _FLIP_MIN_RUN).all(axis=1))
+    return float(env.t0 + env.dt * int(starts[0])) if starts.size else None
 
 
 _CLAMP_REPORT = 1e-6

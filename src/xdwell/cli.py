@@ -27,7 +27,6 @@ from .dwell import (
     default_bloch_config,
     egalitarian_broadband,
     min_coherent_model,
-    od_grid_array,
 )
 from .errors import (
     ConfigError,
@@ -39,6 +38,7 @@ from .medium import (
     MediumSpec,
     PulseSpec,
     gaussian_envelope,
+    od_grid_array,
     propagate_spectral,
     transmission_probability,
 )
@@ -238,10 +238,14 @@ _DEFAULT_OD_GRID = "0.01,0.25,0.5,1,1.5,2,3,4"
 
 def _model_curve(model: str, pulse: PulseSpec, medium: MediumSpec,
                  od_grid: list, slices: int) -> list:
-    """One entry per OD: a DwellBreakdown, or the error that OD failed with."""
-    if model == MODEL_MIN_COHERENT:
-        return min_coherent_model(pulse, medium, od_grid, slices=slices)
-    return egalitarian_broadband(pulse, medium, od_grid)
+    """One entry per OD: a DwellBreakdown, or the error that OD failed with;
+    a curve that fails as a whole gives its error at every OD."""
+    try:
+        if model == MODEL_MIN_COHERENT:
+            return min_coherent_model(pulse, medium, od_grid, slices=slices)
+        return egalitarian_broadband(pulse, medium, od_grid)
+    except (ConvergenceError, ConfigError) as exc:
+        return [exc] * len(od_grid)
 
 
 def cmd_models(args) -> int:
@@ -264,19 +268,13 @@ def cmd_models(args) -> int:
     # curves run on --workers threads, one curve per thread (numpy releases
     # the GIL in the FFTs and array passes); rows are written in grid
     # order, so the file is the same at any worker count
-    pool = ThreadPoolExecutor(max_workers=args.workers)
-    try:
-        jobs = [pool.submit(_model_curve, model, pulse, medium, od_grid,
-                            slices)
-                for model, pulse in curves]
-        rows = []
-        for (model, pulse), job in zip(curves, jobs):
+    rows = []
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        results = pool.map(lambda c: _model_curve(*c, medium, od_grid, slices),
+                           curves)
+        for (model, pulse), curve in zip(curves, results):
             sigma = pulse.intensity_rms
-            try:
-                results = job.result()
-            except (ConvergenceError, ConfigError) as exc:
-                results = [exc] * len(od_grid)
-            for od, b in zip(od_grid, results):
+            for od, b in zip(od_grid, curve):
                 if isinstance(b, Exception):
                     rows.append((f"# {model},sigma_t={sigma:g},peak_od={od:g} "
                                  f"failed: {b}",))
@@ -285,8 +283,6 @@ def cmd_models(args) -> int:
                 ratio = b.tauT / b.tau0 if b.tau0 > 0 else 0.0
                 rows.append((model, sigma * 1e9, od, b.p_loss, b.tau0,
                              b.tauL, b.tauT, ratio))
-    finally:
-        pool.shutdown(cancel_futures=True)
     _write_csv(out / "model_curves.csv", _MODELS_HEADER, rows)
     return EXIT_OK
 

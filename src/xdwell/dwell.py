@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (
-    BlochConfig,
-    _check_weak,
-    _fate_fractions_many,
-    _net_flow,
-    _weak_amplitudes,
-)
+from .bloch import BlochConfig, _fate_fractions_many, _net_flow, _weak_pe
 from .errors import ConfigError, ConvergenceError
 from .medium import (
     MediumSpec,
@@ -28,6 +22,7 @@ from .medium import (
     _spectral_average,
     field_transfer,
     gaussian_envelope,
+    od_grid_array,
     transmission_probability,
 )
 
@@ -38,7 +33,6 @@ __all__ = [
     "egalitarian_monochromatic",
     "egalitarian_broadband",
     "min_coherent_model",
-    "od_grid_array",
     "default_bloch_config",
 ]
 
@@ -94,19 +88,6 @@ def egalitarian_monochromatic(od: float) -> DwellBreakdown:
 
 
 _BROADBAND_TOL = 1e-4
-
-
-def od_grid_array(medium: MediumSpec, od_grid=None) -> np.ndarray:
-    """The peak ODs of `od_grid` (default: `medium.peak_od` alone) as an
-    array; ConfigError unless they are finite, >= 0 and strictly
-    increasing."""
-    ods = np.asarray([medium.peak_od] if od_grid is None else od_grid,
-                     dtype=float)
-    if (ods.ndim != 1 or not np.all(np.isfinite(ods)) or np.any(ods < 0)
-            or np.any(np.diff(ods) <= 0)):
-        raise ConfigError("od_grid must be finite, >= 0 and strictly "
-                          f"increasing, got {list(ods)}")
-    return ods
 
 
 def _egalitarian_terms(a):
@@ -192,18 +173,14 @@ def _node_integrals(depths: np.ndarray, spectrum: np.ndarray,
     units, at most _BLOCK_NODES of them); the block's arrays die on
     return."""
     # node spectra (nodes, N), turned into amplitudes in place; one name
-    # only, so `del c` frees them
-    c = field_transfer(detunings, medium, depths[:, None])
-    c *= spectrum
-    c = _weak_amplitudes(c, h, bloch)
-    # |c|^2 written time-major, (N, nodes), with no transpose copy
-    pe = np.square(c.real.T, out=np.empty(c.shape[::-1]))
-    pe += np.square(c.imag, out=c.imag).T
-    del c
-    _check_weak(pe)
-    net = _net_flow(pe, h, medium.gamma)
+    # only, so `del spectra` frees them before the flows are allocated
+    spectra = field_transfer(detunings, medium, depths[:, None])
+    spectra *= spectrum
+    pe = _weak_pe(spectra, h, bloch)
+    del spectra
+    net = _net_flow(pe, h, bloch.gamma)
     coh_down = np.maximum(np.negative(net, out=net), 0.0, out=net)
-    f_coh = _fate_fractions_many(pe, coh_down, h, medium.gamma)
+    f_coh = _fate_fractions_many(pe, coh_down, h, bloch.gamma)
     del net, coh_down
     int_pe = np.trapezoid(pe, dx=h, axis=0)
     int_coh = np.trapezoid(np.multiply(f_coh, pe, out=f_coh), dx=h, axis=0)
@@ -212,7 +189,6 @@ def _node_integrals(depths: np.ndarray, spectrum: np.ndarray,
 
 def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, od_grid=None,
                        slices: int = _MIN_SLICES,
-                       bloch: BlochConfig | None = None,
                        n_samples: int = 4096) -> list:
     """Dwell breakdowns under the minimum-coherent-emission attribution,
     one per peak OD of `od_grid` (default: `medium.peak_od` alone).
@@ -222,7 +198,8 @@ def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, od_grid=None,
     (panels of at most 1 OD), so every OD reuses the nodes below it: the
     per-depth dwell depends only on the absolute depth.  At each node the
     envelope spectrum is carried to that depth, the weak Bloch response
-    is solved on the envelope's FFT grid, and the dwell is split by the
+    under `default_bloch_config(pulse, medium)` is solved on the
+    envelope's FFT grid, and the dwell is split by the
     coherent/spontaneous fate of the excitation, per incident photon.
 
     Each entry is a DwellBreakdown, or the ConvergenceError of an OD whose
@@ -231,8 +208,7 @@ def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, od_grid=None,
     if slices < _MIN_SLICES:
         raise ConfigError(f"slices must be >= {_MIN_SLICES}, got {slices}")
     ods = od_grid_array(medium, od_grid)
-    if bloch is None:
-        bloch = default_bloch_config(pulse, medium)
+    bloch = default_bloch_config(pulse, medium)
     unit = medium.with_od(1.0)
     env = gaussian_envelope(pulse, n_samples=n_samples,
                             tail=_DECAY_TAIL_LIFETIMES / medium.gamma)
@@ -248,8 +224,8 @@ def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, od_grid=None,
     # each OD sums the node integrals below its panel edge; the atom
     # weight makes gross scattering match Beer-Lambert loss, and the
     # dwell is in tau_sp units
-    scale = medium.gamma ** 2 / (bloch.rabi_per_amplitude ** 2
-                                 * env.photon_number)
+    scale = bloch.gamma ** 2 / (bloch.rabi_per_amplitude ** 2
+                                * env.photon_number)
     tau0 = np.concatenate([[0.0], np.cumsum(weights * int_pe)])[ends] * scale
     coh = np.concatenate([[0.0], np.cumsum(weights * int_coh)])[ends] * scale
     p_loss_spectral = 1.0 - transmission_probability(pulse, unit, ods)

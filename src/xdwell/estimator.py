@@ -89,14 +89,10 @@ class RunningMoments:
 
 @dataclass(frozen=True)
 class BinnedTraces:
-    """Per-sample means and errors in the click / no-click bins and over
-    all shots."""
+    """Per-sample click minus no-click means and all-shot means, with their
+    errors."""
 
-    phi_click: np.ndarray
-    phi_noclick: np.ndarray
     delta_phi: np.ndarray
-    se_click: np.ndarray
-    se_noclick: np.ndarray
     se_delta: np.ndarray
     n_click: int
     n_noclick: int
@@ -118,7 +114,6 @@ class FitResult:
 class CombinedEstimate:
     ratio: float
     se: float
-    inputs: tuple  # of (detuning, phi_T, phi_0, ratio, ratio_se)
 
 
 @dataclass(frozen=True)
@@ -134,8 +129,6 @@ class ClickCheckReport:
     excess_transmitted_se: float
     excess_lost: float
     excess_lost_se: float
-    expected_transmitted: float
-    expected_lost: float
     n_click: int
     n_noclick: int
 
@@ -167,11 +160,7 @@ def bin_and_average(batches) -> BinnedTraces:
     se_c = click_stats.standard_error
     se_n = noclick_stats.standard_error
     return BinnedTraces(
-        phi_click=click_stats.mean,
-        phi_noclick=noclick_stats.mean,
         delta_phi=click_stats.mean - noclick_stats.mean,
-        se_click=se_c,
-        se_noclick=se_n,
         se_delta=np.sqrt(se_c**2 + se_n**2),
         n_click=click_stats.count,
         n_noclick=noclick_stats.count,
@@ -260,8 +249,7 @@ def calibrate_proportional_noise(points) -> NoiseCalibration:
     denom = float(np.sum(w * mu * mu))
     s2 = float(np.sum(w * mu * (e - 1.0)) / denom)
     s2_se = float(1.0 / np.sqrt(denom))
-    return NoiseCalibration(s2=max(s2, 0.0) if s2 < 0 else s2,
-                            s2_se=s2_se, upper_bound=s2 < 0)
+    return NoiseCalibration(s2=max(s2, 0.0), s2_se=s2_se, upper_bound=s2 < 0)
 
 
 def correct_phi_T(raw: FitResult, s2: float, mean_photons: float,
@@ -308,7 +296,6 @@ def combine_detunings(entries) -> CombinedEstimate:
     entries = list(entries)
     if not entries:
         raise ConfigError("need at least one (phi_T, phi_0) entry")
-    inputs = []
     ratios = []
     variances = []
     for detuning, phi_t, phi_0 in entries:
@@ -316,48 +303,38 @@ def combine_detunings(entries) -> CombinedEstimate:
         r, var = _ratio(phi_t, phi_0)
         ratios.append(r)
         variances.append(var)
-        inputs.append((detuning, phi_t.amplitude, phi_0.amplitude,
-                       r, float(np.sqrt(var))))
     w = 1.0 / np.asarray(variances)
     ratio = float(np.sum(w * np.asarray(ratios)) / np.sum(w))
     se = float(1.0 / np.sqrt(np.sum(w)))
-    return CombinedEstimate(ratio=ratio, se=se, inputs=tuple(inputs))
+    return CombinedEstimate(ratio=ratio, se=se)
 
 
 def click_inference_check(batches) -> ClickCheckReport:
     """Conditional photon-number excesses from truth metadata.
 
-    `batches` is an iterable of (phases, clicks, truth) batches.  Computes
+    `batches` is an iterable of (phases, clicks, truth) batches.  Bins the
+    (n_T, n - n_T) pairs by click through `bin_and_average`, so each bin
+    needs MIN_BIN_POPULATION (100) shots, and returns
     E[n_T | click] - E[n_T | no click] and the lost-photon analogue, with
     Monte Carlo errors; the small-efficiency analytic expectations are 1
     and 0 respectively.
     """
-    stats = {True: RunningMoments(2), False: RunningMoments(2)}
-    for batch in batches:
-        if len(batch) < 3 or batch[2] is None:
-            raise ConfigError("click_inference_check requires truth metadata")
-        phases, clicks, truth = batch
-        clicks = np.asarray(clicks, dtype=bool)
-        n = truth[:, 0]
-        n_t = truth[:, 1]
-        pair = np.column_stack([n_t, n - n_t])
-        stats[True].add_batch(pair[clicks])
-        stats[False].add_batch(pair[~clicks])
-    for name, key in (("click", True), ("no-click", False)):
-        if stats[key].count < 2:
-            raise InsufficientBinError(name, stats[key].count, 2)
-    diff = stats[True].mean - stats[False].mean
-    diff_se = np.sqrt(stats[True].standard_error ** 2
-                      + stats[False].standard_error ** 2)
+    def pairs():
+        for batch in batches:
+            if len(batch) < 3 or batch[2] is None:
+                raise ConfigError(
+                    "click_inference_check requires truth metadata")
+            n, n_t = batch[2][:, 0], batch[2][:, 1]
+            yield np.column_stack([n_t, n - n_t]), batch[1]
+
+    binned = bin_and_average(pairs())
     return ClickCheckReport(
-        excess_transmitted=float(diff[0]),
-        excess_transmitted_se=float(diff_se[0]),
-        excess_lost=float(diff[1]),
-        excess_lost_se=float(diff_se[1]),
-        expected_transmitted=1.0,
-        expected_lost=0.0,
-        n_click=stats[True].count,
-        n_noclick=stats[False].count,
+        excess_transmitted=float(binned.delta_phi[0]),
+        excess_transmitted_se=float(binned.se_delta[0]),
+        excess_lost=float(binned.delta_phi[1]),
+        excess_lost_se=float(binned.se_delta[1]),
+        n_click=binned.n_click,
+        n_noclick=binned.n_noclick,
     )
 
 

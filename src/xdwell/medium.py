@@ -25,6 +25,7 @@ __all__ = [
     "dispersion_phase",
     "field_transfer",
     "propagate_spectral",
+    "od_grid_array",
     "transmission_probability",
 ]
 
@@ -72,6 +73,9 @@ class PulseSpec:
             raise ConfigError("mean_photons must be >= 0")
 
 
+_EDGE = 0.05  # share of a grid, both ends together, read for leakage
+
+
 @dataclass(frozen=True)
 class SampledEnvelope:
     """Complex field envelope on a uniform time grid.
@@ -102,13 +106,13 @@ class SampledEnvelope:
     def photon_number(self) -> float:
         return float(self.dt * np.sum(np.abs(self.samples) ** 2))
 
-    def edge_energy_fraction(self, edge=0.05) -> float:
-        """Fraction of |samples|^2 energy in the outermost `edge` of the grid."""
+    def edge_energy_fraction(self) -> float:
+        """Fraction of |samples|^2 energy in the grid's outermost _EDGE."""
         p = np.abs(self.samples) ** 2
         total = p.sum()
         if total == 0:
             return 0.0
-        k = max(1, int(round(edge * p.size / 2.0)))
+        k = max(1, int(round(_EDGE * p.size / 2.0)))
         return float((p[:k].sum() + p[-k:].sum()) / total)
 
 
@@ -244,6 +248,19 @@ def _spectral_average(pulse: PulseSpec, medium: MediumSpec, ods, f):
     return fine, np.abs(fine - coarse)
 
 
+def od_grid_array(medium: MediumSpec, od_grid=None) -> np.ndarray:
+    """The peak ODs of `od_grid` (default: `medium.peak_od` alone) as an
+    array; ConfigError unless they are finite, >= 0 and strictly
+    increasing."""
+    ods = np.asarray([medium.peak_od] if od_grid is None else od_grid,
+                     dtype=float)
+    if (ods.ndim != 1 or not np.all(np.isfinite(ods)) or np.any(ods < 0)
+            or np.any(np.diff(ods) <= 0)):
+        raise ConfigError("od_grid must be finite, >= 0 and strictly "
+                          f"increasing, got {list(ods)}")
+    return ods
+
+
 def transmission_probability(pulse: PulseSpec, medium: MediumSpec,
                              od_grid=None):
     """Spectrally averaged transmission: integral of rho(delta) exp(-a(delta)).
@@ -251,10 +268,9 @@ def transmission_probability(pulse: PulseSpec, medium: MediumSpec,
     Computed by `_spectral_average` over the pulse's Gaussian spectral
     intensity density, independently of the time-domain propagation path.
     Returns a float at `medium.peak_od`, or one value per peak OD of
-    `od_grid` (finite, >= 0); OD 0 gives exactly 1.
+    `od_grid`, which `od_grid_array` checks; OD 0 gives exactly 1.
     """
-    ods = np.asarray([medium.peak_od] if od_grid is None else od_grid,
-                     dtype=float)
+    ods = od_grid_array(medium, od_grid)
     values, errors = _spectral_average(pulse, medium, ods,
                                        lambda a: np.exp(-a))
     if np.any(errors > _SPECTRAL_TOL):

@@ -14,7 +14,6 @@ width yields identical output and no two keys share a stream.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import warnings
 from collections import deque
@@ -167,7 +166,7 @@ class CampaignSummary:
     mean_dwell: float | None
     mean_transmitted: float | None
     digest: str
-    path: str | None
+    path: str
 
 
 def expected_click_rate(cfg: ExperimentConfig) -> float:
@@ -241,7 +240,7 @@ def anchored_phi_atom(cfg: ExperimentConfig) -> float:
     detuning of -5.6 MHz, with the odd dispersive dependence x/(1+x^2) on
     the probe detuning.
     """
-    template = xps_template(cfg.replace(phi_atom=1.0))
+    template = xps_template(cfg)  # reads no phi_atom, which may be None
     tau0 = tau0_per_photon(cfg)
     gamma = 1.0 / cfg.tau_sp
 
@@ -327,38 +326,33 @@ def iter_batches(cfg: ExperimentConfig, n_shots: int, seed: int,
             yield pending.popleft().result()
 
 
-def run_campaign(cfg: ExperimentConfig, n_shots: int, seed: int,
-                 out_path=None, with_truth: bool = True,
-                 workers: int = 1) -> CampaignSummary:
-    """Generate a campaign, optionally persisting it to the shot-record file.
+def run_campaign(cfg: ExperimentConfig, n_shots: int, seed: int, out_path,
+                 with_truth: bool = True, workers: int = 1) -> CampaignSummary:
+    """Generate a campaign into the shot-record file `out_path`.
 
     Deterministic for fixed (cfg, seed): identical inputs yield byte-identical
     files at any worker count, because every batch has its own keyed substream.
+    An interrupted run leaves no file and keeps any earlier one.
     """
     if n_shots < 1:  # before the file exists, which declares its size
         raise ConfigError("n_shots must be >= 1")
     digest = shotfile.experiment_digest(cfg)
-    writer = contextlib.nullcontext()
-    if out_path is not None:
-        # an interrupted run leaves no file and keeps any earlier one
-        writer = shotfile.ShotFileWriter(out_path, n_samples=cfg.n_samples,
-                                         n_shots=n_shots, digest=digest,
-                                         with_truth=with_truth)
     n_click = 0
     dwell_sum = 0.0
     transmitted_sum = 0.0
-    with writer:
+    with shotfile.ShotFileWriter(out_path, n_samples=cfg.n_samples,
+                                 n_shots=n_shots, digest=digest,
+                                 with_truth=with_truth) as writer:
         for phases, clicks, truth in iter_batches(cfg, n_shots, seed, workers):
             n_click += int(clicks.sum())
             dwell_sum += float(truth[:, 3].sum())
             transmitted_sum += float(truth[:, 1].sum())
-            if out_path is not None:
-                writer.append(phases, clicks, truth if with_truth else None)
+            writer.append(phases, clicks, truth if with_truth else None)
     return CampaignSummary(
         n_shots=n_shots,
         click_rate=n_click / n_shots,
         mean_dwell=(dwell_sum / n_shots) if with_truth else None,
         mean_transmitted=(transmitted_sum / n_shots) if with_truth else None,
         digest=digest.hex(),
-        path=None if out_path is None else str(out_path),
+        path=str(out_path),
     )

@@ -1,3 +1,4 @@
+import functools
 import sys
 import tracemalloc
 from pathlib import Path
@@ -193,14 +194,15 @@ class TestMinCoherent:
         assert b.tauL == pytest.approx(MINCOH_10NS_OD001_TAUL, abs=1e-3)
         assert b.tauT / b.tau0 < 0.1
 
-    def test_drive_scale_invariance(self, pulse_10ns, medium_od4):
+    def test_drive_scale_invariance(self, pulse_10ns, medium_od4,
+                                    monkeypatch):
         # normalized dwell is independent of the probe area in the weak regime
-        a = min_coherent_point(pulse_10ns, medium_od4,
-                               bloch=default_bloch_config(
-                                   pulse_10ns, medium_od4, area=0.01))
-        b = min_coherent_point(pulse_10ns, medium_od4,
-                               bloch=default_bloch_config(
-                                   pulse_10ns, medium_od4, area=0.04))
+        monkeypatch.setattr(dwell, "default_bloch_config",
+                            functools.partial(default_bloch_config, area=0.01))
+        a = min_coherent_point(pulse_10ns, medium_od4)
+        monkeypatch.setattr(dwell, "default_bloch_config",
+                            functools.partial(default_bloch_config, area=0.04))
+        b = min_coherent_point(pulse_10ns, medium_od4)
         assert a.tauT / a.tau0 == pytest.approx(b.tauT / b.tau0, abs=1e-3)
 
     @pytest.mark.parametrize("sigma", [10e-9, 50e-9])
@@ -365,7 +367,8 @@ class TestMemory:
                                      slices):
         # nodes go through in blocks of at most 32, each freed before the
         # next: the peak is one block's spectra and P_e, whatever the
-        # number of nodes (512 at OD 4 x 128)
+        # number of nodes (512 at OD 4 x 128).  Both cases measure about
+        # 3.7 MiB; holding a block's spectra past its P_e step reads 5.2 MiB
         min_coherent_model(pulse_10ns, medium_od4, od_grid, slices=slices)
         tracemalloc.start()
         try:
@@ -373,7 +376,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * 2**20
+        assert peak <= 4.5 * 2**20
 
 
 class TestBreakdownValidation:

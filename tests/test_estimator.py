@@ -305,6 +305,12 @@ class TestClickInference:
         assert rep.excess_transmitted == 0.0
         assert rep.excess_lost == 0.0
 
+    def test_small_bin_rejected(self):
+        # a dark-count-only campaign of 5,000 shots has about 50 clicks
+        cfg = ExperimentConfig(mean_photons=0.0)
+        with pytest.raises(InsufficientBinError):
+            click_inference_check(self._campaign(cfg, 5000, seed=29))
+
     def test_requires_truth(self):
         phases = np.zeros((300, N))
         clicks = np.arange(300) % 2 == 0

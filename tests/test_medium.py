@@ -101,6 +101,11 @@ class TestSpectralRule:
             transmission_probability(pulse_10ns, medium_od4.with_od(od))
             for od in grid]
 
+    @pytest.mark.parametrize("grid", [[-1.0], [float("nan")], [4.0, 1.0]])
+    def test_bad_grid_rejected(self, pulse_10ns, medium_od4, grid):
+        with pytest.raises(ConfigError, match="od_grid"):
+            transmission_probability(pulse_10ns, medium_od4, grid)
+
     def test_missed_tolerance_raises(self, pulse_10ns, medium_od4,
                                      monkeypatch):
         # the halving estimate is >= 0, so a negative tolerance fails it
