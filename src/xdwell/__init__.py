@@ -65,7 +65,6 @@ from .shots import (
     BATCH_SIZE,
     CampaignSummary,
     ExperimentConfig,
-    OscillationSpec,
     XpsTemplate,
     expected_click_rate,
     iter_batches,

@@ -147,16 +147,14 @@ def _medium_from_config(parser) -> MediumSpec:
     return medium
 
 
-def _pop_fields(section: dict, spec, prefix: str = "") -> dict:
-    """Keyword arguments for the dataclass `spec` from the `section` keys
-    `prefix` + field name, lower-cased, each read by its default's type."""
+def _pop_fields(section: dict, spec) -> dict:
+    """Keyword arguments for the flat dataclass `spec` from the `section`
+    keys that are its field names, lower-cased (configparser lower-cases
+    every key), each read by the type of the field's default."""
     kwargs = {}
     for f in dataclasses.fields(spec):
-        key = prefix + f.name.lower()
-        if dataclasses.is_dataclass(f.default_factory):  # osc
-            kwargs[f.name] = f.default_factory(
-                **_pop_fields(section, f.default_factory, key + "_"))
-        elif key not in section:
+        key = f.name.lower()
+        if key not in section:
             continue
         elif isinstance(f.default, tuple):
             kwargs[f.name] = tuple(_pop_list(section, key, ""))
@@ -218,8 +216,7 @@ def cmd_propagate(args) -> int:
     flip = detect_phase_flip(env_out)
     diagnostics = {
         "p_transmit": transmission_probability(pulse, medium),
-        "energy_ratio": env_out.photon_number / env_in.photon_number
-        if env_in.photon_number > 0 else 1.0,
+        "energy_ratio": env_out.photon_number / env_in.photon_number,
         "phase_flip_time": flip,
         "peak_od": medium.peak_od,
         "sigma_t": pulse.intensity_rms,

@@ -69,8 +69,8 @@ class PulseSpec:
     def __post_init__(self):
         if self.intensity_rms <= 0:
             raise ConfigError("intensity_rms must be > 0")
-        if self.mean_photons < 0:
-            raise ConfigError("mean_photons must be >= 0")
+        if self.mean_photons <= 0:
+            raise ConfigError(f"mean_photons must be > 0, got {self.mean_photons}")
 
 
 _EDGE = 0.05  # share of a grid, both ends together, read for leakage
@@ -250,14 +250,14 @@ def _spectral_average(pulse: PulseSpec, medium: MediumSpec, ods, f):
 
 def od_grid_array(medium: MediumSpec, od_grid=None) -> np.ndarray:
     """The peak ODs of `od_grid` (default: `medium.peak_od` alone) as an
-    array; ConfigError unless they are finite, >= 0 and strictly
+    array; ConfigError unless they are non-empty, finite, >= 0 and strictly
     increasing."""
     ods = np.asarray([medium.peak_od] if od_grid is None else od_grid,
                      dtype=float)
-    if (ods.ndim != 1 or not np.all(np.isfinite(ods)) or np.any(ods < 0)
-            or np.any(np.diff(ods) <= 0)):
-        raise ConfigError("od_grid must be finite, >= 0 and strictly "
-                          f"increasing, got {list(ods)}")
+    if (ods.ndim != 1 or ods.size == 0 or not np.all(np.isfinite(ods))
+            or np.any(ods < 0) or np.any(np.diff(ods) <= 0)):
+        raise ConfigError("od_grid must be non-empty, finite, >= 0 and "
+                          f"strictly increasing, got {list(ods)}")
     return ods
 
 

@@ -1,4 +1,4 @@
-"""Shot-record binary format, config canonicalization and digesting.
+"""Shot-record binary format and the experiment-config digest.
 
 File layout (little endian):
   header: magic "XDWL" | version u32 | flags u32 | n_samples u32 |
@@ -8,10 +8,11 @@ File layout (little endian):
 A file is valid only at exactly header + n_shots records, so one cut short
 (or grown) after its header was written is rejected.
 
-The digest (`experiment_digest`) is the SHA-256 of the canonicalized
-experiment-config text (sorted keys, normalized whitespace), so an analysis
-run can refuse data generated under a different configuration.  Its keys
-are the ExperimentConfig field names, read from the dataclass itself.
+The digest (`experiment_digest`) is the SHA-256 of `experiment_text`, the
+ExperimentConfig as an [experiment] section: one `key=value` line per
+dataclass field, sorted by field name and then lower-cased, each value in
+a full-precision text form, so that an analysis run can refuse data
+generated under a different configuration.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ __all__ = [
     "ShotFileWriter",
     "read_header",
     "iter_shot_batches",
-    "canonical_config_text",
-    "config_digest",
-    "experiment_sections",
+    "experiment_text",
     "experiment_digest",
 ]
 
@@ -169,12 +168,10 @@ def iter_shot_batches(path, batch_size: int = 1 << 16):
             remaining -= m
 
 
-# --- config canonicalization -------------------------------------------------
+# --- experiment-config digest ------------------------------------------------
 
 
 def _canonical_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
     if isinstance(value, (list, tuple)):
@@ -182,35 +179,14 @@ def _canonical_value(value) -> str:
     return str(value)
 
 
-def canonical_config_text(sections: dict) -> str:
-    """Byte-stable text form: sorted sections and keys, one key=value a line."""
-    lines = []
-    for section in sorted(sections):
-        lines.append(f"[{section}]")
-        body = sections[section]
-        for key in sorted(body):
-            lines.append(f"{key.strip().lower()}={_canonical_value(body[key])}")
-    return "\n".join(lines) + "\n"
-
-
-def config_digest(text: str) -> bytes:
-    return hashlib.sha256(text.encode("utf-8")).digest()
-
-
-def experiment_sections(cfg) -> dict:
-    """The canonical sections of an ExperimentConfig: one key per field, and
-    `<field>_<subfield>` for each field of a nested dataclass (`osc`)."""
-    body = {}
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if dataclasses.is_dataclass(value):
-            body.update({f"{f.name}_{sub.name}": getattr(value, sub.name)
-                         for sub in dataclasses.fields(value)})
-        else:
-            body[f.name] = value
-    return {"experiment": body}
+def experiment_text(cfg) -> str:
+    """Byte-stable text form of an ExperimentConfig.  The keys are sorted
+    before they are lower-cased, so `tauL_frac` comes before `tau_sp`."""
+    lines = [f"{name.lower()}={_canonical_value(getattr(cfg, name))}"
+             for name in sorted(f.name for f in dataclasses.fields(cfg))]
+    return "[experiment]\n" + "\n".join(lines) + "\n"
 
 
 def experiment_digest(cfg) -> bytes:
-    """SHA-256 of an ExperimentConfig's canonical text: the shot-file key."""
-    return config_digest(canonical_config_text(experiment_sections(cfg)))
+    """SHA-256 of `experiment_text(cfg)`: the shot-file key."""
+    return hashlib.sha256(experiment_text(cfg).encode("utf-8")).digest()

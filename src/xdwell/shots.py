@@ -18,7 +18,7 @@ import dataclasses
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from . import shotfile
 from .errors import ConfigError
 
 __all__ = [
-    "OscillationSpec",
     "ExperimentConfig",
     "XpsTemplate",
     "CampaignSummary",
@@ -51,20 +50,6 @@ _ANCHOR_PHI0 = -20.0e-6
 _ANCHOR_DETUNING = -2.0 * np.pi * 5.6e6
 
 
-@dataclass(frozen=True)
-class OscillationSpec:
-    """Damped-cosine spurious background correlated with the shared noise."""
-
-    amplitude: float = 0.0  # rad
-    period: float = 500e-9  # s
-    damping: float = 400e-9  # s (1/e time)
-    eps_coupling: float = 1.0  # weight of the shared fluctuation in the amplitude
-
-    def __post_init__(self):
-        if not (self.period > 0 and self.damping > 0):
-            raise ConfigError("oscillation period and damping must be > 0")
-
-
 @dataclass
 class ExperimentConfig:
     """Everything needed to synthesize one campaign of shots."""
@@ -84,7 +69,11 @@ class ExperimentConfig:
     meas_bandwidth: float = 25e6  # Hz, single pole
     phase_noise_rms: float = 0.15  # rad per sample
     drift: tuple = (3e-3, 3e-3, 2e-3, 2e-3)  # cubic coefficient RMS, rad
-    osc: OscillationSpec = field(default_factory=OscillationSpec)
+    # damped-cosine spurious background correlated with the shared noise
+    osc_amplitude: float = 0.0  # rad
+    osc_period: float = 500e-9  # s
+    osc_damping: float = 400e-9  # s (1/e time)
+    osc_eps_coupling: float = 1.0  # weight of the shared fluctuation
     prop_noise_s: float = 0.0
     od_coupling: float = 0.0  # exponent coupling of the shared noise into P_T
     tauT_frac: float = 0.77  # injected tau_T / tau_0
@@ -98,10 +87,8 @@ class ExperimentConfig:
     def validate(self):
         numbers = [(f.name, getattr(self, f.name))
                    for f in dataclasses.fields(self)
-                   if f.name not in ("drift", "osc")]
+                   if f.name != "drift"]
         numbers += [(f"drift[{i}]", v) for i, v in enumerate(self.drift)]
-        numbers += [(f"osc.{f.name}", getattr(self.osc, f.name))
-                    for f in dataclasses.fields(self.osc)]
         for name, v in numbers:
             if v is not None and not np.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v}")
@@ -111,8 +98,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
         if self.mean_photons < 0:
             raise ConfigError("mean_photons must be >= 0")
-        if self.tau_sp <= 0 or self.sigma_t <= 0:
-            raise ConfigError("tau_sp and sigma_t must be > 0")
+        for name in ("tau_sp", "sigma_t", "sample_dt", "meas_bandwidth",
+                     "osc_period", "osc_damping"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.n_samples * self.sample_dt > self.shot_len * (1.0 + 1e-12):
             raise ConfigError("n_samples * sample_dt must not exceed shot_len")
         if not 0 <= self.arrival_index < self.n_samples:
@@ -179,8 +168,12 @@ def tau0_per_photon(cfg: ExperimentConfig) -> float:
     """Mean dwell (seconds) caused by one incident photon, from the injected
     per-photon fractions; solves the self-consistent decomposition
     tau0 = P_L * tauL_frac * tau_sp + P_T * tauT_frac * tau0."""
+    return _tau0(cfg, cfg.tauT_frac, cfg.tauL_frac)
+
+
+def _tau0(cfg: ExperimentConfig, tauT_frac: float, tauL_frac: float) -> float:
     p_l = 1.0 - cfg.p_transmit
-    return p_l * cfg.tauL_frac * cfg.tau_sp / (1.0 - cfg.p_transmit * cfg.tauT_frac)
+    return p_l * tauL_frac * cfg.tau_sp / (1.0 - cfg.p_transmit * tauT_frac)
 
 
 def xps_template_curve(cfg: ExperimentConfig, dt_fine: float = 0.25e-9):
@@ -230,7 +223,7 @@ def _drift_basis(cfg: ExperimentConfig) -> np.ndarray:
 
 def _osc_shape(cfg: ExperimentConfig) -> np.ndarray:
     t = cfg.sample_dt * np.arange(cfg.n_samples)
-    return np.cos(2.0 * np.pi * t / cfg.osc.period) * np.exp(-t / cfg.osc.damping)
+    return np.cos(2.0 * np.pi * t / cfg.osc_period) * np.exp(-t / cfg.osc_damping)
 
 
 def anchored_phi_atom(cfg: ExperimentConfig) -> float:
@@ -251,8 +244,11 @@ def anchored_phi_atom(cfg: ExperimentConfig) -> float:
     scale = _ANCHOR_PHI0 / shape(_ANCHOR_DETUNING)
     phi0_target = scale * shape(cfg.probe_detuning)
     if tau0 == 0.0:
-        # null campaign: keep the anchor-detuning conversion constant
-        tau0 = tau0_per_photon(cfg.replace(tauT_frac=0.77, tauL_frac=0.9))
+        # null campaign: keep the conversion of the default fractions
+        tau0 = _tau0(cfg, 0.77, 0.9)
+    if tau0 == 0.0:
+        raise ConfigError("p_transmit = 1 leaves phi_atom without an anchor "
+                          "(no photon is lost); set phi_atom")
     return float(phi0_target * template.area / tau0)
 
 
@@ -273,9 +269,9 @@ def _generate_batch(cfg: ExperimentConfig, template: XpsTemplate,
 
     coeffs = rng.standard_normal((m, 4)) * np.asarray(cfg.drift)
     phases = coeffs @ _drift_basis(cfg)
-    if cfg.osc.amplitude != 0.0:
+    if cfg.osc_amplitude != 0.0:
         g = rng.standard_normal(m)
-        amp = cfg.osc.amplitude * (g + cfg.osc.eps_coupling * eps)
+        amp = cfg.osc_amplitude * (g + cfg.osc_eps_coupling * eps)
         phases += amp[:, None] * _osc_shape(cfg)[None, :]
     phases += (cfg.phi_atom * dwell / template.area)[:, None] * template.samples[None, :]
     phases += cfg.phase_noise_rms * rng.standard_normal((m, cfg.n_samples))

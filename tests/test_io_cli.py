@@ -103,34 +103,32 @@ class TestShotFileRoundTrip:
 
 
 class TestConfigCanonicalization:
-    def test_digest_independent_of_key_order(self):
-        a = {"experiment": {"b": 1.0, "a": 2}}
-        b = {"experiment": {"a": 2, "b": 1.0}}
-        assert shotfile.config_digest(shotfile.canonical_config_text(a)) == \
-            shotfile.config_digest(shotfile.canonical_config_text(b))
-
     def test_float_full_precision(self):
-        text = shotfile.canonical_config_text({"s": {"x": 0.1 + 0.2}})
-        assert "0.30000000000000004" in text
+        text = shotfile.experiment_text(ExperimentConfig(prop_noise_s=0.1 + 0.2))
+        assert "\nprop_noise_s=0.30000000000000004\n" in text
+
+    def test_list_drift_digests_like_tuple(self):
+        drift = [3e-3, 1e-3, 2e-3, 2e-3]
+        as_list = ExperimentConfig(phi_atom=0.001, drift=drift)
+        as_tuple = ExperimentConfig(phi_atom=0.001, drift=tuple(drift))
+        assert shotfile.experiment_digest(as_list) == \
+            shotfile.experiment_digest(as_tuple)
 
     def test_experiment_text_and_digest_pinned(self):
         # the shot-file header key of an explicit-phi_atom config; a change
-        # to the canonical form would orphan every existing shot file
+        # to the canonical form would orphan every existing shot file.  The
+        # keys are sorted by field name before they are lower-cased, so
+        # taul_frac and taut_frac come before tau_sp
         cfg = ExperimentConfig(phi_atom=0.001)
-        text = shotfile.canonical_config_text(shotfile.experiment_sections(cfg))
-        assert text == EXPERIMENT_TEXT
+        assert shotfile.experiment_text(cfg) == EXPERIMENT_TEXT
         assert shotfile.experiment_digest(cfg).hex() == EXPERIMENT_DIGEST
-        assert shotfile.config_digest(text).hex() == EXPERIMENT_DIGEST
 
     def test_sections_round_trip(self, tmp_path):
         # the canonical text is itself an [experiment] section the CLI reads
-        cfg = ExperimentConfig(mean_photons=21.5, prop_noise_s=0.02)
-        sections = shotfile.experiment_sections(cfg)
-        back = read_experiment(tmp_path,
-                               shotfile.canonical_config_text(sections))
-        assert shotfile.canonical_config_text(
-            shotfile.experiment_sections(back)) == \
-            shotfile.canonical_config_text(sections)
+        cfg = ExperimentConfig(mean_photons=21.5, prop_noise_s=0.02,
+                               osc_amplitude=0.01)
+        text = shotfile.experiment_text(cfg)
+        assert shotfile.experiment_text(read_experiment(tmp_path, text)) == text
 
     def test_integer_keys_accept_integral_floats(self, tmp_path):
         cfg = read_experiment(tmp_path, "[experiment]\nn_samples = 36.0\n")
@@ -437,12 +435,22 @@ class TestCli:
         ("propagate", "[pulse]\nsigma_t = 10e-9\n[medium]\npeak_od = inf\n"),
         ("propagate", "[pulse]\nsigma_t = 10e-9\n[medium]\npeak_od = 4\n"
                       "tau_sp = 0\n"),
+        ("propagate", "[medium]\npeak_od = 4\n[pulse]\nsigma_t = 10e-9\n"
+                      "mean_photons = 0\n"),
+        ("models", "[models]\nod_grid = \n"),
+        ("simulate", "[experiment]\nmeas_bandwidth = 0\n"),
+        ("simulate", "[experiment]\nsample_dt = 0\n"),
+        ("simulate", "[experiment]\np_transmit = 1\n"),
     ])
-    def test_non_finite_or_zero_lifetime_exit_2(self, tmp_path, command, text):
+    def test_non_finite_or_zero_lifetime_exit_2(self, tmp_path, capsys,
+                                                command, text):
+        # the error names the bad key, which each text sets on its last line
         cfg = write_config(tmp_path / "c.ini", text)
         out = tmp_path / "o"
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
+        key = text.splitlines()[-1].split("=")[0].strip()
+        assert key in capsys.readouterr().err
 
     def test_csv_floats_full_precision(self, tmp_path):
         cfg = write_config(tmp_path / "m.ini",

@@ -10,7 +10,6 @@ from xdwell import (
     BATCH_SIZE,
     ConfigError,
     ExperimentConfig,
-    OscillationSpec,
     expected_click_rate,
     iter_batches,
     run_campaign,
@@ -122,7 +121,21 @@ class TestConfig:
 
     def test_oscillation_validation(self):
         with pytest.raises(ConfigError):
-            OscillationSpec(period=-1.0)
+            ExperimentConfig(osc_period=-1.0)
+
+    @pytest.mark.parametrize("key", [
+        "osc_period", "osc_damping", "sample_dt", "meas_bandwidth"])
+    def test_zero_scale_rejected_by_name(self, key):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(**{key: 0.0})
+
+    def test_null_campaign_anchor(self):
+        # with no photon lost there is no tau0 to anchor phi_atom on
+        with pytest.raises(ConfigError, match="phi_atom"):
+            ExperimentConfig(p_transmit=1.0)
+        assert ExperimentConfig(p_transmit=1.0, phi_atom=1e-3).phi_atom == 1e-3
+        # tauL_frac = 0 also gives tau0 = 0: the default fractions anchor it
+        assert ExperimentConfig(tauL_frac=0.0).phi_atom == -5.102186964038106e-05
 
     def test_click_rate_warning(self):
         with pytest.warns(UserWarning):
@@ -137,8 +150,8 @@ class TestConfig:
         lambda: ExperimentConfig(drift=(float("inf"), 0, 0, 0)),
         lambda: ExperimentConfig(probe_detuning=float("inf")),
         lambda: ExperimentConfig(mean_photons=float("nan")),
-        lambda: ExperimentConfig(osc=OscillationSpec(amplitude=float("nan"))),
-        lambda: ExperimentConfig(osc=OscillationSpec(period=float("inf"))),
+        lambda: ExperimentConfig(osc_amplitude=float("nan")),
+        lambda: ExperimentConfig(osc_period=float("inf")),
         lambda: next(iter_batches(ExperimentConfig(), 10, seed=-1)),
         lambda: next(iter_batches(ExperimentConfig(), 10, seed=2**64)),
     ], ids=["phi_atom-nan", "tauL_frac-nan", "drift-inf", "detuning-inf",
@@ -220,12 +233,12 @@ class TestStatistics:
         cfg = ExperimentConfig(
             mean_photons=0.0, dark_prob=0.0, phase_noise_rms=0.1,
             prop_noise_s=0.03,
-            osc=OscillationSpec(amplitude=0.05, eps_coupling=1.0))
+            osc_amplitude=0.05, osc_eps_coupling=1.0)
         phases, _, _ = collect(cfg, 300000, seed=13)
         basis = _drift_basis(cfg)
         drift_var = (np.asarray(cfg.drift)[:, None] ** 2 * basis**2).sum(axis=0)
-        osc_var = (cfg.osc.amplitude ** 2
-                   * (1.0 + (cfg.osc.eps_coupling * cfg.prop_noise_s) ** 2)
+        osc_var = (cfg.osc_amplitude ** 2
+                   * (1.0 + (cfg.osc_eps_coupling * cfg.prop_noise_s) ** 2)
                    * _osc_shape(cfg) ** 2)
         budget = cfg.phase_noise_rms ** 2 + drift_var + osc_var
         measured = phases.var(axis=0)
