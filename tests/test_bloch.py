@@ -14,7 +14,13 @@ from xdwell import (
     propagate_spectral,
     pulse_area,
 )
-from xdwell.bloch import ExcitationRecord, _fate_fractions_many
+from xdwell.bloch import (
+    _SCAN_CHUNK,
+    ExcitationRecord,
+    _backward_scan,
+    _chunks,
+    _fate_fractions_many,
+)
 from xdwell.dwell import default_bloch_config
 
 from conftest import GAMMA, TAU_SP
@@ -345,7 +351,9 @@ class TestFateFractions:
 
     def test_matches_loop_reference(self, pulse_10ns, medium_od4):
         # a stack of slices with and without phase flips, time on axis 0;
-        # the arithmetic is unchanged, so the results must be equal
+        # the chunked scan reassociates the loop's sums, so the results
+        # agree to rounding, and with atol = 0 every value after the last
+        # coherent removal must still be exactly 0
         env = gaussian_envelope(pulse_10ns, n_samples=4096, tail=300e-9)
         cfg = default_bloch_config(pulse_10ns, medium_od4)
         recs = [integrate_weak_bloch(propagate_spectral(env, medium_od4, d),
@@ -357,4 +365,43 @@ class TestFateFractions:
         f = _fate_fractions_many(pe.T.copy(), coh.T.copy(), recs[0].dt, GAMMA)
         ref = fate_fractions_loop(pe, coh, recs[0].dt, GAMMA)
         assert np.any(ref > 0.0)
-        np.testing.assert_array_equal(f.T, ref)
+        np.testing.assert_allclose(f.T, ref, rtol=1e-13, atol=0)
+
+
+class TestBackwardScan:
+    """The chunked scan against a plain per-step loop of the same
+    recurrence, f_n = a_n + b_n f_{n+1}, at step counts around the chunk
+    size."""
+
+    @pytest.mark.parametrize("cols", [1, 3])
+    @pytest.mark.parametrize("m", [1, 2, _SCAN_CHUNK - 1, _SCAN_CHUNK,
+                                   _SCAN_CHUNK + 1, 2 * _SCAN_CHUNK, 4095])
+    def test_matches_step_loop(self, m, cols):
+        rng = np.random.default_rng(m * 10 + cols)
+        f = rng.random((m + 1, cols))  # a_n in rows :-1, the end value last
+        f[-1] += 0.5
+        b = rng.random((m, cols))
+        # exact 0 and 1, and runs of 1e-300 whose chunk products go
+        # subnormal and then to zero
+        b[rng.random((m, cols)) < 0.05] = 0.0
+        b[rng.random((m, cols)) < 0.05] = 1.0
+        b[m // 2:m // 2 + 3] = 1e-300
+        b[-1] = 1.0  # the end value reaches the last rows undamped
+        ref = f.copy()
+        for n in range(m - 1, -1, -1):
+            ref[n] = ref[n] + b[n] * ref[n + 1]
+        _backward_scan(f, b)
+        np.testing.assert_allclose(f, ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("cols", [1, 3])
+    @pytest.mark.parametrize("m", [_SCAN_CHUNK - 1, _SCAN_CHUNK, 4095])
+    def test_chunks_are_views(self, m, cols):
+        # the scan writes through these views: a reshape that copied would
+        # drop its result
+        f, b = np.zeros((m + 1, cols)), np.zeros((m, cols))
+        head = m % _SCAN_CHUNK
+        for x in (f[:-1], b, b[:, :1]):
+            view = _chunks(x, head)
+            assert view.shape == ((m - head) // _SCAN_CHUNK, _SCAN_CHUNK,
+                                  *x.shape[1:])
+            assert view.size == 0 or np.shares_memory(view, x)
