@@ -93,7 +93,7 @@ def _weak_pe(spectra: np.ndarray, dt: float, cfg: BlochConfig) -> np.ndarray:
     c = _weak_amplitudes(spectra, dt, cfg)
     # |c|^2 written time-major, with no transpose copy
     pe = np.square(c.real.T, out=np.empty(c.shape[::-1]))
-    pe += np.square(c.imag, out=c.imag).T
+    pe += np.square(c.imag.T)
     _check_weak(pe)
     return pe
 
@@ -155,8 +155,10 @@ def detect_phase_flip(env: SampledEnvelope):
 _CLAMP_REPORT = 1e-6
 # rows per chunk of the fate recurrence's two-level scan, which takes
 # about _SCAN_CHUNK + m / _SCAN_CHUNK Python steps for m rows; on the
-# default model blocks (4,095 x 32 steps, 2 vCPUs) 24 to 64 rows time
-# within 5% of each other
+# default model blocks (1,023 x 32 and 511 x 32 steps, one thread of
+# 2 vCPUs) a default curve's median time is 15.0 to 15.9 ms for chunks of
+# 16 to 48 rows, inside the 0.9 to 1.2 ms quartile spread of each, and
+# 16.7 ms for 64
 _SCAN_CHUNK = 32
 
 
@@ -181,11 +183,13 @@ def _backward_scan(f: np.ndarray, b: np.ndarray):
     """
     head = b.shape[0] % _SCAN_CHUNK
     fc, bc = _chunks(f[:-1], head), _chunks(b, head)
-    # within chunks, row j of every chunk at once
+    # within chunks, row j of every chunk at once; fewer rows than a chunk
+    # (the split sub-steps of `dwell`) need no pass over empty chunks
     step = np.empty(fc.shape[:1] + fc.shape[2:])
     f_rows, b_rows = fc.swapaxes(0, 1), bc.swapaxes(0, 1)
-    for f_j, f_next, b_j, b_next in zip(f_rows[-2::-1], f_rows[::-1],
-                                        b_rows[-2::-1], b_rows[::-1]):
+    chunked = zip(f_rows[-2::-1], f_rows[::-1], b_rows[-2::-1],
+                  b_rows[::-1]) if fc.shape[0] else ()
+    for f_j, f_next, b_j, b_next in chunked:
         f_j += np.multiply(b_j, f_next, out=step)
         b_j *= b_next
     # carry[c]: the true value at chunk c's first row, carry[-1] the end
@@ -202,24 +206,32 @@ def _backward_scan(f: np.ndarray, b: np.ndarray):
         f_n += np.multiply(b_n, f_next, out=row)
 
 
-def _fate_fractions_many(pe: np.ndarray, coh_down: np.ndarray, h: float,
-                         gamma: float) -> np.ndarray:
-    """Backward integration of the coherent-fate fraction; time on axis 0.
+def _fate_steps(pe: np.ndarray, coh_down: np.ndarray, h: float,
+                gamma: float):
+    """Steps of the backward integration of the coherent-fate fraction;
+    time on axis 0.
 
     With hazard hz = coh_down/pe the fraction obeys
     f' = -hz + (gamma + hz) f, integrated backward from f(end) = 0 with a
     piecewise-constant-hazard exponential step: f_n = a_n + b_n f_{n+1},
     where b_n = exp(-lam_n h), a_n = (hm_n/lam_n)(1 - b_n), hm_n is the
-    step's mean hazard and lam_n = gamma + hm_n.  After the last coherent
-    removal the hazard is zero, so a_n = 0 and f stays at its final 0:
-    that excitation can only decay spontaneously.  The recurrence is solved
-    by `_backward_scan`, a chunked scan whose every operation is row-wise,
-    so a column's result does not depend on the columns beside it.
+    step's mean hazard and lam_n = gamma + hm_n.  `coh_down` may be signed,
+    negative where excitation is gained: that counts as no removal, but on
+    a step where the sign changes hm_n is the mean of the positive part of
+    the linearly interpolated hazard, so the step's error does not depend
+    on where between two samples the removal starts or stops.  After the
+    last coherent removal the hazard is zero, so a_n = 0 and f stays at its
+    final 0: that excitation can only decay spontaneously.  The recurrence
+    is solved by `_backward_scan`, a chunked scan whose every operation is
+    row-wise, so a column's result does not depend on the columns beside
+    it.
 
-    Consumes `coh_down`: it is overwritten in turn by the hazard, lam and
-    b, and a_n is kept in the returned array, so the whole recurrence
-    needs no buffer beyond the result, one row block and two buffers
-    of one row per chunk.
+    Returns (f, b): f holds a_n in its rows :-1 and the end value 0 in its
+    last row, and b, a view into `coh_down`, holds b_n; `_fate_solve`
+    solves them.  Consumes `coh_down`: it is overwritten in turn by the
+    hazard, lam and b, and a_n is kept in f, so the whole recurrence needs
+    no float buffer beyond f, one row block, the sign-change steps and two
+    buffers of one row per chunk.
     """
     # where P_e touches zero under active coherent removal (a 0-pi flip
     # emptying the state) the hazard diverges; flooring P_e saturates the
@@ -230,20 +242,41 @@ def _fate_fractions_many(pe: np.ndarray, coh_down: np.ndarray, h: float,
     peak = pe.max(axis=0)
     f = np.maximum(pe, np.where(peak > 0, peak * 1e-12, 1.0))
     hz = np.divide(coh_down, f, out=coh_down)
+    # steps where the removal starts or stops keep the share of the step,
+    # max(lo, hi) / |hi - lo|, on which the interpolated hazard is positive
+    cross = np.flatnonzero(np.signbit(hz[:-1]) ^ np.signbit(hz[1:]))
+    lo, hi = hz[:-1].ravel()[cross], hz[1:].ravel()[cross]
+    share = np.divide(np.maximum(lo, hi), np.abs(hi - lo),
+                      out=np.ones_like(lo), where=hi != lo)
+    np.maximum(hz, 0.0, out=hz)
     hm = np.add(hz[:-1], hz[1:], out=f[:-1])
     hm *= 0.5
+    hm.ravel()[cross] *= share  # f is contiguous: ravel is a view
     f[-1] = 0.0
     lam = np.add(hm, gamma, out=coh_down[:-1])
     a = np.divide(hm, lam, out=hm)
     b = np.exp(np.multiply(lam, -h, out=lam), out=lam)
-    rows = max(1, (1 << 16) // pe.shape[1])
+    rows = max(1, (1 << 16) // max(pe.shape[1], 1))
     for i in range(0, b.shape[0], rows):
         a[i:i + rows] *= np.subtract(1.0, b[i:i + rows])
+    return f, b
+
+
+def _fate_solve(f: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the recurrence of `_fate_steps` in place and clip f to [0, 1],
+    warning past _CLAMP_REPORT; consumes `b`."""
     _backward_scan(f, b)
     over = max(f.max() - 1.0, -f.min(), 0.0)
     if over > _CLAMP_REPORT:
         warnings.warn(f"f_coh clamped by {over:.2e} (> {_CLAMP_REPORT:g})")
     return np.clip(f, 0.0, 1.0, out=f)
+
+
+def _fate_fractions_many(pe: np.ndarray, coh_down: np.ndarray, h: float,
+                         gamma: float) -> np.ndarray:
+    """Coherent-fate fraction at each sample of `pe` (time on axis 0), from
+    the steps of `_fate_steps`; consumes `coh_down`."""
+    return _fate_solve(*_fate_steps(pe, coh_down, h, gamma))
 
 
 def fate_fractions(rec: ExcitationRecord) -> np.ndarray:

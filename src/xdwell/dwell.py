@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochConfig, _fate_fractions_many, _net_flow, _weak_pe
+from .bloch import (BlochConfig, _backward_scan, _fate_solve, _fate_steps,
+                    _net_flow, _weak_pe)
 from .errors import ConfigError, ConvergenceError
 from .medium import (
     MediumSpec,
@@ -146,6 +147,34 @@ _DECAY_TAIL_LIFETIMES = 10.0
 _MIN_SLICES = 8
 _PANEL_MAX_OD = 1.0
 _BLOCK_NODES = 32
+# the smallest power of two whose Richardson pair keeps every default-grid
+# value within the frozen values' 1e-3 of converged (5.9e-4 at sigma_t
+# 50 ns; 128 samples err by 5.1e-3)
+_MIN_SAMPLES = 256
+# a step whose removal hazard times h passes _SPLIT_HAZARD at either end
+# (the spike where P_e nearly vanishes at the 0-pi flip) is integrated on
+# _SUB_STEPS sub-steps, with the amplitude c interpolated by a polynomial
+# through _STENCIL samples
+_SPLIT_HAZARD = 1.0
+_SUB_STEPS = 16
+_STENCIL = 6
+
+
+def _stencil_weights():
+    """Weights that take the _STENCIL samples of c around a step to c and
+    to dc/dt (per unit of the step) at the sub-step times, one pair of
+    (_SUB_STEPS + 1, _STENCIL) matrices per position of the step in its
+    stencil (off centre at the ends of the grid)."""
+    powers = np.arange(_STENCIL)
+    s = np.vander(np.linspace(0.0, 1.0, _SUB_STEPS + 1), _STENCIL,
+                  increasing=True)
+    inv = [np.linalg.inv(np.vander(powers - shift, increasing=True))
+           for shift in powers]
+    return (np.stack([s @ m for m in inv]),
+            np.stack([(s[:, :-1] * powers[1:]) @ m[1:] for m in inv]))
+
+
+_VALUE_WEIGHTS, _SLOPE_WEIGHTS = _stencil_weights()
 
 
 def _depth_nodes(od_grid: np.ndarray, slices: int):
@@ -168,28 +197,99 @@ def _depth_nodes(od_grid: np.ndarray, slices: int):
 
 def _node_integrals(depths: np.ndarray, spectrum: np.ndarray,
                     detunings: np.ndarray, h: float, medium: MediumSpec,
-                    bloch: BlochConfig):
+                    bloch: BlochConfig) -> np.ndarray:
     """Time integrals of P_e and of P_e f_coh at each of `depths` (OD
-    units, at most _BLOCK_NODES of them); the block's arrays die on
+    units, at most _BLOCK_NODES of them), shape (2, depths): the Richardson
+    extrapolation (4 fine - coarse) / 3 of the envelope's grid (step h)
+    and of its every second sample (step 2h).  The block's arrays die on
     return."""
-    # node spectra (nodes, N), turned into amplitudes in place; one name
-    # only, so `del spectra` frees them before the flows are allocated
     spectra = field_transfer(detunings, medium, depths[:, None])
     spectra *= spectrum
     pe = _weak_pe(spectra, h, bloch)
-    del spectra
-    net = _net_flow(pe, h, bloch.gamma)
-    coh_down = np.maximum(np.negative(net, out=net), 0.0, out=net)
-    f_coh = _fate_fractions_many(pe, coh_down, h, bloch.gamma)
-    del net, coh_down
-    int_pe = np.trapezoid(pe, dx=h, axis=0)
-    int_coh = np.trapezoid(np.multiply(f_coh, pe, out=f_coh), dx=h, axis=0)
-    return int_pe, int_coh
+    c = spectra.T  # _weak_pe leaves the amplitudes in `spectra`
+    # P_e is spectrally exact, so every second sample is the response on
+    # the half grid of the same span; only the fate steps see the step size
+    fine, coarse = (_net_flow(pe[::k], k * h, bloch.gamma) for k in (1, 2))
+    # both grids split the same time intervals: each coarse step holding a
+    # fine step to split, and its two fine steps
+    hard = _hard_steps(pe, fine, h)
+    split = hard[0:-1:2] | hard[1::2]
+    hard[:-1] = np.repeat(split, 2, axis=0)
+    hard[-1] = False
+    fine = _fate_integrals(pe, c, fine, h, bloch.gamma, hard)
+    coarse = _fate_integrals(pe[::2], c[::2], coarse, 2 * h, bloch.gamma,
+                             split)
+    return (4.0 * fine - coarse) / 3.0
+
+
+def _hard_steps(pe: np.ndarray, net: np.ndarray, h: float) -> np.ndarray:
+    """The steps, (rows - 1, columns), whose removal hazard
+    max(-net, 0) / P_e times h passes _SPLIT_HAZARD at either end; P_e is
+    floored as in the fate steps."""
+    hz = np.maximum(-net, 0.0) / np.maximum(pe, pe.max(axis=0) * 1e-12)
+    return np.maximum(hz[:-1], hz[1:]) * h > _SPLIT_HAZARD
+
+
+def _fate_integrals(pe: np.ndarray, c: np.ndarray, net: np.ndarray,
+                    h: float, gamma: float, split: np.ndarray) -> np.ndarray:
+    """Integrals of P_e and of P_e f_coh over axis 0 of `pe`, sampled at
+    step h with amplitudes `c` and net flow `net` (consumed): shape
+    (2, columns).  Steps where `split` is set are integrated by
+    `_split_steps`, the others by the trapezoid rule.  The error is
+    O(h^2), and its part that is smooth in h is what two grids
+    extrapolate away."""
+    # signed: the fate recurrence also needs where the removal starts and
+    # stops between two samples
+    f, b = _fate_steps(pe, np.negative(net, out=net), h, gamma)
+    steps = np.nonzero(split)
+    a_s, b_s, p_s, q_s = _split_steps(c, steps, h, gamma)
+    f[:-1][steps] = a_s
+    b[steps] = b_s
+    f = _fate_solve(f, b)
+    rows, cols = steps
+    split_coh = p_s + q_s * f[rows + 1, cols]
+    coh = np.multiply(f, pe, out=f)
+    int_coh = np.trapezoid(coh, dx=h, axis=0)
+    # a split step's integral replaces its trapezoid term
+    np.add.at(int_coh, cols, split_coh
+              - 0.5 * h * (coh[rows, cols] + coh[rows + 1, cols]))
+    return np.stack([np.trapezoid(pe, dx=h, axis=0), int_coh])
+
+
+def _split_steps(c: np.ndarray, steps, h: float, gamma: float):
+    """(a, b, p, q) of each step (rows, columns) of `c`: the step's fate
+    recurrence f_n = a + b f_{n+1} and its integral p + q f_{n+1} of
+    P_e f_coh, composed from _SUB_STEPS sub-steps.  On them c is the
+    polynomial through the _STENCIL samples around the step, and the
+    removal is -(P_e' + gamma P_e) from that polynomial."""
+    rows, cols = steps
+    lo = np.clip(rows - _STENCIL // 2 + 1, 0, c.shape[0] - _STENCIL)
+    stencil = c[lo[:, None] + np.arange(_STENCIL), cols[:, None]].T
+    # c and dc/dt at the sub-step times
+    cs = np.empty((_SUB_STEPS + 1, rows.size), complex)
+    dcs = np.empty_like(cs)
+    shift = rows - lo
+    for k in range(_STENCIL):
+        at = np.flatnonzero(shift == k)
+        if at.size:
+            cs[:, at] = _VALUE_WEIGHTS[k] @ stencil[:, at]
+            dcs[:, at] = _SLOPE_WEIGHTS[k] @ stencil[:, at]
+    dcs /= h
+    pe = np.square(np.abs(cs))
+    removal = -(2.0 * (cs.real * dcs.real + cs.imag * dcs.imag) + gamma * pe)
+    alpha, beta = _fate_steps(pe, removal, h / _SUB_STEPS, gamma)
+    # beta_j: the product of b from sub-step j to the end
+    after = np.ones_like(alpha)
+    after[:-1] = np.cumprod(beta[::-1], axis=0)[::-1]
+    _backward_scan(alpha, beta)
+    w = np.full(_SUB_STEPS + 1, h / _SUB_STEPS)
+    w[[0, -1]] *= 0.5
+    return alpha[0], after[0], w @ (pe * alpha), w @ (pe * after)
 
 
 def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, od_grid=None,
                        slices: int = _MIN_SLICES,
-                       n_samples: int = 4096) -> list:
+                       n_samples: int = 1024) -> list:
     """Dwell breakdowns under the minimum-coherent-emission attribution,
     one per peak OD of `od_grid` (default: `medium.peak_od` alone).
 
@@ -202,11 +302,22 @@ def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, od_grid=None,
     envelope's FFT grid, and the dwell is split by the
     coherent/spontaneous fate of the excitation, per incident photon.
 
+    Time is integrated on a Richardson pair of grids over the same span:
+    `n_samples`, an even count of at least _MIN_SAMPLES, is the finer grid,
+    and the coarser is its every second sample, the `n_samples // 2` grid.
+    The node integrals err by O(h^2) on each, and (4 fine - coarse) / 3
+    cancels that term.  For the error to be smooth in h, the steps across
+    the hazard spike of the 0-pi flip are integrated on sub-steps
+    (`_split_steps`), the same time intervals on both grids.
+
     Each entry is a DwellBreakdown, or the ConvergenceError of an OD whose
     P_L disagrees with the spectral transmission; the other ODs stand.
     """
     if slices < _MIN_SLICES:
         raise ConfigError(f"slices must be >= {_MIN_SLICES}, got {slices}")
+    if n_samples % 2 or n_samples < _MIN_SAMPLES:
+        raise ConfigError(f"n_samples must be even and >= {_MIN_SAMPLES}, "
+                          f"got {n_samples}")
     ods = od_grid_array(medium, od_grid)
     bloch = default_bloch_config(pulse, medium)
     unit = medium.with_od(1.0)
@@ -215,19 +326,22 @@ def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, od_grid=None,
     spectrum = np.fft.fft(env.samples)
     detunings = _detunings(env)
     depths, weights, ends = _depth_nodes(ods, slices)
-    int_pe = np.empty(depths.size)
-    int_coh = np.empty(depths.size)
+    integrals = np.empty((2, depths.size))
     for i in range(0, depths.size, _BLOCK_NODES):
         block = slice(i, i + _BLOCK_NODES)
-        int_pe[block], int_coh[block] = _node_integrals(
+        integrals[:, block] = _node_integrals(
             depths[block], spectrum, detunings, env.dt, unit, bloch)
     # each OD sums the node integrals below its panel edge; the atom
     # weight makes gross scattering match Beer-Lambert loss, and the
     # dwell is in tau_sp units
     scale = bloch.gamma ** 2 / (bloch.rabi_per_amplitude ** 2
                                 * env.photon_number)
-    tau0 = np.concatenate([[0.0], np.cumsum(weights * int_pe)])[ends] * scale
-    coh = np.concatenate([[0.0], np.cumsum(weights * int_coh)])[ends] * scale
+    sums = np.cumsum(weights * integrals, axis=1)
+    tau0, coh = np.pad(sums, ((0, 0), (1, 0)))[:, ends] * scale
+    # a grid's coherent dwell lies in [0, tau0] (0 <= f_coh <= 1); the
+    # extrapolated one can overshoot by its own error where the truth sits
+    # at a bound (at sigma_t 200 ns it rounds to below 0 at OD 0.01)
+    coh = np.clip(coh, 0.0, tau0)
     p_loss_spectral = 1.0 - transmission_probability(pulse, unit, ods)
     return [_breakdown(float(t), float(c), float(p))
             for t, c, p in zip(tau0, coh, p_loss_spectral)]

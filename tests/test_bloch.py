@@ -331,6 +331,25 @@ class TestFateFractions:
                                  0.1e-9, GAMMA)
         assert f.min() >= 0.0 and f.max() <= 1.0
 
+    # hazards at the step's two samples, in units of GAMMA: the removal
+    # stops or starts mid-step, and zeros of either sign are no removal
+    @pytest.mark.parametrize("lo,hi", [(3.0, -1.0), (-1.0, 3.0),
+                                       (2.0, -0.0), (-0.0, 0.0)])
+    def test_sign_change_step(self, lo, hi):
+        # one step, f(end) = 0: f_0 = (hm/lam)(1 - exp(-lam h)), where hm is
+        # the step's mean of the positive part of the linear hazard,
+        # p^2 / (2 (|lo| + |hi|)) for the positive end value p
+        h = 1e-9
+        pe = np.ones((2, 1))
+        f = _fate_fractions_many(pe, GAMMA * np.array([[lo], [hi]]), h,
+                                 GAMMA)
+        p = max(lo, hi, 0.0)
+        hm = GAMMA * (0.5 * p * p / (abs(lo) + abs(hi)) if p else 0.0)
+        lam = GAMMA + hm
+        assert f[0, 0] == pytest.approx(hm / lam * -np.expm1(-lam * h),
+                                        rel=1e-14, abs=0)
+        assert f[1, 0] == 0.0
+
     def test_column_independent_of_block(self, pulse_10ns, medium_od4):
         # the P_e floor is per column: a column gives the same fractions
         # alone as beside a column 1e13 times brighter

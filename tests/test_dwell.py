@@ -1,6 +1,8 @@
 import functools
+import inspect
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +19,12 @@ from xdwell import (
     dwell,
     egalitarian_broadband,
     egalitarian_monochromatic,
+    gaussian_envelope,
     min_coherent_model,
     transmission_probability,
 )
+from xdwell.bloch import _net_flow, _weak_pe
+from xdwell.medium import _detunings, field_transfer
 
 from conftest import (
     SPECTRAL_ODS,
@@ -37,9 +42,13 @@ MINCOH_10NS_OD001_TAUL = 0.998889
 DEFAULT_OD_GRID = [0.01, 0.25, 0.5, 1, 1.5, 2, 3, 4]
 # decreasing, repeated, negative, infinite
 BAD_OD_GRIDS = [[4, 1], [0.5, 0.5], [-1, 1], [1, float("inf")]]
-# `xdwell models` on an empty [models] section, written by the point-by-point
-# sweep on 32 Gauss-Legendre nodes over [0, OD] that the panel sweep replaced
+# `xdwell models` on an empty [models] section
 GOLDEN_CURVES = Path(__file__).parent / "data" / "model_curves_default.csv"
+# the min-coherent rows of that sweep on a 16,384 + 32,768-sample Richardson
+# pair, converged in time to about 2e-11; written by
+# make_model_curves_reference.py
+REFERENCE_CURVES = (Path(__file__).parent / "data"
+                    / "model_curves_reference.csv")
 
 
 def uniform_accrual_oracle(a, n=2_000_001):
@@ -170,6 +179,43 @@ class TestEgalitarianBroadband:
         assert all(isinstance(b, ConvergenceError) for b in curve)
 
 
+def reference_curves():
+    """{sigma_t_ns: (ODs, rows of tau0, tauL, tauT, tauT/tau0)}."""
+    ref = np.loadtxt(REFERENCE_CURVES, delimiter=",", skiprows=1)
+    return {s: (ref[ref[:, 0] == s, 1], ref[ref[:, 0] == s, 2:])
+            for s in (10, 50)}
+
+
+def default_curve(sigma_ns):
+    """The min-coherent rows of `xdwell models` at one width, as an array
+    of tau0, tauL, tauT, tauT/tau0 per OD of DEFAULT_OD_GRID."""
+    medium = MediumSpec.from_lifetime(peak_od=1.0, tau_sp=TAU_SP)
+    curve = min_coherent_model(PulseSpec(intensity_rms=sigma_ns * 1e-9),
+                               medium, DEFAULT_OD_GRID)
+    return np.array([[b.tau0, b.tauL, b.tauT, b.tauT / b.tau0]
+                     for b in curve])
+
+
+def single_grid_ratio(pulse, medium, n_samples):
+    """tauT/tau0 at `medium.peak_od` (at most 4, one node block) from the
+    `n_samples` grid alone: the model's steps without the extrapolation."""
+    bloch = default_bloch_config(pulse, medium)
+    env = gaussian_envelope(pulse, n_samples=n_samples,
+                            tail=10.0 / medium.gamma)
+    depths, weights, _ = dwell._depth_nodes(np.array([medium.peak_od]), 8)
+    spectra = field_transfer(_detunings(env), medium.with_od(1.0),
+                             depths[:, None]) * np.fft.fft(env.samples)
+    pe = _weak_pe(spectra, env.dt, bloch)
+    net = _net_flow(pe, env.dt, bloch.gamma)
+    split = dwell._hard_steps(pe, net, env.dt)
+    tau0, coh = dwell._fate_integrals(pe, spectra.T, net, env.dt,
+                                      bloch.gamma, split) @ weights
+    scale = bloch.gamma ** 2 / (bloch.rabi_per_amplitude ** 2
+                                * env.photon_number)
+    tau0, coh = tau0 * scale, coh * scale
+    return coh / ((1.0 - tau0) * tau0)
+
+
 class TestMinCoherent:
     def test_frozen_od4_broadband(self, pulse_10ns, medium_od4):
         b = min_coherent_point(pulse_10ns, medium_od4)
@@ -225,6 +271,12 @@ class TestMinCoherent:
         with pytest.raises(ConfigError):
             min_coherent_point(pulse_10ns, medium_od4, slices=7)
 
+    # odd: no half grid of the same span; even but below the floor
+    @pytest.mark.parametrize("n", [1023, dwell._MIN_SAMPLES - 2])
+    def test_unusable_half_grid(self, pulse_10ns, medium_od4, n):
+        with pytest.raises(ConfigError, match="n_samples"):
+            min_coherent_model(pulse_10ns, medium_od4, n_samples=n)
+
     @pytest.mark.parametrize("grid", BAD_OD_GRIDS)
     def test_bad_od_grid(self, pulse_10ns, medium_od4, grid):
         with pytest.raises(ConfigError):
@@ -255,6 +307,70 @@ class TestMinCoherent:
         for pulse in (pulse_10ns, pulse_50ns):
             b = min_coherent_point(pulse, medium_od4)
             assert b.tauL <= 1.0 + 1e-3
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("sigma_ns", [10, 50])
+    def test_default_curves_match_reference(self, sigma_ns):
+        ods, want = reference_curves()[sigma_ns]
+        assert list(ods) == DEFAULT_OD_GRID
+        np.testing.assert_allclose(default_curve(sigma_ns), want, rtol=0,
+                                   atol=1e-5)
+
+    def test_extrapolation_beats_either_grid(self, pulse_50ns, medium_od4):
+        # the worst case of the single-grid rule: tauT/tau0 at 50 ns and
+        # OD 4, where P_T is 0.048
+        ods, ref = reference_curves()[50]
+        want = ref[list(ods).index(4.0), 3]
+        n = inspect.signature(min_coherent_model).parameters[
+            "n_samples"].default
+        got = min_coherent_point(pulse_50ns, medium_od4)
+        fine, coarse = (single_grid_ratio(pulse_50ns, medium_od4, k)
+                        for k in (n, n // 2))
+        assert abs(got.tauT / got.tau0 - want) < min(abs(fine - want),
+                                                     abs(coarse - want))
+
+    def test_wide_pulse_curve_stands(self, medium_od4):
+        # the coherent dwell of a 200 ns pulse is about 0, and extrapolation
+        # can round it below 0: it is held in [0, tau0], not failed
+        curve = min_coherent_model(PulseSpec(intensity_rms=200e-9),
+                                   medium_od4, DEFAULT_OD_GRID)
+        assert all(isinstance(b, DwellBreakdown) for b in curve)
+
+    def test_default_curves_warn_nothing(self):
+        # an `f_coh clamped` warning would show first on the coarse grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sigma_ns in (10, 50):
+                default_curve(sigma_ns)
+
+
+class TestSplitSteps:
+    # c = c0 exp(mu t) with Re mu = -gamma (1 + k) / 2: P_e decays at
+    # gamma (1 + k), so the removal hazard is gamma k throughout and the
+    # step has a closed form; steps 0 and 10 of 12 sit off centre in their
+    # interpolation stencil
+    @pytest.mark.parametrize("k", [0.0, 2.0])
+    @pytest.mark.parametrize("step", [0, 5, 10])
+    def test_constant_hazard_step(self, k, step):
+        h, gamma = 1e-9, 1.0 / TAU_SP
+        rate = gamma * (1.0 + k)
+        t = h * np.arange(12)
+        c = (1e-3 * np.exp((2j * 1e7 - 0.5 * rate) * t))[:, None]
+        a, b, p, q = dwell._split_steps(c, (np.array([step]), np.array([0])),
+                                        h, gamma)
+        pe = abs(c[step, 0]) ** 2
+        decay = np.exp(-rate * h)
+        share = k / (1.0 + k)
+        assert a[0] == pytest.approx(share * (1.0 - decay), rel=1e-9,
+                                     abs=1e-11)
+        assert b[0] == pytest.approx(decay, rel=1e-9)
+        assert q[0] == pytest.approx(pe * h * decay, rel=1e-9)
+        # p integrates a fraction that varies across the sub-steps, with
+        # the trapezoid rule: O((h / _SUB_STEPS)^2)
+        assert p[0] == pytest.approx(
+            pe * share * ((1.0 - decay) / rate - h * decay), rel=2e-4,
+            abs=1e-9 * pe * h)
 
 
 class TestSweep:
@@ -348,9 +464,10 @@ class TestSweep:
 
 class TestMemory:
     def test_min_coherent_point_peak(self, pulse_10ns, medium_od4):
-        # 128 nodes in one block, their complex spectra plus P_e, would
-        # take 12 MiB; a full-size temporary on top of that would pass
-        # 16 MiB (the curve test below bounds the blocked peak)
+        # a 4,096-sample fine grid measures 3.7 MiB; 128 nodes in one
+        # block, their complex spectra plus P_e, would take 12 MiB, and a
+        # full-size temporary on top of that would pass 16 MiB (the curve
+        # test below bounds the blocked peak)
         min_coherent_model(pulse_10ns, medium_od4)
         tracemalloc.start()
         try:
@@ -366,9 +483,10 @@ class TestMemory:
     def test_min_coherent_curve_peak(self, pulse_10ns, medium_od4, od_grid,
                                      slices):
         # nodes go through in blocks of at most 32, each freed before the
-        # next: the peak is one block's spectra and P_e, whatever the
-        # number of nodes (512 at OD 4 x 128).  Both cases measure about
-        # 3.7 MiB; holding a block's spectra past its P_e step reads 5.2 MiB
+        # next: the peak is one block's amplitudes, P_e, flows and split
+        # steps, whatever the number of nodes (512 at OD 4 x 128).  Both
+        # cases measure about 2.1 MiB on the default 1,024-sample grid;
+        # blocks of 64 nodes read 3.9 MiB
         min_coherent_model(pulse_10ns, medium_od4, od_grid, slices=slices)
         tracemalloc.start()
         try:
@@ -376,7 +494,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * 2**20
+        assert peak <= 2.5 * 2**20
 
 
 class TestBreakdownValidation:
