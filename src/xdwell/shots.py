@@ -15,6 +15,7 @@ width yields identical output and no two keys share a stream.
 from __future__ import annotations
 
 import dataclasses
+import threading
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -39,11 +40,11 @@ __all__ = [
     "BATCH_SIZE",
 ]
 
-# 4,096 shots hold 1.2 MB of phases (36 float64 each), so a batch's arrays
-# stay in a core's 2 MiB L2 and two generating threads run at about twice
-# the one-thread rate.  From 8,192 shots on the batches spill out of L2 and
-# a second thread gains only 10-25%.
-BATCH_SIZE = 1 << 12
+# One batch size for the whole campaign: shots are generated and written
+# here, and read back by `shotfile.iter_shot_batches`, in batches of 4,096
+# (1.2 MB of phases); the L2 and thread-scaling reasons are at
+# `shotfile.BATCH_SIZE`.
+BATCH_SIZE = shotfile.BATCH_SIZE
 
 # phi_0 anchor: -20.0 urad per photon at a probe detuning of -2*pi*5.6 MHz
 _ANCHOR_PHI0 = -20.0e-6
@@ -252,9 +253,27 @@ def anchored_phi_atom(cfg: ExperimentConfig) -> float:
     return float(phi0_target * template.area / tau0)
 
 
+# per-thread (BATCH_SIZE, n_samples) buffer for the full-size terms that
+# `_generate_batch` adds into the phases; one reused buffer instead of fresh
+# temporaries, which the allocator hands back to the OS and faults in again
+# on every batch
+_scratch = threading.local()
+
+
+def _scratch_rows(m: int, n_samples: int) -> np.ndarray:
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.shape[1] != n_samples:
+        buf = _scratch.buf = np.empty((BATCH_SIZE, n_samples))
+    return buf[:m]
+
+
 def _generate_batch(cfg: ExperimentConfig, template: XpsTemplate,
                     rng: np.random.Generator, m: int):
-    """Vectorized generation of m shots; returns (phases, clicks, truth)."""
+    """Vectorized generation of m shots; returns (phases, clicks, truth).
+
+    The phases are a fresh array; the full-size terms added into them pass
+    through this thread's scratch buffer, in the draw order and addition
+    order that fix the shot-file bytes."""
     eps = cfg.prop_noise_s * rng.standard_normal(m)
     lam = np.clip(cfg.mean_photons * (1.0 + eps), 0.0, None)
     n = rng.poisson(lam)
@@ -269,12 +288,16 @@ def _generate_batch(cfg: ExperimentConfig, template: XpsTemplate,
 
     coeffs = rng.standard_normal((m, 4)) * np.asarray(cfg.drift)
     phases = coeffs @ _drift_basis(cfg)
+    term = _scratch_rows(m, cfg.n_samples)
     if cfg.osc_amplitude != 0.0:
         g = rng.standard_normal(m)
         amp = cfg.osc_amplitude * (g + cfg.osc_eps_coupling * eps)
-        phases += amp[:, None] * _osc_shape(cfg)[None, :]
-    phases += (cfg.phi_atom * dwell / template.area)[:, None] * template.samples[None, :]
-    phases += cfg.phase_noise_rms * rng.standard_normal((m, cfg.n_samples))
+        phases += np.multiply.outer(amp, _osc_shape(cfg), out=term)
+    phases += np.multiply.outer(cfg.phi_atom * dwell / template.area,
+                                template.samples, out=term)
+    rng.standard_normal(out=term)
+    term *= cfg.phase_noise_rms
+    phases += term
 
     truth = np.column_stack([n, n_t, n_det, dwell]).astype(np.float64)
     return phases, clicks, truth

@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from xdwell import (
     ExperimentConfig,
     InsufficientBinError,
     RankDeficiencyError,
+    analyze_file,
     bin_and_average,
     calibrate_proportional_noise,
     click_inference_check,
@@ -18,8 +22,10 @@ from xdwell import (
     fit_phi0,
     fit_transmitted,
     iter_batches,
+    run_campaign,
     xps_template,
 )
+from xdwell import shotfile
 from xdwell.estimator import FitResult, RunningMoments
 
 CFG = ExperimentConfig()
@@ -316,3 +322,46 @@ class TestClickInference:
         clicks = np.arange(300) % 2 == 0
         with pytest.raises(ConfigError):
             click_inference_check([(phases, clicks, None)])
+
+
+@pytest.fixture(scope="module")
+def boosted_file(tmp_path_factory):
+    # the acceptance "boosted" campaign (phi_atom x50), 300k shots with truth
+    cfg = CFG.replace(phi_atom=50 * CFG.phi_atom)
+    path = tmp_path_factory.mktemp("boosted") / "shots.bin"
+    run_campaign(cfg, 300_000, seed=2024, out_path=path, with_truth=True)
+    yield path, cfg
+    path.unlink()
+
+
+class TestAnalyzeFile:
+    def test_report_independent_of_batch_size(self, boosted_file,
+                                              monkeypatch):
+        # only the order of the Chan merges differs, which moves the report
+        # by about 1e-13 relative
+        path, cfg = boosted_file
+        report, _ = analyze_file(path, cfg)
+        monkeypatch.setattr(shotfile, "iter_shot_batches", functools.partial(
+            shotfile.iter_shot_batches, batch_size=300))
+        small, _ = analyze_file(path, cfg)
+        assert small.keys() == report.keys()
+        for key, value in report.items():
+            np.testing.assert_allclose(small[key], value, rtol=1e-12, atol=0,
+                                       err_msg=key)
+
+
+class TestMemory:
+    def test_analysis_peak(self, boosted_file):
+        # analysis holds one 4,096-record batch (1.3 MB with truth), its two
+        # click/no-click gathers and the add_batch temporaries: this reads
+        # 3.0 MiB under tracemalloc whatever the file size.  Batches of
+        # 65,536 records read 47 MiB
+        path, cfg = boosted_file
+        analyze_file(path, cfg)
+        tracemalloc.start()
+        try:
+            analyze_file(path, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20

@@ -61,6 +61,14 @@ class TestShotFileRoundTrip:
         for _, _, truth in shotfile.iter_shot_batches(path):
             assert truth is None
 
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_bad_batch_size_rejected(self, tmp_path, batch_size):
+        # a caller error (exit 2) raised before the file is opened, so a
+        # missing file does not turn it into a data error
+        with pytest.raises(ConfigError, match="batch_size"):
+            next(shotfile.iter_shot_batches(tmp_path / "missing.bin",
+                                            batch_size=batch_size))
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         self._write(path)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import time
 import tracemalloc
@@ -310,6 +311,41 @@ class TestDeterminism:
         assert (tmp_path / "a.bin").read_bytes() == \
             (tmp_path / "b.bin").read_bytes()
         assert s1.click_rate == s2.click_rate
+
+
+class TestScratch:
+    # the generator adds its full-size terms into the phases through one
+    # reused buffer per thread
+
+    @pytest.mark.parametrize("kw,seed,workers,sha256", [
+        ({}, 1, 1,
+         "9ad8c934202fec8069f8e133d45cf2498f277b960d7ab88fabe0aa72cc0d04a6"),
+        ({"osc_amplitude": 0.01, "prop_noise_s": 0.05, "od_coupling": 0.5},
+         3, 2,
+         "b1ee5bae8832a58437466b1d6ebaad6e370d94130318a361d31c674252167019"),
+    ], ids=["default", "oscillation"])
+    def test_shot_file_pinned(self, tmp_path, kw, seed, workers, sha256):
+        # 10,000-shot files with truth, hashed when every term was a fresh
+        # temporary: a change to the RNG draw order or to the order of the
+        # additions changes these bytes
+        path = tmp_path / "shots.bin"
+        run_campaign(ExperimentConfig(**kw), 10_000, seed=seed,
+                     out_path=path, workers=workers)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batches_do_not_alias_scratch(self, workers):
+        # batches held together equal batches copied as they come, so no
+        # yielded array is the buffer that a later batch overwrites
+        cfg = ExperimentConfig(osc_amplitude=0.01)
+        held = list(iter_batches(cfg, 3 * BATCH_SIZE, seed=4,
+                                 workers=workers))
+        copied = [tuple(np.copy(a) for a in batch) for batch in
+                  iter_batches(cfg, 3 * BATCH_SIZE, seed=4, workers=workers)]
+        assert len(held) == len(copied) == 3
+        for batch, copy in zip(held, copied):
+            for a, b in zip(batch, copy):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestMemory:
