@@ -14,7 +14,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -78,98 +77,60 @@ def _load_config(path) -> configparser.ConfigParser:
     return parser
 
 
-def _section(parser: configparser.ConfigParser, name: str,
-             required: bool = True) -> dict:
-    if not parser.has_section(name):
-        if required:
-            raise ConfigError(f"config is missing the [{name}] section")
-        return {}
-    return dict(parser.items(name))
-
-
-def _pop_float(section: dict, key: str, default=None) -> float:
-    if key not in section:
-        if default is None:
+def _read(parser: configparser.ConfigParser, name: str, keys: dict,
+          required: bool = False) -> dict:
+    """The [name] section's values by key.  `keys` maps each key to its
+    default, whose type picks the parser: text, a comma list of finite
+    floats (tuple), an integer, or else a finite float; a default of ...
+    makes the key required.  A `required` section must be present."""
+    if parser.has_section(name):
+        body = dict(parser.items(name))
+    elif required:
+        raise ConfigError(f"config is missing the [{name}] section")
+    else:
+        body = {}
+    unknown = sorted(set(body) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown keys in [{name}]: {', '.join(unknown)}")
+    values = {}
+    for key, default in keys.items():
+        if key in body:
+            values[key] = _parse(key, body[key], default)
+        elif default is ...:
             raise ConfigError(f"missing required key {key!r}")
-        return float(default)
-    raw = section.pop(key)
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
-    if not np.isfinite(value):
-        raise ConfigError(f"{key!r} must be finite, got {raw!r}")
-    return value
-
-
-def _pop_int(section: dict, key: str, default=None) -> int:
-    value = _pop_float(section, key, default)
-    if value != int(value):
-        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _pop_list(section: dict, key: str, default: str) -> list:
-    raw = section.pop(key, default)
-    try:
-        values = [float(p) for p in str(raw).split(",") if p.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(f"{key!r} values must be finite, got {raw!r}")
+        else:
+            values[key] = default
     return values
 
 
-def _reject_unknown(section: dict, name: str):
-    if section:
-        raise ConfigError(
-            f"unknown keys in [{name}]: {', '.join(sorted(section))}")
-
-
-def _pulse_from_config(parser) -> PulseSpec:
-    body = _section(parser, "pulse")
-    pulse = PulseSpec(
-        intensity_rms=_pop_float(body, "sigma_t"),
-        carrier_detuning=_pop_float(body, "carrier_detuning", 0.0),
-        mean_photons=_pop_float(body, "mean_photons", 1.0),
-    )
-    _reject_unknown(body, "pulse")
-    return pulse
-
-
-def _medium_from_config(parser) -> MediumSpec:
-    body = _section(parser, "medium")
-    medium = MediumSpec.from_lifetime(
-        peak_od=_pop_float(body, "peak_od"),
-        tau_sp=_pop_float(body, "tau_sp", 26.5e-9),
-    )
-    _reject_unknown(body, "medium")
-    return medium
-
-
-def _pop_fields(section: dict, spec) -> dict:
-    """Keyword arguments for the flat dataclass `spec` from the `section`
-    keys that are its field names, lower-cased (configparser lower-cases
-    every key), each read by the type of the field's default."""
-    kwargs = {}
-    for f in dataclasses.fields(spec):
-        key = f.name.lower()
-        if key not in section:
-            continue
-        elif isinstance(f.default, tuple):
-            kwargs[f.name] = tuple(_pop_list(section, key, ""))
-        elif isinstance(f.default, int):
-            kwargs[f.name] = _pop_int(section, key)
-        else:
-            kwargs[f.name] = _pop_float(section, key)
-    return kwargs
+def _parse(key: str, raw: str, default):
+    """`raw` read by the type of `default`, as `_read` describes."""
+    if isinstance(default, str):
+        return raw
+    listed = isinstance(default, tuple)
+    parts = [p for p in raw.split(",") if p.strip()] if listed else [raw]
+    try:
+        values = [float(p) for p in parts]
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{key!r} must be finite, got {raw!r}")
+    if listed:
+        return tuple(values)
+    [value] = values
+    if isinstance(default, int):
+        if value != int(value):
+            raise ConfigError(f"{key!r} must be an integer, got {value!r}")
+        return int(value)
+    return value
 
 
 def _experiment_from_config(parser) -> shots.ExperimentConfig:
-    body = _section(parser, "experiment")
-    kwargs = _pop_fields(body, shots.ExperimentConfig)
-    _reject_unknown(body, "experiment")
-    return shots.ExperimentConfig(**kwargs)
+    fields = dataclasses.fields(shots.ExperimentConfig)
+    body = _read(parser, "experiment",
+                 {f.name.lower(): f.default for f in fields}, required=True)
+    return shots.ExperimentConfig(
+        **{f.name: body[f.name.lower()] for f in fields})
 
 
 def _out_dir(args) -> Path:
@@ -189,11 +150,14 @@ def _envelope_rows(env):
 
 def cmd_propagate(args) -> int:
     parser = _load_config(args.config)
-    pulse = _pulse_from_config(parser)
-    medium = _medium_from_config(parser)
-    body = _section(parser, "propagate", required=False)
-    depth_steps = _pop_int(body, "depth_steps", 4)
-    _reject_unknown(body, "propagate")
+    body = _read(parser, "pulse", {"sigma_t": ..., "carrier_detuning": 0.0,
+                                   "mean_photons": 1.0}, required=True)
+    pulse = PulseSpec(intensity_rms=body["sigma_t"],
+                      carrier_detuning=body["carrier_detuning"],
+                      mean_photons=body["mean_photons"])
+    medium = MediumSpec.from_lifetime(**_read(
+        parser, "medium", {"peak_od": ..., "tau_sp": 26.5e-9}, required=True))
+    depth_steps = _read(parser, "propagate", {"depth_steps": 4})["depth_steps"]
     if depth_steps < 1:
         raise ConfigError("depth_steps must be >= 1")
 
@@ -230,57 +194,56 @@ def cmd_propagate(args) -> int:
 
 _MODELS_HEADER = ("model", "sigma_t_ns", "peak_od", "p_loss", "tau0",
                   "tauL", "tauT", "tauT_over_tau0")
-_DEFAULT_OD_GRID = "0.01,0.25,0.5,1,1.5,2,3,4"
+_MODELS_KEYS = {
+    "od_grid": (0.01, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0),
+    "sigma_t_broad": 10e-9,
+    "sigma_t_narrow": 50e-9,
+    "tau_sp": 26.5e-9,
+    "carrier_detuning": 0.0,
+    "slices": 8,
+}
 
 
 def _model_curve(model: str, pulse: PulseSpec, medium: MediumSpec,
-                 od_grid: list, slices: int) -> list:
+                 od_grid: tuple, slices: int) -> list:
     """One entry per OD: a DwellBreakdown, or the error that OD failed with;
-    a curve that fails as a whole gives its error at every OD."""
+    a curve that fails to converge as a whole gives its error at every OD."""
     try:
         if model == MODEL_MIN_COHERENT:
             return min_coherent_model(pulse, medium, od_grid, slices=slices)
         return egalitarian_broadband(pulse, medium, od_grid)
-    except (ConvergenceError, ConfigError) as exc:
+    except ConvergenceError as exc:
         return [exc] * len(od_grid)
 
 
 def cmd_models(args) -> int:
-    parser = _load_config(args.config)
-    body = _section(parser, "models", required=False)
-    od_grid = _pop_list(body, "od_grid", _DEFAULT_OD_GRID)
-    sigma_broad = _pop_float(body, "sigma_t_broad", 10e-9)
-    sigma_narrow = _pop_float(body, "sigma_t_narrow", 50e-9)
-    tau_sp = _pop_float(body, "tau_sp", 26.5e-9)
-    carrier = _pop_float(body, "carrier_detuning", 0.0)
-    slices = _pop_int(body, "slices", 8)
-    _reject_unknown(body, "models")
-
-    medium = MediumSpec.from_lifetime(peak_od=1.0, tau_sp=tau_sp)
+    body = _read(_load_config(args.config), "models", _MODELS_KEYS)
+    od_grid = body["od_grid"]
+    medium = MediumSpec.from_lifetime(peak_od=1.0, tau_sp=body["tau_sp"])
     od_grid_array(medium, od_grid)  # a bad grid exits 2 before any job
-    curves = [(model, PulseSpec(intensity_rms=sigma, carrier_detuning=carrier))
+    curves = [(model, PulseSpec(intensity_rms=sigma,
+                                carrier_detuning=body["carrier_detuning"]))
               for model in (MODEL_EGALITARIAN, MODEL_MIN_COHERENT)
-              for sigma in (sigma_broad, sigma_narrow)]
-    out = _out_dir(args)
+              for sigma in (body["sigma_t_broad"], body["sigma_t_narrow"])]
     # curves run on --workers threads, one curve per thread (numpy releases
     # the GIL in the FFTs and array passes); rows are written in grid
     # order, so the file is the same at any worker count
+    results = shots.thread_map(
+        _model_curve, ((model, pulse, medium, od_grid, body["slices"])
+                       for model, pulse in curves), args.workers)
     rows = []
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        results = pool.map(lambda c: _model_curve(*c, medium, od_grid, slices),
-                           curves)
-        for (model, pulse), curve in zip(curves, results):
-            sigma = pulse.intensity_rms
-            for od, b in zip(od_grid, curve):
-                if isinstance(b, Exception):
-                    rows.append((f"# {model},sigma_t={sigma:g},peak_od={od:g} "
-                                 f"failed: {b}",))
-                    continue
-                b.check_identities()
-                ratio = b.tauT / b.tau0 if b.tau0 > 0 else 0.0
-                rows.append((model, sigma * 1e9, od, b.p_loss, b.tau0,
-                             b.tauL, b.tauT, ratio))
-    _write_csv(out / "model_curves.csv", _MODELS_HEADER, rows)
+    for (model, pulse), curve in zip(curves, results):
+        sigma = pulse.intensity_rms
+        for od, b in zip(od_grid, curve):
+            if isinstance(b, Exception):
+                rows.append((f"# {model},sigma_t={sigma:g},peak_od={od:g} "
+                             f"failed: {b}",))
+                continue
+            b.check_identities()
+            ratio = b.tauT / b.tau0 if b.tau0 > 0 else 0.0
+            rows.append((model, sigma * 1e9, od, b.p_loss, b.tau0,
+                         b.tauL, b.tauT, ratio))
+    _write_csv(_out_dir(args) / "model_curves.csv", _MODELS_HEADER, rows)
     return EXIT_OK
 
 
@@ -290,15 +253,13 @@ def cmd_models(args) -> int:
 def cmd_simulate(args) -> int:
     parser = _load_config(args.config)
     cfg = _experiment_from_config(parser)
-    body = _section(parser, "campaign", required=False)
-    n_shots = _pop_int(body, "n_shots", 100000)
-    with_truth = bool(_pop_int(body, "with_truth", 1))
-    _reject_unknown(body, "campaign")
+    body = _read(parser, "campaign", {"n_shots": 100000, "with_truth": 1})
 
     out = _out_dir(args)
-    summary = shots.run_campaign(cfg, n_shots=n_shots, seed=args.seed,
+    summary = shots.run_campaign(cfg, n_shots=body["n_shots"], seed=args.seed,
                                  out_path=out / "shots.bin",
-                                 with_truth=with_truth, workers=args.workers)
+                                 with_truth=bool(body["with_truth"]),
+                                 workers=args.workers)
     report = {
         "n_shots": summary.n_shots,
         "click_rate": summary.click_rate,
@@ -319,15 +280,11 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     parser = _load_config(args.config)
     cfg = _experiment_from_config(parser)
-    body = _section(parser, "analysis", required=False)
-    input_path = body.pop("input", None)
-    s2 = _pop_float(body, "s2", 0.0)
-    s2_se = _pop_float(body, "s2_se", 0.0)
-    _reject_unknown(body, "analysis")
-    if input_path is None:
-        input_path = str(Path(args.out) / "shots.bin")
+    body = _read(parser, "analysis", {
+        "input": str(Path(args.out) / "shots.bin"), "s2": 0.0, "s2_se": 0.0})
 
-    report, binned = analyze_file(input_path, cfg, s2=s2, s2_se=s2_se,
+    report, binned = analyze_file(body["input"], cfg, s2=body["s2"],
+                                  s2_se=body["s2_se"],
                                   force_digest=args.force_digest)
     out = _out_dir(args)
     _write_json(out / "report.json", report)
@@ -340,22 +297,18 @@ def cmd_analyze(args) -> int:
 # --- calibrate ---------------------------------------------------------------
 
 
-_DEFAULT_CAL_PHOTONS = "588,898,1527,3040"
-
-
 def cmd_calibrate(args) -> int:
     parser = _load_config(args.config)
     cfg = _experiment_from_config(parser)
-    body = _section(parser, "calibrate", required=False)
-    photon_numbers = _pop_list(body, "photon_numbers", _DEFAULT_CAL_PHOTONS)
-    n_shots = _pop_int(body, "n_shots", 1000000)
-    target_click = _pop_float(body, "target_click_rate", 0.10)
-    _reject_unknown(body, "calibrate")
-    if len(photon_numbers) < 4:
+    body = _read(parser, "calibrate", {
+        "photon_numbers": (588.0, 898.0, 1527.0, 3040.0),
+        "n_shots": 1000000, "target_click_rate": 0.10})
+    if len(body["photon_numbers"]) < 4:
         raise ConfigError("photon_numbers needs at least 4 entries")
 
-    result = run_calibration(cfg, photon_numbers, n_shots, args.seed,
-                             target_click=target_click, workers=args.workers)
+    result = run_calibration(cfg, body["photon_numbers"], body["n_shots"],
+                             args.seed, target_click=body["target_click_rate"],
+                             workers=args.workers)
     out = _out_dir(args)
     _write_json(out / "calibration.json", result)
     return EXIT_OK
@@ -375,34 +328,38 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="xdwell",
         description="Simulate and analyze single-photon dwell-time campaigns")
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "propagate": cmd_propagate,
-        "models": cmd_models,
-        "simulate": cmd_simulate,
-        "analyze": cmd_analyze,
-        "calibrate": cmd_calibrate,
+    flags = {
+        "--config": dict(required=True, help="INI config path"),
+        "--out": dict(default=".", help="output directory"),
+        "--seed": dict(type=int, default=0, help="campaign seed"),
+        "--workers": dict(type=int, default=_available_cpus(),
+                          help="threads generating campaign batches or model "
+                          "curves (default: the CPUs this process may use)"),
+        "--force-digest": dict(action="store_true",
+                               help="analyze despite a config-digest mismatch"),
     }
-    for name, handler in handlers.items():
+    commands = {
+        "propagate": (cmd_propagate, ()),
+        "models": (cmd_models, ("--workers",)),
+        "simulate": (cmd_simulate, ("--seed", "--workers")),
+        "analyze": (cmd_analyze, ("--force-digest",)),
+        "calibrate": (cmd_calibrate, ("--seed", "--workers")),
+    }
+    for name, (handler, extra) in commands.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="INI config path")
-        p.add_argument("--seed", type=int, default=0, help="campaign seed")
-        p.add_argument("--workers", type=int, default=_available_cpus(),
-                       help="threads generating campaign batches or model "
-                       "curves (default: the CPUs this process may use)")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--force-digest", action="store_true",
-                       help="analyze despite a config-digest mismatch")
+        for flag in ("--config", "--out") + extra:
+            p.add_argument(flag, **flags[flag])
         p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.seed < 0 or args.seed > 2**64 - 1:
+    if not 0 <= getattr(args, "seed", 0) <= 2**64 - 1:
         print("error: --seed must fit in an unsigned 64-bit value",
               file=sys.stderr)
         return EXIT_CONFIG
-    if args.workers < 1:
+    if getattr(args, "workers", 1) < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
     try:

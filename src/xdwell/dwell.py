@@ -338,9 +338,11 @@ def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, od_grid=None,
                                 * env.photon_number)
     sums = np.cumsum(weights * integrals, axis=1)
     tau0, coh = np.pad(sums, ((0, 0), (1, 0)))[:, ends] * scale
-    # a grid's coherent dwell lies in [0, tau0] (0 <= f_coh <= 1); the
-    # extrapolated one can overshoot by its own error where the truth sits
-    # at a bound (at sigma_t 200 ns it rounds to below 0 at OD 0.01)
+    # a grid's dwell lies in [0, 1] (tau0 = P_L) and its coherent part in
+    # [0, tau0] (0 <= f_coh <= 1); the extrapolated ones can overshoot by
+    # their own error where the truth sits at a bound (at sigma_t 200 ns,
+    # coh rounds to below 0 at OD 0.01 and tau0 to above 1 at OD 40)
+    tau0 = np.clip(tau0, 0.0, 1.0)
     coh = np.clip(coh, 0.0, tau0)
     p_loss_spectral = 1.0 - transmission_probability(pulse, unit, ods)
     return [_breakdown(float(t), float(c), float(p))

@@ -388,6 +388,10 @@ def analyze_file(path, cfg: ExperimentConfig, s2: float = 0.0,
 def _calibration_eta(cfg: ExperimentConfig, mu: float,
                      target_click: float) -> float:
     """Detection efficiency giving the target click rate at mu photons."""
+    if not mu > 0:
+        raise ConfigError(f"photon_numbers must be > 0, got {mu:g}")
+    if cfg.p_transmit == 0:
+        raise ConfigError("p_transmit must be > 0 to calibrate")
     p_signal = (target_click - cfg.dark_prob) / (1.0 - cfg.dark_prob)
     if not 0.0 < p_signal < 1.0:
         raise ConfigError(
@@ -402,10 +406,12 @@ def run_calibration(cfg: ExperimentConfig, photon_numbers, n_shots: int,
     """Bright campaigns at each photon number; fits e(mu) = 1 + s^2 mu.
 
     A point whose phi_0 is under 5 sigma raises DataFormatError."""
+    # every point's config first, so a bad point fails before any campaign
+    cal_cfgs = [cfg.replace(mean_photons=mu, phi_atom=cfg.phi_atom,
+                            eta_detect=_calibration_eta(cfg, mu, target_click))
+                for mu in photon_numbers]
     points = []
-    for i, mu in enumerate(photon_numbers):
-        cal_cfg = cfg.replace(mean_photons=mu, phi_atom=cfg.phi_atom,
-                              eta_detect=_calibration_eta(cfg, mu, target_click))
+    for i, (mu, cal_cfg) in enumerate(zip(photon_numbers, cal_cfgs)):
         _, phi0, phi_t = _fit_chain(cal_cfg, shots.iter_batches(
             cal_cfg, n_shots, seed, workers, campaign=i))
         _require_phi0(phi0, f"{mu:g} photons")

@@ -295,6 +295,20 @@ class TestMinCoherent:
                               (b.tauT / b.tau0, one.tauT / one.tau0)):
                 assert got == pytest.approx(want, abs=2e-6), od
 
+    def test_tau0_held_in_unit_interval(self, medium_od4):
+        # at sigma_t 200 ns the extrapolated tau0 at OD 40 rounds to
+        # 1.0000000000000013, past the [0, 1] that a DwellBreakdown allows
+        pulse = PulseSpec(intensity_rms=200e-9)
+        curve = min_coherent_model(pulse, medium_od4, [4, 10, 20, 40])
+        assert all(isinstance(b, DwellBreakdown) and b.p_loss <= 1
+                   for b in curve)
+        # the clip leaves a value inside (0, 1) as it was, so on the
+        # default grid it changes no byte of model_curves.csv
+        for sigma in (10e-9, 50e-9):
+            curve = min_coherent_model(PulseSpec(intensity_rms=sigma),
+                                       medium_od4, DEFAULT_OD_GRID)
+            assert all(0 < b.tau0 < 1 for b in curve)
+
     def test_zero_od_row(self, pulse_10ns, medium_od4):
         # a zero-width panel has no nodes
         zero, one = min_coherent_model(pulse_10ns, medium_od4, [0.0, 1.0])

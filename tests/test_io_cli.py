@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -449,6 +450,13 @@ class TestCli:
         ("simulate", "[experiment]\nmeas_bandwidth = 0\n"),
         ("simulate", "[experiment]\nsample_dt = 0\n"),
         ("simulate", "[experiment]\np_transmit = 1\n"),
+        ("models", "[models]\nslices = 4\n"),
+        # a bad last point fails before the first point's campaign
+        ("calibrate", "[experiment]\n[calibrate]\n"
+                      "photon_numbers = 588,898,1527,0\n"),
+        ("calibrate", "[experiment]\n[calibrate]\n"
+                      "photon_numbers = -588,898,1527,3040\n"),
+        ("calibrate", "[experiment]\np_transmit = 0\n"),
     ])
     def test_non_finite_or_zero_lifetime_exit_2(self, tmp_path, capsys,
                                                 command, text):
@@ -459,6 +467,36 @@ class TestCli:
         assert not out.exists()
         key = text.splitlines()[-1].split("=")[0].strip()
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed", "-1"], ["calibrate", "--seed", str(2**64)],
+        ["models", "--workers", "0"]])
+    def test_bad_seed_or_workers_exit_2(self, tmp_path, argv):
+        cfg = write_config(tmp_path / "c.ini", SIM_INI.format(n_shots=1000))
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--seed", "1"], ["propagate", "--workers", "2"],
+        ["simulate", "--force-digest"]])
+    def test_flag_the_command_does_not_read_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--config", "c.ini"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_models_one_worker_starts_no_thread(self, tmp_path, monkeypatch):
+        def no_thread(self):
+            raise RuntimeError("models --workers 1 started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        cfg = write_config(tmp_path / "m.ini", "[models]\nod_grid = 1\n")
+        out = tmp_path / "models"
+        assert cli.main(["models", "--config", cfg, "--workers", "1",
+                         "--out", str(out)]) == 0
+        rows = (out / "model_curves.csv").read_text().splitlines()
+        assert len(rows) == 1 + 4
 
     def test_csv_floats_full_precision(self, tmp_path):
         cfg = write_config(tmp_path / "m.ini",
@@ -540,8 +578,8 @@ class NoScipy:
 sys.meta_path.insert(0, NoScipy())
 cfg, out = sys.argv[1:]
 for command in ("propagate", "models", "simulate", "analyze", "calibrate"):
-    code = xdwell.cli.main([command, "--config", cfg, "--out", out,
-                            "--workers", "2"])
+    workers = [] if command in ("propagate", "analyze") else ["--workers", "2"]
+    code = xdwell.cli.main([command, "--config", cfg, "--out", out] + workers)
     if code != 0:
         sys.exit(f"{command} exited {code}")
 """
