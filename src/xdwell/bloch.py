@@ -8,6 +8,8 @@ spontaneous scattering) of excitation present at each instant.
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -101,8 +103,13 @@ def _weak_pe(spectra: np.ndarray, dt: float, cfg: BlochConfig) -> np.ndarray:
 def _net_flow(pe: np.ndarray, h: float, gamma: float) -> np.ndarray:
     """dP_e/dt + gamma P_e along axis 0: excitation gained where positive,
     coherently returned where negative.  Centred differences, one-sided at
-    the ends."""
-    net = np.gradient(pe, h, axis=0)
+    the ends: `np.gradient(pe, h, axis=0)`, written into one array."""
+    net = np.empty_like(pe)
+    np.subtract(pe[2:], pe[:-2], out=net[1:-1])
+    net[1:-1] /= 2.0 * h
+    np.subtract(pe[1:2], pe[:1], out=net[:1])
+    np.subtract(pe[-1:], pe[-2:-1], out=net[-1:])
+    net[[0, -1]] /= h
     net += gamma * pe
     return net
 
@@ -153,20 +160,26 @@ def detect_phase_flip(env: SampledEnvelope):
 
 
 _CLAMP_REPORT = 1e-6
-# rows per chunk of the fate recurrence's two-level scan, which takes
-# about _SCAN_CHUNK + m / _SCAN_CHUNK Python steps for m rows; on the
-# default model blocks (1,023 x 32 and 511 x 32 steps, one thread of
-# 2 vCPUs) a default curve's median time is 15.0 to 15.9 ms for chunks of
-# 16 to 48 rows, inside the 0.9 to 1.2 ms quartile spread of each, and
-# 16.7 ms for 64
-_SCAN_CHUNK = 32
 
 
-def _chunks(x: np.ndarray, start: int) -> np.ndarray:
-    """Rows `start:` of `x` as a (chunks, _SCAN_CHUNK, ...) view; splitting
-    an axis never copies, so writes to it land in `x`."""
-    k = (x.shape[0] - start) // _SCAN_CHUNK
-    return x[start:].reshape(k, _SCAN_CHUNK, *x.shape[1:])
+@functools.lru_cache(maxsize=64)  # a model block scans the same few sizes
+def _chunk_rows(m: int) -> int:
+    """The chunk length C with which the two-level scan of `_backward_scan`
+    solves m rows in the fewest Python steps, (C - 1) + m // C + m % C
+    (31 for 1,023 rows, 17 for 511, 4 for 16).  At C = isqrt(m) + 1 each
+    term is at most isqrt(m), so no C above 3 isqrt(m) + 1 can do
+    better."""
+    if m < 2:
+        return 1
+    c = np.arange(1, min(m, 3 * math.isqrt(m) + 1) + 1)
+    return int(c[np.argmin(c - 1 + m // c + m % c)])
+
+
+def _chunks(x: np.ndarray, start: int, size: int) -> np.ndarray:
+    """Rows `start:` of `x` as a (chunks, size, ...) view; splitting an
+    axis never copies, so writes to it land in `x`."""
+    k = (x.shape[0] - start) // size
+    return x[start:].reshape(k, size, *x.shape[1:])
 
 
 def _backward_scan(f: np.ndarray, b: np.ndarray):
@@ -174,32 +187,38 @@ def _backward_scan(f: np.ndarray, b: np.ndarray):
     rows :-1 and the end value in its last row; `b` has one row fewer and
     is consumed.
 
-    A two-level scan.  The rows after the first m % _SCAN_CHUNK fall into
-    chunks of _SCAN_CHUNK rows, all solved at once from a zero end value;
-    that leaves each row of `b` holding its product of b to its chunk's
-    end.  A loop over one row per chunk carries the true value after each
-    chunk back from the end, one pass adds b * carry to every chunk row,
-    and the leading rows take plain steps from the first chunk's start.
+    A two-level scan.  The rows after the first m % C fall into chunks of
+    C = `_chunk_rows(m)` rows, all solved at once from a zero end value
+    on chunk-major copies of f and b; that leaves each row of the b copy
+    holding its product of b to its chunk's end.  A loop over one row per
+    chunk carries the true value after each chunk back from the end, one
+    pass adds b * carry to every chunk row and the copy of f goes back into
+    f, and the leading rows take plain steps from the first chunk's start.
     """
-    head = b.shape[0] % _SCAN_CHUNK
-    fc, bc = _chunks(f[:-1], head), _chunks(b, head)
-    # within chunks, row j of every chunk at once; fewer rows than a chunk
-    # (the split sub-steps of `dwell`) need no pass over empty chunks
-    step = np.empty(fc.shape[:1] + fc.shape[2:])
-    f_rows, b_rows = fc.swapaxes(0, 1), bc.swapaxes(0, 1)
-    chunked = zip(f_rows[-2::-1], f_rows[::-1], b_rows[-2::-1],
-                  b_rows[::-1]) if fc.shape[0] else ()
-    for f_j, f_next, b_j, b_next in chunked:
+    size = _chunk_rows(b.shape[0])
+    head = b.shape[0] % size
+    fc, bc = _chunks(f[:-1], head, size), _chunks(b, head, size)
+    # within chunks, row j of every chunk at once, on copies that hold
+    # those rows side by side: on rows a chunk apart each ufunc call
+    # iterates row by row and costs several times as much.  Once copied,
+    # the chunk rows of b are spent and hold the copy of f
+    b_rows = bc.swapaxes(0, 1).copy()
+    f_rows = b[head:].reshape(b_rows.shape)
+    f_rows[...] = fc.swapaxes(0, 1)
+    step = np.empty(f_rows.shape[1:])
+    for f_j, f_next, b_j, b_next in zip(f_rows[-2::-1], f_rows[::-1],
+                                        b_rows[-2::-1], b_rows[::-1]):
         f_j += np.multiply(b_j, f_next, out=step)
         b_j *= b_next
     # carry[c]: the true value at chunk c's first row, carry[-1] the end
     # value; chunk c's rows then add b * carry[c + 1]
     carry = np.empty((fc.shape[0] + 1,) + fc.shape[2:])
     carry[-1] = f[-1]
-    for start, prod, here, after in zip(fc[::-1, 0], bc[::-1, 0],
+    for start, prod, here, after in zip(f_rows[0, ::-1], b_rows[0, ::-1],
                                         carry[-2::-1], carry[::-1]):
         np.add(start, np.multiply(prod, after, out=here), out=here)
-    fc += np.multiply(bc, carry[1:, None], out=bc)
+    f_rows += np.multiply(b_rows, carry[1:], out=b_rows)
+    fc[...] = f_rows.swapaxes(0, 1)
     row = carry[0]  # spent: scratch for the leading rows
     for b_n, f_n, f_next in zip(b[:head][::-1], f[:head][::-1],
                                 f[1:head + 1][::-1]):
@@ -230,8 +249,9 @@ def _fate_steps(pe: np.ndarray, coh_down: np.ndarray, h: float,
     last row, and b, a view into `coh_down`, holds b_n; `_fate_solve`
     solves them.  Consumes `coh_down`: it is overwritten in turn by the
     hazard, lam and b, and a_n is kept in f, so the whole recurrence needs
-    no float buffer beyond f, one row block, the sign-change steps and two
-    buffers of one row per chunk.
+    no float buffer beyond f, one row block, the sign-change steps, the
+    scan's copy of the chunk rows of b and two buffers of one row per
+    chunk.
     """
     # where P_e touches zero under active coherent removal (a 0-pi flip
     # emptying the state) the hazard diverges; flooring P_e saturates the

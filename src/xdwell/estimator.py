@@ -397,7 +397,12 @@ def _calibration_eta(cfg: ExperimentConfig, mu: float,
         raise ConfigError(
             f"target_click_rate {target_click:g} unreachable with "
             f"dark_prob {cfg.dark_prob:g}")
-    return float(-np.log1p(-p_signal) / (cfg.p_transmit * mu))
+    eta = float(-np.log1p(-p_signal) / (cfg.p_transmit * mu))
+    if eta > 1.0:
+        raise ConfigError(
+            f"photon_numbers {mu:g} is too few to reach target_click_rate "
+            f"{target_click:g}: it needs a detection efficiency of {eta:g}")
+    return eta
 
 
 def run_calibration(cfg: ExperimentConfig, photon_numbers, n_shots: int,

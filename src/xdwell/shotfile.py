@@ -91,7 +91,9 @@ class ShotFileWriter:
         self.path = str(path)
         self.n_samples = n_samples
         self.with_truth = with_truth
-        self._dtype = _record_dtype(n_samples, with_truth)
+        # filled in place for every batch; zeroed once, for the pad bytes
+        self._records = np.zeros(BATCH_SIZE, _record_dtype(n_samples,
+                                                           with_truth))
         flags = FLAG_TRUTH if with_truth else 0
         self._partial = self.path + ".partial"
         self._fh = open(self._partial, "wb")
@@ -106,12 +108,17 @@ class ShotFileWriter:
                 f"phases must have shape (m, {self.n_samples})")
         if self.with_truth and truth is None:
             raise DataFormatError("file expects truth blocks")
-        records = np.zeros(m, dtype=self._dtype)
-        records["phases"] = phases
-        records["click"] = np.asarray(clicks, dtype=bool).astype(np.uint8)
+        clicks = np.asarray(clicks, dtype=bool)
         if self.with_truth:
-            records["truth"] = np.asarray(truth, dtype=np.float64)
-        records.tofile(self._fh)
+            truth = np.asarray(truth, dtype=np.float64)
+        for i in range(0, m, BATCH_SIZE):  # a larger batch in pieces
+            part = slice(i, i + BATCH_SIZE)
+            records = self._records[:min(m - i, BATCH_SIZE)]
+            records["phases"] = phases[part]
+            records["click"] = clicks[part]
+            if self.with_truth:
+                records["truth"] = truth[part]
+            records.tofile(self._fh)
 
     def close(self):
         self._fh.close()

@@ -15,13 +15,16 @@ from xdwell import (
     pulse_area,
 )
 from xdwell.bloch import (
-    _SCAN_CHUNK,
     ExcitationRecord,
     _backward_scan,
+    _chunk_rows,
     _chunks,
     _fate_fractions_many,
+    _net_flow,
+    _weak_pe,
 )
 from xdwell.dwell import default_bloch_config
+from xdwell.medium import _detunings, field_transfer
 
 from conftest import GAMMA, TAU_SP
 
@@ -387,14 +390,22 @@ class TestFateFractions:
         np.testing.assert_allclose(f.T, ref, rtol=1e-13, atol=0)
 
 
+def scan_steps(m, size):
+    """Python steps of `_backward_scan` over m rows in chunks of `size`:
+    the within-chunk loop (none without a whole chunk), one carry per
+    chunk and the leading rows."""
+    return (size - 1 if m >= size else 0) + m // size + m % size
+
+
 class TestBackwardScan:
     """The chunked scan against a plain per-step loop of the same
-    recurrence, f_n = a_n + b_n f_{n+1}, at step counts around the chunk
-    size."""
+    recurrence, f_n = a_n + b_n f_{n+1}, at step counts around 32 rows and
+    at a model block's own: 16 rows of a split step's sub-steps, 511 and
+    1,023 steps of the coarse and fine grids."""
 
     @pytest.mark.parametrize("cols", [1, 3])
-    @pytest.mark.parametrize("m", [1, 2, _SCAN_CHUNK - 1, _SCAN_CHUNK,
-                                   _SCAN_CHUNK + 1, 2 * _SCAN_CHUNK, 4095])
+    @pytest.mark.parametrize("m", [1, 2, 16, 31, 32, 33, 64, 511, 1023,
+                                   4095])
     def test_matches_step_loop(self, m, cols):
         rng = np.random.default_rng(m * 10 + cols)
         f = rng.random((m + 1, cols))  # a_n in rows :-1, the end value last
@@ -412,15 +423,58 @@ class TestBackwardScan:
         _backward_scan(f, b)
         np.testing.assert_allclose(f, ref, rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("m", [16, 1023])
+    def test_strided_columns(self, m):
+        # f and b as every second column of wider arrays: the scan writes
+        # its result and its copy of f through views, never into a copy
+        rng = np.random.default_rng(m)
+        f, b = rng.random((m + 1, 6))[:, ::2], rng.random((m, 6))[:, ::2]
+        ref = f.copy()
+        for n in range(m - 1, -1, -1):
+            ref[n] = ref[n] + b[n] * ref[n + 1]
+        _backward_scan(f, b)
+        np.testing.assert_allclose(f, ref, rtol=1e-13, atol=0)
+
     @pytest.mark.parametrize("cols", [1, 3])
-    @pytest.mark.parametrize("m", [_SCAN_CHUNK - 1, _SCAN_CHUNK, 4095])
+    @pytest.mark.parametrize("m", [31, 32, 4095])
     def test_chunks_are_views(self, m, cols):
         # the scan writes through these views: a reshape that copied would
         # drop its result
         f, b = np.zeros((m + 1, cols)), np.zeros((m, cols))
-        head = m % _SCAN_CHUNK
+        size = _chunk_rows(m)
+        head = m % size
         for x in (f[:-1], b, b[:, :1]):
-            view = _chunks(x, head)
-            assert view.shape == ((m - head) // _SCAN_CHUNK, _SCAN_CHUNK,
-                                  *x.shape[1:])
+            view = _chunks(x, head, size)
+            assert view.shape == ((m - head) // size, size, *x.shape[1:])
             assert view.size == 0 or np.shares_memory(view, x)
+
+    def test_chunk_takes_fewest_steps(self):
+        # the chosen chunk is the best of every length from 1 to m, so it
+        # never takes more steps than the fixed 32-row chunk it replaced
+        for m in range(1, 4096):
+            sizes = np.arange(1, m + 1)
+            fewest = (sizes - 1 + m // sizes + m % sizes).min()
+            steps = scan_steps(m, _chunk_rows(m))
+            assert steps == fewest, m
+            assert steps <= scan_steps(m, 32), m
+        assert [_chunk_rows(m) for m in (16, 511, 1023)] == [4, 17, 31]
+
+
+class TestNetFlow:
+    def test_equals_gradient_form(self):
+        # a model block's P_e (sigma_t 10 ns, 32 depths to OD 4, 1,024
+        # samples) and its every-second-row view, as the model passes them
+        pulse = PulseSpec(intensity_rms=10e-9)
+        medium = MediumSpec.from_lifetime(1.0, TAU_SP)
+        env = gaussian_envelope(pulse, n_samples=1024,
+                                tail=10.0 / medium.gamma)
+        depths = np.linspace(0.125, 4.0, 32)[:, None]
+        spectra = (field_transfer(_detunings(env), medium, depths)
+                   * np.fft.fft(env.samples))
+        pe = _weak_pe(spectra, env.dt, default_bloch_config(pulse, medium))
+        for k in (1, 2):
+            block, h = pe[::k], k * env.dt
+            want = np.gradient(block, h, axis=0)
+            want += medium.gamma * block
+            assert np.array_equal(_net_flow(block, h, medium.gamma),
+                                  want), k

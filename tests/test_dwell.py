@@ -359,6 +359,29 @@ class TestTimeGrid:
                 default_curve(sigma_ns)
 
 
+class TestBandLimit:
+    @pytest.mark.parametrize("carrier", [0.0, 2 * np.pi * 5e6])
+    @pytest.mark.parametrize("sigma_ns", [2, 10, 50, 200])
+    def test_matches_every_bin(self, sigma_ns, carrier, monkeypatch):
+        # the bins left out hold below 1e-16 of the spectrum's peak.  The
+        # coherent part (1 - P_L) tauT is compared, not tauT: at 200 ns and
+        # OD 20, P_T is 6e-8, and dividing by it lifts a rounding-level
+        # change of the coherent part to 5e-7
+        pulse = PulseSpec(intensity_rms=sigma_ns * 1e-9,
+                          carrier_detuning=carrier)
+        medium = MediumSpec.from_lifetime(1.0, TAU_SP)
+
+        def parts():
+            return np.array([
+                (b.tau0, (1.0 - b.p_loss) * b.tauT) for b in (
+                    min_coherent_point(pulse, medium.with_od(od))
+                    for od in (1.0, 4.0, 20.0))])
+
+        band = parts()
+        monkeypatch.setattr(dwell, "_SPECTRUM_FLOOR", 0.0)
+        np.testing.assert_allclose(band, parts(), rtol=0, atol=1e-12)
+
+
 class TestSplitSteps:
     # c = c0 exp(mu t) with Re mu = -gamma (1 + k) / 2: P_e decays at
     # gamma (1 + k), so the removal hazard is gamma k throughout and the
@@ -497,10 +520,10 @@ class TestMemory:
     def test_min_coherent_curve_peak(self, pulse_10ns, medium_od4, od_grid,
                                      slices):
         # nodes go through in blocks of at most 32, each freed before the
-        # next: the peak is one block's amplitudes, P_e, flows and split
-        # steps, whatever the number of nodes (512 at OD 4 x 128).  Both
-        # cases measure about 2.1 MiB on the default 1,024-sample grid;
-        # blocks of 64 nodes read 3.9 MiB
+        # next: the peak is one block's amplitudes, P_e, flows, split
+        # steps and the fate scan's chunk-major copy, whatever the number
+        # of nodes (512 at OD 4 x 128).  Both cases measure about 2.0 MiB
+        # on the default 1,024-sample grid; blocks of 64 nodes read 3.9 MiB
         min_coherent_model(pulse_10ns, medium_od4, od_grid, slices=slices)
         tracemalloc.start()
         try:

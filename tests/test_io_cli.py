@@ -62,6 +62,27 @@ class TestShotFileRoundTrip:
         for _, _, truth in shotfile.iter_shot_batches(path):
             assert truth is None
 
+    def test_batch_above_buffer(self, tmp_path):
+        # the writer fills one BATCH_SIZE record buffer: a larger batch
+        # goes out in pieces, a smaller one after it writes only its own
+        # rows, and every pad byte stays zero
+        path = tmp_path / "big.bin"
+        n = 2 * shotfile.BATCH_SIZE + 7
+        rng = np.random.default_rng(1)
+        phases = rng.standard_normal((n, 36))
+        clicks = rng.random(n) < 0.3
+        truth = rng.random((n, 4))
+        with shotfile.ShotFileWriter(path, n_samples=36, n_shots=n,
+                                     digest=bytes(32), with_truth=True) as w:
+            w.append(phases[:-7], clicks[:-7], truth[:-7])
+            w.append(phases[-7:], clicks[-7:], truth[-7:])
+        records = np.fromfile(path, shotfile._record_dtype(36, True),
+                              offset=shotfile._HEADER.size)
+        np.testing.assert_array_equal(records["phases"], phases)
+        np.testing.assert_array_equal(records["click"], clicks)
+        np.testing.assert_array_equal(records["truth"], truth)
+        assert not records["pad"].tobytes().strip(b"\0")
+
     @pytest.mark.parametrize("batch_size", [0, -5])
     def test_bad_batch_size_rejected(self, tmp_path, batch_size):
         # a caller error (exit 2) raised before the file is opened, so a
@@ -456,6 +477,9 @@ class TestCli:
                       "photon_numbers = 588,898,1527,0\n"),
         ("calibrate", "[experiment]\n[calibrate]\n"
                       "photon_numbers = -588,898,1527,3040\n"),
+        # a photon number too small for the target click rate
+        ("calibrate", "[experiment]\n[calibrate]\n"
+                      "photon_numbers = 0.1,898,1527,3040\n"),
         ("calibrate", "[experiment]\np_transmit = 0\n"),
     ])
     def test_non_finite_or_zero_lifetime_exit_2(self, tmp_path, capsys,
