@@ -1,16 +1,17 @@
 """Weak-excitation two-level dynamics driven by a sampled envelope.
 
 Solves the amplitude equation dc/dt = (i*Delta - Gamma/2) c + i*Omega(t)/2
-on the envelope's FFT grid, derives excitation/de-excitation flows from
-P_e = |c|^2, and attributes the eventual fate (coherent forward return vs
-spontaneous scattering) of excitation present at each instant.
+on the envelope's FFT grid.  The net flow dP_e/dt + Gamma P_e = Im(c conj
+Omega) is then exact at every sample: excitation is gained where it is
+positive and returned coherently where it is negative.  The excitation
+present at each instant that will leave by coherent forward return,
+g = P_e f_coh, is integrated backward from that flow.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,8 @@ class BlochConfig:
 
 @dataclass(frozen=True)
 class ExcitationRecord:
-    """P_e(t) with rectified excitation/de-excitation flows on a uniform grid."""
+    """P_e(t) with rectified excitation/de-excitation flows on a uniform grid:
+    up_flow - coh_down_flow is the exact net flow."""
 
     t0: float
     dt: float
@@ -100,24 +102,22 @@ def _weak_pe(spectra: np.ndarray, dt: float, cfg: BlochConfig) -> np.ndarray:
     return pe
 
 
-def _net_flow(pe: np.ndarray, h: float, gamma: float) -> np.ndarray:
-    """dP_e/dt + gamma P_e along axis 0: excitation gained where positive,
-    coherently returned where negative.  Centred differences, one-sided at
-    the ends: `np.gradient(pe, h, axis=0)`, written into one array."""
-    net = np.empty_like(pe)
-    np.subtract(pe[2:], pe[:-2], out=net[1:-1])
-    net[1:-1] /= 2.0 * h
-    np.subtract(pe[1:2], pe[:1], out=net[:1])
-    np.subtract(pe[-1:], pe[-2:-1], out=net[-1:])
-    net[[0, -1]] /= h
-    net += gamma * pe
+def _exact_net(c: np.ndarray, field: np.ndarray, rabi: float) -> np.ndarray:
+    """dP_e/dt + gamma P_e = Im(c conj(Omega)), Omega = rabi * field, at each
+    sample of the amplitudes `c` (rows along the last axis, like `field`),
+    time-major like `_weak_pe`.  Exact: c solves dc/dt = lam c + i Omega/2
+    at the samples."""
+    net = np.multiply(c.imag.T, field.real.T, out=np.empty(c.shape[::-1]))
+    net -= np.multiply(c.real.T, field.imag.T)
+    net *= rabi
     return net
 
 
 def integrate_weak_bloch(env: SampledEnvelope, cfg: BlochConfig) -> ExcitationRecord:
     """Weak-drive excitation of one envelope, on the envelope's own grid."""
-    pe = _weak_pe(np.fft.fft(env.samples), env.dt, cfg)
-    net = _net_flow(pe, env.dt, cfg.gamma)
+    c = np.fft.fft(env.samples)
+    pe = _weak_pe(c, env.dt, cfg)
+    net = _exact_net(c, env.samples, cfg.rabi_per_amplitude)
     return ExcitationRecord(t0=env.t0, dt=env.dt, gamma=cfg.gamma, pe=pe,
                             up_flow=np.maximum(net, 0.0),
                             coh_down_flow=np.maximum(-net, 0.0),
@@ -157,9 +157,6 @@ def detect_phase_flip(env: SampledEnvelope):
     starts = np.flatnonzero(np.lib.stride_tricks.sliding_window_view(
         neg, _FLIP_MIN_RUN).all(axis=1))
     return float(env.t0 + env.dt * int(starts[0])) if starts.size else None
-
-
-_CLAMP_REPORT = 1e-6
 
 
 @functools.lru_cache(maxsize=64)  # a model block scans the same few sizes
@@ -225,85 +222,140 @@ def _backward_scan(f: np.ndarray, b: np.ndarray):
         f_n += np.multiply(b_n, f_next, out=row)
 
 
-def _fate_steps(pe: np.ndarray, coh_down: np.ndarray, h: float,
-                gamma: float):
-    """Steps of the backward integration of the coherent-fate fraction;
-    time on axis 0.
+# a gain step divides by P_e, floored per column at this fraction of the
+# column's peak: P_e near rounding level would blow g up
+_GAIN_FLOOR = 1e-12
+# the other two samples of the cubic through net at a crossing step, from
+# the step's start, for a step first, inside or last in its 4 samples
+_CUBIC_NODES = np.array([[2, 3], [-1, 2], [-2, -1]])
+_ROOT_TOL = 1e-15
+_ROOT_ITERATIONS = 100  # bisection alone gets there in 50
 
-    With hazard hz = coh_down/pe the fraction obeys
-    f' = -hz + (gamma + hz) f, integrated backward from f(end) = 0 with a
-    piecewise-constant-hazard exponential step: f_n = a_n + b_n f_{n+1},
-    where b_n = exp(-lam_n h), a_n = (hm_n/lam_n)(1 - b_n), hm_n is the
-    step's mean hazard and lam_n = gamma + hm_n.  `coh_down` may be signed,
-    negative where excitation is gained: that counts as no removal, but on
-    a step where the sign changes hm_n is the mean of the positive part of
-    the linearly interpolated hazard, so the step's error does not depend
-    on where between two samples the removal starts or stops.  After the
-    last coherent removal the hazard is zero, so a_n = 0 and f stays at its
-    final 0: that excitation can only decay spontaneously.  The recurrence
-    is solved by `_backward_scan`, a chunked scan whose every operation is
-    row-wise, so a column's result does not depend on the columns beside
-    it.
 
-    Returns (f, b): f holds a_n in its rows :-1 and the end value 0 in its
-    last row, and b, a view into `coh_down`, holds b_n; `_fate_solve`
-    solves them.  Consumes `coh_down`: it is overwritten in turn by the
-    hazard, lam and b, and a_n is kept in f, so the whole recurrence needs
-    no float buffer beyond f, one row block, the sign-change steps, the
-    scan's copy of the chunk rows of b and two buffers of one row per
-    chunk.
+def _cubic_root(y0, y1, alpha, beta):
+    """The root in [0, 1] of q(s) = y0 (1 - s) + y1 s + s (s - 1)(alpha +
+    beta s), where y1 >= 0 > y0 or y0 >= 0 > y1: Newton from the secant
+    root, bisecting the bracket whenever a step leaves it, until a step is
+    below _ROOT_TOL.  A root stops moving once it has converged, so it does
+    not depend on the others."""
+    sign = np.where(y1 >= 0.0, 1.0, -1.0)  # q rises across the root
+    y0, y1, alpha, beta = y0 * sign, y1 * sign, alpha * sign, beta * sign
+    s = y0 / (y0 - y1)
+    lo, hi = np.zeros_like(s), np.ones_like(s)
+    active = np.ones(s.shape, bool)
+    for _ in range(_ROOT_ITERATIONS):
+        if not active.any():
+            break
+        k, m = alpha + beta * s, s * s - s
+        w = y0 * (1.0 - s) + y1 * s + m * k  # exact at both ends
+        dw = y1 - y0 + (2.0 * s - 1.0) * k + m * beta
+        below = w < 0.0
+        np.copyto(lo, s, where=below)
+        np.copyto(hi, s, where=~below)
+        step = np.divide(w, dw, out=np.full_like(w, np.inf), where=dw != 0.0)
+        done = np.abs(step) <= _ROOT_TOL
+        new = s - step
+        # a converged step may land on the bracket end that s just became
+        np.copyto(new, 0.5 * (lo + hi),
+                  where=~(done | ((new > lo) & (new < hi))))
+        np.copyto(s, new, where=active)
+        active &= ~done & (hi - lo > _ROOT_TOL)
+    return s
+
+
+def _crossing_steps(pe, slope, net, area, floor, steps, h, gamma):
+    """(a, b) of the steps (rows, columns) on which net changes sign: net
+    crosses zero at the root of the cubic through it at the step's ends and
+    two samples beside them, P_e there is the cubic Hermite value, and the
+    gain and removal parts on either side of the root compose into one
+    step."""
+    rows, cols = steps
+    y0, y1 = net[rows, cols], net[rows + 1, cols]
+    e = _CUBIC_NODES[rows - np.clip(rows - 1, 0, net.shape[0] - 4)]
+    # alpha + beta e at the two other samples, from q(e) there
+    d = net[rows[:, None] + e, cols[:, None]]
+    d -= y0[:, None] * (1 - e) + y1[:, None] * e
+    d /= e * (e - 1)
+    beta = (d[:, 1] - d[:, 0]) / (e[:, 1] - e[:, 0])
+    s = _cubic_root(y0, y1, d[:, 0] - beta * e[:, 0], beta)
+    # the Hermite cubic's value at the root and its integral up to it, from
+    # P_n, h P'_n, P_{n+1} and h P'_{n+1}
+    ends = (pe[rows, cols], h * slope[rows, cols], pe[rows + 1, cols],
+            h * slope[rows + 1, cols])
+    s2, s3, s4 = s * s, s ** 3, s ** 4
+    at_root = sum(w * y for w, y in zip(
+        (2 * s3 - 3 * s2 + 1, s3 - 2 * s2 + s, 3 * s2 - 2 * s3, s3 - s2),
+        ends))
+    before = h * sum(w * y for w, y in zip(
+        (s - s3 + s4 / 2, s2 / 2 - 2 * s3 / 3 + s4 / 4, s3 - s4 / 2,
+         s4 / 4 - s3 / 3), ends))
+    # removal, then gain after the root (y1 >= 0), or gain, then removal
+    into = y1 >= 0.0
+    # P_e falls across the removal part, so at the root it lies in
+    # [0, P_n] when the removal comes first and at or above P_{n+1} when it
+    # comes last; the cubic can break this where P_e nearly vanishes (the
+    # 0-pi flip) or changes by 1e3 in a step, and g would leave [0, P_e]
+    np.clip(at_root, np.where(into, 0.0, ends[2]),
+            np.where(into, ends[0], np.inf), out=at_root)
+    b = (np.where(into, at_root, ends[0])
+         / np.maximum(np.where(into, ends[2], at_root), floor[cols])
+         * np.exp(-gamma * h * np.where(into, 1.0 - s, s)))
+    # the removal part: P_e's fall less its decay
+    removal = np.where(into, ends[0] - at_root - gamma * before,
+                       at_root - ends[2] - gamma * (area[rows, cols] - before))
+    return np.where(into, removal, b * removal), b
+
+
+def _g_form(pe: np.ndarray, net: np.ndarray, h: float, gamma: float):
+    """g = P_e f_coh at each sample (time on axis 0): the excitation
+    present then that will leave by coherent return, and the exact slope
+    P_e' = net - gamma P_e; returns (g, slope).
+
+    g obeys g' = net where net < 0 (coherent removal) and
+    g' = (net / P_e) g where net >= 0 (gain, where f_coh decays backward at
+    gamma), from g(end) = 0: the recurrence g_n = a_n + b_n g_{n+1},
+    solved by `_backward_scan`.  A removal step has
+    a = -(P_{n+1} - P_n) - gamma int P_e, by the cubic Hermite rule on P_e
+    and its exact slope, and b = 1; a gain step has a = 0 and
+    b = (P_n / P_{n+1}) exp(-gamma h), exactly; a step on which net
+    changes sign is split at its root (`_crossing_steps`).  Every
+    operation is per column, and so is the floor of the gain divisor.
     """
-    # where P_e touches zero under active coherent removal (a 0-pi flip
-    # emptying the state) the hazard diverges; flooring P_e saturates the
-    # fate fraction at 1 there, and pe * f keeps those points weightless.
-    # The floor is per column, so a column's result does not depend on
-    # the columns beside it; a column without excitation has no removal,
-    # and any positive floor leaves its fraction at 0
+    slope = np.multiply(pe, -gamma)
+    slope += net
+    area = np.add(pe[:-1], pe[1:])  # the Hermite integral of each step
+    area *= 0.5 * h
+    scratch = np.subtract(slope[:-1], slope[1:])
+    scratch *= h * h / 12.0
+    area += scratch
+    g = np.empty_like(pe)
+    a = np.subtract(pe[:-1], pe[1:], out=g[:-1])
+    a -= np.multiply(area, gamma, out=scratch)
+    g[-1] = 0.0
     peak = pe.max(axis=0)
-    f = np.maximum(pe, np.where(peak > 0, peak * 1e-12, 1.0))
-    hz = np.divide(coh_down, f, out=coh_down)
-    # steps where the removal starts or stops keep the share of the step,
-    # max(lo, hi) / |hi - lo|, on which the interpolated hazard is positive
-    cross = np.flatnonzero(np.signbit(hz[:-1]) ^ np.signbit(hz[1:]))
-    lo, hi = hz[:-1].ravel()[cross], hz[1:].ravel()[cross]
-    share = np.divide(np.maximum(lo, hi), np.abs(hi - lo),
-                      out=np.ones_like(lo), where=hi != lo)
-    np.maximum(hz, 0.0, out=hz)
-    hm = np.add(hz[:-1], hz[1:], out=f[:-1])
-    hm *= 0.5
-    hm.ravel()[cross] *= share  # f is contiguous: ravel is a view
-    f[-1] = 0.0
-    lam = np.add(hm, gamma, out=coh_down[:-1])
-    a = np.divide(hm, lam, out=hm)
-    b = np.exp(np.multiply(lam, -h, out=lam), out=lam)
-    rows = max(1, (1 << 16) // max(pe.shape[1], 1))
-    for i in range(0, b.shape[0], rows):
-        a[i:i + rows] *= np.subtract(1.0, b[i:i + rows])
-    return f, b
-
-
-def _fate_solve(f: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the recurrence of `_fate_steps` in place and clip f to [0, 1],
-    warning past _CLAMP_REPORT; consumes `b`."""
-    _backward_scan(f, b)
-    over = max(f.max() - 1.0, -f.min(), 0.0)
-    if over > _CLAMP_REPORT:
-        warnings.warn(f"f_coh clamped by {over:.2e} (> {_CLAMP_REPORT:g})")
-    return np.clip(f, 0.0, 1.0, out=f)
-
-
-def _fate_fractions_many(pe: np.ndarray, coh_down: np.ndarray, h: float,
-                         gamma: float) -> np.ndarray:
-    """Coherent-fate fraction at each sample of `pe` (time on axis 0), from
-    the steps of `_fate_steps`; consumes `coh_down`."""
-    return _fate_solve(*_fate_steps(pe, coh_down, h, gamma))
+    floor = np.where(peak > 0.0, _GAIN_FLOOR * peak, 1.0)
+    b = np.maximum(pe[1:], floor, out=scratch)
+    np.divide(pe[:-1], b, out=b)
+    b *= math.exp(-gamma * h)
+    gain = net >= 0.0
+    np.copyto(a, 0.0, where=gain[1:])
+    np.copyto(b, 1.0, where=~gain[1:])
+    # np.nonzero of a 2-d mask costs ten times this
+    steps = divmod(np.flatnonzero(gain[:-1] != gain[1:]), pe.shape[1])
+    a[steps], b[steps] = _crossing_steps(pe, slope, net, area, floor, steps,
+                                         h, gamma)
+    _backward_scan(g, b)
+    return g, slope
 
 
 def fate_fractions(rec: ExcitationRecord) -> np.ndarray:
     """f_coh(t): probability that excitation present at each of the record's
-    times ends in coherent return."""
-    # the recurrence consumes its coh_down argument: hand it a copy
-    f = _fate_fractions_many(rec.pe[:, None],
-                             rec.coh_down_flow[:, None].copy(),
-                             rec.dt, rec.gamma)
-    return f[:, 0]
+    times ends in coherent return, g / P_e (0 where P_e is 0) held in
+    [0, 1].  The record needs at least 4 samples."""
+    if rec.pe.size < 4:
+        raise ConfigError(
+            f"fate_fractions needs >= 4 samples, got {rec.pe.size}")
+    net = rec.up_flow - rec.coh_down_flow
+    g = _g_form(rec.pe[:, None], net[:, None], rec.dt, rec.gamma)[0][:, 0]
+    f = np.divide(g, rec.pe, out=np.zeros_like(g), where=rec.pe > 0.0)
+    return np.clip(f, 0.0, 1.0, out=f)

@@ -9,12 +9,13 @@ eventual fate of the excitation under the semiclassical field evolution.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (BlochConfig, _backward_scan, _fate_solve, _fate_steps,
-                    _net_flow, _weak_pe)
+from .bloch import BlochConfig, _exact_net, _g_form, _weak_pe
 from .errors import ConfigError, ConvergenceError
 from .medium import (
     MediumSpec,
@@ -152,34 +153,46 @@ _BLOCK_NODES = 32
 # 10 ns, 9% at 50 ns); what the others carry is below a float64 sum's
 # rounding
 _SPECTRUM_FLOOR = 1e-16
-# the smallest power of two whose Richardson pair keeps every default-grid
-# value within the frozen values' 1e-3 of converged (5.9e-4 at sigma_t
-# 50 ns; 128 samples err by 5.1e-3)
-_MIN_SAMPLES = 256
-# a step whose removal hazard times h passes _SPLIT_HAZARD at either end
-# (the spike where P_e nearly vanishes at the 0-pi flip) is integrated on
-# _SUB_STEPS sub-steps, with the amplitude c interpolated by a polynomial
-# through _STENCIL samples
-_SPLIT_HAZARD = 1.0
-_SUB_STEPS = 16
-_STENCIL = 6
+# the time grid is the smallest power of two of at least _MIN_SAMPLES
+# samples whose step is at most tau_sp / _STEPS_PER_LIFETIME: 512 at sigma_t
+# 10 and 50 ns, 1,024 at 200 ns, where 512 samples make the step 0.49 tau_sp
+# and the coherent part at OD 20 errs by 4.2e-4.  Above _MAX_SAMPLES the
+# rule gives up (sigma_t beyond about 256 tau_sp)
+_MIN_SAMPLES = 512
+_STEPS_PER_LIFETIME = 4
+_MAX_SAMPLES = 1 << 15
 
 
-def _stencil_weights():
-    """Weights that take the _STENCIL samples of c around a step to c and
-    then to dc/dt (per unit of the step) at the sub-step times: one
-    (2 (_SUB_STEPS + 1), _STENCIL) matrix per position of the step in its
-    stencil (off centre at the ends of the grid)."""
-    powers = np.arange(_STENCIL)
-    s = np.vander(np.linspace(0.0, 1.0, _SUB_STEPS + 1), _STENCIL,
-                  increasing=True)
-    inv = [np.linalg.inv(np.vander(powers - shift, increasing=True))
-           for shift in powers]
-    return np.stack([np.concatenate([s @ m, (s[:, :-1] * powers[1:]) @ m[1:]])
-                     for m in inv])
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(slices: int):
+    """`leggauss(slices)`, computed once per `slices` and read-only, since
+    every caller shares it."""
+    x, w = np.polynomial.legendre.leggauss(slices)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
-_STENCIL_WEIGHTS = _stencil_weights()
+def _grid_samples(pulse: PulseSpec, medium: MediumSpec,
+                  n_samples: int | None = None) -> int:
+    """The time grid's sample count: `n_samples`, which must be at least
+    _MIN_SAMPLES and step at most tau_sp / _STEPS_PER_LIFETIME over the
+    grid's span (32 sigma_t and the decay tail), or by default the smallest
+    power of two that does, up to _MAX_SAMPLES."""
+    span = 32.0 * pulse.intensity_rms + _DECAY_TAIL_LIFETIMES / medium.gamma
+    need = max(_MIN_SAMPLES,
+               math.ceil(span * medium.gamma * _STEPS_PER_LIFETIME))
+    if n_samples is not None:
+        if n_samples < need:
+            raise ConfigError(
+                f"n_samples must be >= {need} (a step of at most "
+                f"tau_sp/{_STEPS_PER_LIFETIME}), got {n_samples}")
+        return n_samples
+    n_samples = 1 << (need - 1).bit_length()
+    if n_samples > _MAX_SAMPLES:
+        raise ConvergenceError(
+            f"sigma_t={pulse.intensity_rms:g} s needs {n_samples} time "
+            f"samples (limit {_MAX_SAMPLES})", achieved=n_samples)
+    return n_samples
 
 
 def _depth_nodes(od_grid: np.ndarray, slices: int):
@@ -187,7 +200,7 @@ def _depth_nodes(od_grid: np.ndarray, slices: int):
     the panels between consecutive grid ODs, starting at 0, and the number
     of nodes at or below each OD.  A panel wider than _PANEL_MAX_OD is split
     into equal sub-panels; a zero-width panel gets no nodes."""
-    x, w = np.polynomial.legendre.leggauss(slices)
+    x, w = _gauss_legendre(slices)
     edges = [0.0]
     ends = []
     for lo, hi in zip(np.concatenate([[0.0], od_grid]), od_grid):
@@ -203,114 +216,33 @@ def _depth_nodes(od_grid: np.ndarray, slices: int):
 def _node_integrals(depths: np.ndarray, spectrum: np.ndarray,
                     band: np.ndarray, detunings: np.ndarray, h: float,
                     medium: MediumSpec, bloch: BlochConfig) -> np.ndarray:
-    """Time integrals of P_e and of P_e f_coh at each of `depths` (OD
-    units, at most _BLOCK_NODES of them), shape (2, depths): the Richardson
-    extrapolation (4 fine - coarse) / 3 of the envelope's grid (step h)
-    and of its every second sample (step 2h).  Only the bins of `band`
-    carry the envelope spectrum; the others stay zero.  The block's arrays
-    die on return."""
+    """Time integrals of P_e and of g = P_e f_coh at each of `depths` (OD
+    units, at most _BLOCK_NODES of them), shape (2, depths), on the
+    envelope's grid (step h): the trapezoid rule plus the cubic Hermite end
+    correction h^2 / 12 (y'(start) - y'(end)), from the exact slopes.  Only
+    the bins of `band` carry the envelope spectrum; the others stay zero.
+    The block's arrays die on return."""
     spectra = np.zeros((depths.size, spectrum.size), complex)
     transfer = field_transfer(detunings[band], medium, depths[:, None])
     spectra[:, band] = np.multiply(transfer, spectrum[band], out=transfer)
+    field = np.fft.ifft(spectra, axis=-1)
     pe = _weak_pe(spectra, h, bloch)
-    c = spectra.T  # _weak_pe leaves the amplitudes in `spectra`
-    # P_e is spectrally exact, so every second sample is the response on
-    # the half grid of the same span; only the fate steps see the step size
-    net = _net_flow(pe, h, bloch.gamma)
-    # both grids split the same time intervals: each coarse step holding a
-    # fine step to split, and its two fine steps
-    hard = _hard_steps(pe, net, h)
-    split = hard[0:-1:2] | hard[1::2]
-    hard[:-1] = np.repeat(split, 2, axis=0)
-    hard[-1] = False
-    fine = _fate_integrals(pe, c, net, h, bloch.gamma, hard)
-    coarse = _fate_integrals(pe[::2], c[::2],
-                             _net_flow(pe[::2], 2 * h, bloch.gamma), 2 * h,
-                             bloch.gamma, split)
-    return (4.0 * fine - coarse) / 3.0
-
-
-def _hard_steps(pe: np.ndarray, net: np.ndarray, h: float) -> np.ndarray:
-    """The steps, (rows - 1, columns), whose removal hazard
-    max(-net, 0) / P_e times h passes _SPLIT_HAZARD at either end; P_e is
-    floored as in the fate steps."""
-    # -net / P_e times h, in one buffer: it can pass _SPLIT_HAZARD only
-    # where -net > 0
-    hz = np.maximum(pe, pe.max(axis=0) * 1e-12)
-    np.divide(net, hz, out=hz)
-    hz *= -h
-    hard = hz > _SPLIT_HAZARD
-    return hard[:-1] | hard[1:]
-
-
-def _fate_integrals(pe: np.ndarray, c: np.ndarray, net: np.ndarray,
-                    h: float, gamma: float, split: np.ndarray) -> np.ndarray:
-    """Integrals of P_e and of P_e f_coh over axis 0 of `pe`, sampled at
-    step h with amplitudes `c` and net flow `net` (consumed): shape
-    (2, columns).  Steps where `split` is set are integrated by
-    `_split_steps`, the others by the trapezoid rule.  The error is
-    O(h^2), and its part that is smooth in h is what two grids
-    extrapolate away."""
-    # signed: the fate recurrence also needs where the removal starts and
-    # stops between two samples
-    f, b = _fate_steps(pe, np.negative(net, out=net), h, gamma)
-    # np.nonzero of a 2-d mask costs ten times this
-    steps = divmod(np.flatnonzero(split), split.shape[1])
-    a_s, b_s, p_s, q_s = _split_steps(c, steps, h, gamma)
-    f[:-1][steps] = a_s
-    b[steps] = b_s
-    f = _fate_solve(f, b)
-    rows, cols = steps
-    split_coh = p_s + q_s * f[rows + 1, cols]
-    coh = np.multiply(f, pe, out=f)
-    trapezoid = _trapezoid_weights(pe.shape[0], h)
-    int_coh = trapezoid @ coh
-    # a split step's integral replaces its trapezoid term
-    np.add.at(int_coh, cols, split_coh
-              - 0.5 * h * (coh[rows, cols] + coh[rows + 1, cols]))
-    return np.stack([trapezoid @ pe, int_coh])
-
-
-def _split_steps(c: np.ndarray, steps, h: float, gamma: float):
-    """(a, b, p, q) of each step (rows, columns) of `c`: the step's fate
-    recurrence f_n = a + b f_{n+1} and its integral p + q f_{n+1} of
-    P_e f_coh, composed from _SUB_STEPS sub-steps.  On them c is the
-    polynomial through the _STENCIL samples around the step, and the
-    removal is -(P_e' + gamma P_e) from that polynomial."""
-    rows, cols = steps
-    lo = np.clip(rows - _STENCIL // 2 + 1, 0, c.shape[0] - _STENCIL)
-    stencil = c[lo[:, None] + np.arange(_STENCIL), cols[:, None]].T
-    # c and dc/dt at the sub-step times; only steps near the ends of the
-    # grid sit off centre in their stencil
-    both = np.empty((2 * (_SUB_STEPS + 1), rows.size), complex)
-    shift = rows - lo
-    for k in np.unique(shift):
-        at = shift == k
-        both[:, at] = _STENCIL_WEIGHTS[k] @ stencil[:, at]
-    cs, dcs = both[:_SUB_STEPS + 1], both[_SUB_STEPS + 1:]
-    dcs /= h
-    pe = np.square(np.abs(cs))
-    removal = -(2.0 * (cs.real * dcs.real + cs.imag * dcs.imag) + gamma * pe)
-    alpha, beta = _fate_steps(pe, removal, h / _SUB_STEPS, gamma)
-    # beta_j: the product of b from sub-step j to the end
-    after = np.ones_like(alpha)
-    after[:-1] = np.cumprod(beta[::-1], axis=0)[::-1]
-    _backward_scan(alpha, beta)
-    w = _trapezoid_weights(_SUB_STEPS + 1, h / _SUB_STEPS)
-    return alpha[0], after[0], w @ (pe * alpha), w @ (pe * after)
-
-
-def _trapezoid_weights(n: int, h: float) -> np.ndarray:
-    """Weights of the trapezoid rule on n samples at step h, so that the
-    integral of y over axis 0 is `weights @ y`."""
-    w = np.full(n, h)
+    # _weak_pe leaves the amplitudes in `spectra`
+    net = _exact_net(spectra, field, bloch.rabi_per_amplitude)
+    del spectra, field
+    g, slope = _g_form(pe, net, h, bloch.gamma)
+    # g' is net where net < 0 and (net / P_e) g elsewhere, which is 0 at
+    # both ends: g ends at 0, and c starts at 0
+    dg = np.minimum(net[[0, -1]], 0.0)
+    w = np.full(pe.shape[0], h)  # the trapezoid rule's weights
     w[[0, -1]] *= 0.5
-    return w
+    return np.stack([w @ pe + h * h / 12.0 * (slope[0] - slope[-1]),
+                     w @ g + h * h / 12.0 * (dg[0] - dg[1])])
 
 
 def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, od_grid=None,
                        slices: int = _MIN_SLICES,
-                       n_samples: int = 1024) -> list:
+                       n_samples: int | None = None) -> list:
     """Dwell breakdowns under the minimum-coherent-emission attribution,
     one per peak OD of `od_grid` (default: `medium.peak_od` alone).
 
@@ -323,22 +255,20 @@ def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, od_grid=None,
     envelope's FFT grid, and the dwell is split by the
     coherent/spontaneous fate of the excitation, per incident photon.
 
-    Time is integrated on a Richardson pair of grids over the same span:
-    `n_samples`, an even count of at least _MIN_SAMPLES, is the finer grid,
-    and the coarser is its every second sample, the `n_samples // 2` grid.
-    The node integrals err by O(h^2) on each, and (4 fine - coarse) / 3
-    cancels that term.  For the error to be smooth in h, the steps across
-    the hazard spike of the 0-pi flip are integrated on sub-steps
-    (`_split_steps`), the same time intervals on both grids.
+    The coherent part integrates g = P_e f_coh, which `bloch._g_form`
+    solves backward from the exact net flow on the one grid.  The grid
+    spans 32 sigma_t plus 10 lifetimes in `n_samples` samples
+    (`_grid_samples`): by default the smallest power of two of at least
+    _MIN_SAMPLES whose step is at most tau_sp / _STEPS_PER_LIFETIME; an
+    explicit count must meet the same floor and step.
 
     Each entry is a DwellBreakdown, or the ConvergenceError of an OD whose
     P_L disagrees with the spectral transmission; the other ODs stand.
+    Raises ConvergenceError if the default grid would pass _MAX_SAMPLES.
     """
     if slices < _MIN_SLICES:
         raise ConfigError(f"slices must be >= {_MIN_SLICES}, got {slices}")
-    if n_samples % 2 or n_samples < _MIN_SAMPLES:
-        raise ConfigError(f"n_samples must be even and >= {_MIN_SAMPLES}, "
-                          f"got {n_samples}")
+    n_samples = _grid_samples(pulse, medium, n_samples)
     ods = od_grid_array(medium, od_grid)
     bloch = default_bloch_config(pulse, medium)
     unit = medium.with_od(1.0)
@@ -361,10 +291,9 @@ def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, od_grid=None,
                                 * env.photon_number)
     sums = np.cumsum(weights * integrals, axis=1)
     tau0, coh = np.pad(sums, ((0, 0), (1, 0)))[:, ends] * scale
-    # a grid's dwell lies in [0, 1] (tau0 = P_L) and its coherent part in
-    # [0, tau0] (0 <= f_coh <= 1); the extrapolated ones can overshoot by
-    # their own error where the truth sits at a bound (at sigma_t 200 ns,
-    # coh rounds to below 0 at OD 0.01 and tau0 to above 1 at OD 40)
+    # the dwell lies in [0, 1] (tau0 = P_L) and its coherent part in
+    # [0, tau0] (0 <= f_coh <= 1); rounding can put them past a bound where
+    # the truth sits at it (at sigma_t 200 ns, tau0 at OD 40)
     tau0 = np.clip(tau0, 0.0, 1.0)
     coh = np.clip(coh, 0.0, tau0)
     p_loss_spectral = 1.0 - transmission_probability(pulse, unit, ods)

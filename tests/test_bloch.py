@@ -3,11 +3,13 @@ import pytest
 
 from xdwell import (
     BlochConfig,
+    ConfigError,
     MediumSpec,
     PulseSpec,
     SampledEnvelope,
     WeakExcitationError,
     detect_phase_flip,
+    dwell,
     fate_fractions,
     gaussian_envelope,
     integrate_weak_bloch,
@@ -19,14 +21,14 @@ from xdwell.bloch import (
     _backward_scan,
     _chunk_rows,
     _chunks,
-    _fate_fractions_many,
-    _net_flow,
+    _exact_net,
+    _g_form,
     _weak_pe,
 )
 from xdwell.dwell import default_bloch_config
 from xdwell.medium import _detunings, field_transfer
 
-from conftest import GAMMA, TAU_SP
+from conftest import GAMMA, TAU_SP, min_coherent_point
 
 
 def _resample(samples, t_src, t_dst):
@@ -60,26 +62,68 @@ def rk4_pe(omega, t_src, cfg, max_step):
     return h, pe
 
 
-def fate_fractions_loop(pe, coh_down, h, gamma):
-    """Per-step, per-row reference for _fate_fractions_many: one row per
-    slice, time on the last axis; each row has its own P_e floor."""
-    peak = pe.max(axis=-1, keepdims=True)
-    floor = np.where(peak > 0, peak * 1e-12, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hz = np.where(coh_down > 0, coh_down / np.maximum(pe, floor), 0.0)
-    f = np.zeros_like(pe)
-    for n in range(pe.shape[-1] - 2, -1, -1):
-        hm = 0.5 * (hz[..., n] + hz[..., n + 1])
-        lam = gamma + hm
-        decay = np.exp(-lam * h)
-        f[..., n] = (hm / lam) * (1.0 - decay) + decay * f[..., n + 1]
-    np.clip(f, 0.0, 1.0, out=f)
-    # excitation alive after the last coherent removal can only decay
-    # spontaneously
-    for i in range(f.shape[0]):
-        idx = np.flatnonzero(coh_down[i] > 0)
-        f[i, idx[-1] + 1 if idx.size else 0:] = 0.0
-    return f
+def g_form_loop(pe, net, h, gamma):
+    """Per-step, per-column reference for _g_form, time on axis 0: the three
+    kinds of step written out one at a time, with each crossing root taken
+    from the roots of the cubic through 4 net samples and the Hermite P_e
+    in its power form, bounded as _crossing_steps bounds it.  Each column
+    has its own gain-divisor floor."""
+    n = pe.shape[0]
+    slope = net - gamma * pe
+    g = np.zeros_like(pe)
+    for j in range(pe.shape[1]):
+        p, q, m = pe[:, j], net[:, j], h * slope[:, j]
+        floor = 1e-12 * p.max() if p.max() > 0 else 1.0
+        for k in range(n - 2, -1, -1):
+            # P_e on step k as a power series in the fraction s of the step
+            dp = p[k + 1] - p[k]
+            poly = np.polynomial.Polynomial(
+                [p[k], m[k], 3 * dp - 2 * m[k] - m[k + 1],
+                 m[k] + m[k + 1] - 2 * dp])
+            area = h * poly.integ()
+            if q[k] >= 0 and q[k + 1] >= 0:
+                g[k, j] = (g[k + 1, j] * p[k] / max(p[k + 1], floor)
+                           * np.exp(-gamma * h))
+            elif q[k] < 0 and q[k + 1] < 0:
+                g[k, j] = g[k + 1, j] + p[k] - p[k + 1] - gamma * area(1.0)
+            else:
+                lo = min(max(k - 1, 0), n - 4)
+                cubic = np.polynomial.Polynomial.fit(
+                    np.arange(lo, lo + 4) - k, q[lo:lo + 4], 3).convert()
+                roots = cubic.roots()
+                roots = roots[np.abs(roots.imag) < 1e-9].real
+                s = roots[np.argmin(np.abs(roots - 0.5))]
+                if q[k + 1] >= 0:  # removal, then gain
+                    p_s = min(max(poly(s), 0.0), p[k])
+                    at = (g[k + 1, j] * p_s / max(p[k + 1], floor)
+                          * np.exp(-gamma * h * (1 - s)))
+                    g[k, j] = at + p[k] - p_s - gamma * area(s)
+                else:
+                    p_s = max(poly(s), p[k + 1])
+                    at = (g[k + 1, j] + p_s - p[k + 1]
+                          - gamma * (area(1.0) - area(s)))
+                    g[k, j] = at * p[k] / max(p_s, floor) * np.exp(
+                        -gamma * h * s)
+    return g
+
+
+def model_block(sigma_ns, od, carrier, n_samples=None):
+    """P_e and the exact net flow of a 32-node block at depths up to `od`,
+    on the model's own grid for the pulse (the rule's sample count by
+    default), time on axis 0: (pe, net, h, gamma)."""
+    pulse = PulseSpec(intensity_rms=sigma_ns * 1e-9, carrier_detuning=carrier)
+    medium = MediumSpec.from_lifetime(1.0, TAU_SP)
+    n_samples = dwell._grid_samples(pulse, medium, n_samples)
+    env = gaussian_envelope(pulse, n_samples=n_samples,
+                            tail=10.0 / medium.gamma)
+    depths = np.linspace(od / 32, od, 32)[:, None]
+    spectra = (field_transfer(_detunings(env), medium, depths)
+               * np.fft.fft(env.samples))
+    field = np.fft.ifft(spectra, axis=-1)
+    bloch = default_bloch_config(pulse, medium)
+    pe = _weak_pe(spectra, env.dt, bloch)
+    net = _exact_net(spectra, field, bloch.rabi_per_amplitude)
+    return pe, net, env.dt, medium.gamma
 
 
 def short_pulse_env(width=0.5e-9, after=16 * TAU_SP, n=40000, amp=1.0):
@@ -269,12 +313,20 @@ class TestFateFractions:
         f_coh = fate_fractions(rec)
         assert np.all(f_coh == 0.0)
 
+    def test_too_short_record(self):
+        # a sign change needs the cubic through 4 net samples
+        rec = synthetic_record(np.full(3, 1e-4), np.array([0.0, 1.0, 0.0]))
+        with pytest.raises(ConfigError, match="4 samples"):
+            fate_fractions(rec)
+
     def test_constant_hazard_analytic(self):
-        # long window with constant hazard h: f_coh -> h / (Gamma + h)
+        # long window with constant hazard h: f_coh -> h / (Gamma + h).  P_e
+        # decays at Gamma + h, as the removal makes it: the fate is read
+        # from P_e and the net flow together
         n = 40000
         dt = 0.1e-9
         h = 2.0 * GAMMA
-        pe = np.full(n, 1e-4)
+        pe = 1e-4 * np.exp(-(GAMMA + h) * dt * np.arange(n))
         rec = synthetic_record(pe, h * pe, dt=dt)
         f_coh = fate_fractions(rec)
         assert f_coh[0] == pytest.approx(h / (GAMMA + h), rel=1e-3)
@@ -317,8 +369,8 @@ class TestFateFractions:
         assert abs(frac - predicted) < 3 * se
 
     def test_record_flows_unchanged(self, pulse_10ns, medium_od4):
-        # the recurrence consumes its coh_down buffer; fate_fractions must
-        # hand it a copy, not the record's own flow
+        # the recurrence is solved in place; fate_fractions must solve it in
+        # buffers of its own, not in the record's flows
         env = gaussian_envelope(pulse_10ns, n_samples=4096, tail=300e-9)
         cfg = default_bloch_config(pulse_10ns, medium_od4)
         rec = integrate_weak_bloch(propagate_spectral(env, medium_od4, 0.5),
@@ -329,65 +381,55 @@ class TestFateFractions:
         np.testing.assert_array_equal(rec.pe, pe)
 
     def test_clamped_to_unit_interval(self):
-        pe = np.full(100, 1e-4)
-        f = _fate_fractions_many(pe[:, None], (50 * GAMMA * pe)[:, None],
-                                 0.1e-9, GAMMA)
-        assert f.min() >= 0.0 and f.max() <= 1.0
-
-    # hazards at the step's two samples, in units of GAMMA: the removal
-    # stops or starts mid-step, and zeros of either sign are no removal
-    @pytest.mark.parametrize("lo,hi", [(3.0, -1.0), (-1.0, 3.0),
-                                       (2.0, -0.0), (-0.0, 0.0)])
-    def test_sign_change_step(self, lo, hi):
-        # one step, f(end) = 0: f_0 = (hm/lam)(1 - exp(-lam h)), where hm is
-        # the step's mean of the positive part of the linear hazard,
-        # p^2 / (2 (|lo| + |hi|)) for the positive end value p
-        h = 1e-9
-        pe = np.ones((2, 1))
-        f = _fate_fractions_many(pe, GAMMA * np.array([[lo], [hi]]), h,
-                                 GAMMA)
-        p = max(lo, hi, 0.0)
-        hm = GAMMA * (0.5 * p * p / (abs(lo) + abs(hi)) if p else 0.0)
-        lam = GAMMA + hm
-        assert f[0, 0] == pytest.approx(hm / lam * -np.expm1(-lam * h),
-                                        rel=1e-14, abs=0)
-        assert f[1, 0] == 0.0
+        # where P_e is at rounding level, after a 200 ns pulse crosses OD
+        # 20, g / P_e is rounding over rounding (it reads down to -65
+        # there); the fraction is held in [0, 1]
+        pulse = PulseSpec(intensity_rms=200e-9)
+        medium = MediumSpec.from_lifetime(20.0, TAU_SP)
+        env = gaussian_envelope(pulse, n_samples=4096, tail=10 * TAU_SP)
+        rec = integrate_weak_bloch(propagate_spectral(env, medium, 1.0),
+                                   default_bloch_config(pulse, medium))
+        f = fate_fractions(rec)
+        assert f.min() == 0.0 and f.max() <= 1.0
 
     def test_column_independent_of_block(self, pulse_10ns, medium_od4):
-        # the P_e floor is per column: a column gives the same fractions
-        # alone as beside a column 1e13 times brighter
+        # the gain divisor's floor is per column: a column gives the same g
+        # alone as beside a column 1e13 times brighter, and as beside one
+        # that only gains
         env = gaussian_envelope(pulse_10ns, n_samples=4096, tail=300e-9)
         cfg = default_bloch_config(pulse_10ns, medium_od4)
         rec = integrate_weak_bloch(propagate_spectral(env, medium_od4, 1.0),
                                    cfg)
+        net = rec.up_flow - rec.coh_down_flow
         pe = np.stack([rec.pe, 1e-13 * rec.pe, rec.pe], axis=1)
-        coh = np.stack([rec.coh_down_flow, 1e-13 * rec.coh_down_flow,
-                        0.0 * rec.coh_down_flow], axis=1)
-        block = _fate_fractions_many(pe.copy(), coh.copy(), rec.dt, GAMMA)
+        net = np.stack([net, 1e-13 * net, rec.up_flow], axis=1)
+        block = _g_form(pe, net, rec.dt, GAMMA)[0]
         for j in range(pe.shape[1]):
-            alone = _fate_fractions_many(pe[:, j:j + 1].copy(),
-                                         coh[:, j:j + 1].copy(), rec.dt, GAMMA)
+            alone = _g_form(pe[:, j:j + 1].copy(), net[:, j:j + 1].copy(),
+                            rec.dt, GAMMA)[0]
             np.testing.assert_allclose(block[:, j], alone[:, 0], rtol=1e-14,
                                        atol=0)
         assert np.any(block[:, 1] > 0.0)
+        assert np.all(block[:, 2] == 0.0)
 
     def test_matches_loop_reference(self, pulse_10ns, medium_od4):
         # a stack of slices with and without phase flips, time on axis 0;
         # the chunked scan reassociates the loop's sums, so the results
         # agree to rounding, and with atol = 0 every value after the last
         # coherent removal must still be exactly 0
-        env = gaussian_envelope(pulse_10ns, n_samples=4096, tail=300e-9)
+        env = gaussian_envelope(pulse_10ns, n_samples=1024, tail=300e-9)
         cfg = default_bloch_config(pulse_10ns, medium_od4)
         recs = [integrate_weak_bloch(propagate_spectral(env, medium_od4, d),
                                      cfg) for d in (0.0, 0.5, 1.0)]
-        pe = np.stack([r.pe for r in recs])
-        coh = np.stack([r.coh_down_flow for r in recs])
-        coh[0] = 0.0  # a row without coherent removal
-        coh[1, 3000:] = 0.0  # a row whose last removal is early
-        f = _fate_fractions_many(pe.T.copy(), coh.T.copy(), recs[0].dt, GAMMA)
-        ref = fate_fractions_loop(pe, coh, recs[0].dt, GAMMA)
+        pe = np.stack([r.pe for r in recs], axis=1)
+        net = np.stack([r.up_flow - r.coh_down_flow for r in recs], axis=1)
+        net[:, 0] = np.abs(net[:, 0])  # a column without coherent removal
+        net[600:, 1] = np.abs(net[600:, 1])  # one whose last removal is early
+        g = _g_form(pe, net, recs[0].dt, GAMMA)[0]
+        ref = g_form_loop(pe, net, recs[0].dt, GAMMA)
+        assert np.all(ref[:, 0] == 0.0) and np.all(ref[600:, 1] == 0.0)
         assert np.any(ref > 0.0)
-        np.testing.assert_allclose(f.T, ref, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(g, ref, rtol=1e-12, atol=0)
 
 
 def scan_steps(m, size):
@@ -460,21 +502,93 @@ class TestBackwardScan:
         assert [_chunk_rows(m) for m in (16, 511, 1023)] == [4, 17, 31]
 
 
-class TestNetFlow:
-    def test_equals_gradient_form(self):
-        # a model block's P_e (sigma_t 10 ns, 32 depths to OD 4, 1,024
-        # samples) and its every-second-row view, as the model passes them
-        pulse = PulseSpec(intensity_rms=10e-9)
+# the model blocks of TestGForm: each case at depths up to these lone ODs
+G_FORM_ODS = (1.0, 4.0, 20.0)
+
+
+class TestGForm:
+    """The g-form of the coherent dwell, g = P_e f_coh, on the model's own
+    node blocks at sigma_t 2, 10, 50 and 200 ns, carriers 0 and 2 pi 5 MHz
+    and depths up to ODs 1, 4 and 20, and on closed forms."""
+
+    @pytest.mark.parametrize("carrier", [0.0, 2 * np.pi * 5e6])
+    @pytest.mark.parametrize("sigma_ns", [2, 10, 50, 200])
+    def test_within_excitation(self, sigma_ns, carrier):
+        # 0 <= g <= P_e, to 1e-12 of each column's peak: nothing is clipped,
+        # and the gain ratios at rounding-level P_e do not blow g up
+        for od in G_FORM_ODS:
+            pe, net, h, gamma = model_block(sigma_ns, od, carrier)
+            g = _g_form(pe, net, h, gamma)[0]
+            tol = 1e-12 * pe.max(axis=0)
+            assert np.all(g >= -tol), od
+            assert np.all(g <= pe + tol), od
+
+    @pytest.mark.parametrize("carrier", [0.0, 2 * np.pi * 5e6])
+    @pytest.mark.parametrize("sigma_ns", [2, 10, 50, 200])
+    def test_column_alone_equals_block(self, sigma_ns, carrier):
+        for od in G_FORM_ODS:
+            pe, net, h, gamma = model_block(sigma_ns, od, carrier)
+            block = _g_form(pe, net, h, gamma)[0]
+            for j in range(pe.shape[1]):
+                alone = _g_form(pe[:, j:j + 1].copy(), net[:, j:j + 1].copy(),
+                                h, gamma)[0]
+                np.testing.assert_allclose(block[:, j], alone[:, 0],
+                                           rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("carrier", [0.0, 2 * np.pi * 5e6])
+    @pytest.mark.parametrize("sigma_ns", [2, 10, 50, 200])
+    def test_rule_grid_converged(self, sigma_ns, carrier):
+        # doubling the rule's grid moves the coherent part (1 - P_L) tauT
+        # by at most 1e-6 (it is compared, not tauT: at 200 ns and OD 20,
+        # P_T is 6e-8)
+        pulse = PulseSpec(intensity_rms=sigma_ns * 1e-9,
+                          carrier_detuning=carrier)
         medium = MediumSpec.from_lifetime(1.0, TAU_SP)
-        env = gaussian_envelope(pulse, n_samples=1024,
-                                tail=10.0 / medium.gamma)
-        depths = np.linspace(0.125, 4.0, 32)[:, None]
-        spectra = (field_transfer(_detunings(env), medium, depths)
-                   * np.fft.fft(env.samples))
-        pe = _weak_pe(spectra, env.dt, default_bloch_config(pulse, medium))
-        for k in (1, 2):
-            block, h = pe[::k], k * env.dt
-            want = np.gradient(block, h, axis=0)
-            want += medium.gamma * block
-            assert np.array_equal(_net_flow(block, h, medium.gamma),
-                                  want), k
+        n = dwell._grid_samples(pulse, medium)
+        for od in G_FORM_ODS:
+            coh = [(1.0 - b.p_loss) * b.tauT for b in (
+                min_coherent_point(pulse, medium.with_od(od), n_samples=k)
+                for k in (n, 2 * n))]
+            assert abs(coh[0] - coh[1]) <= 1e-6, od
+
+    def test_net_is_the_flow(self):
+        # Im(c conj Omega) against dP_e/dt + gamma P_e, the derivative by a
+        # fourth-order centred difference of P_e on a fine grid
+        pe, net, h, gamma = model_block(10, 4.0, 0.0, n_samples=16384)
+        slope = (pe[:-4] - 8.0 * pe[1:-3] + 8.0 * pe[3:-1] - pe[4:]) / (12 * h)
+        np.testing.assert_allclose(net[2:-2], slope + gamma * pe[2:-2],
+                                   rtol=0, atol=1e-6 * np.abs(net).max())
+
+    # P_e = 1 + sign (0.5 u - 0.3 u^2 + 0.04 u^3) on `count` samples from
+    # u = start (unit step): net = P_e' + gamma P_e changes sign twice, near
+    # u = 1 and 4, gain-removal-gain for sign 1 and removal-gain-removal for
+    # -1.  5 samples from 0.5 put the crossings in the first and last steps,
+    # off centre in their 4 net samples, and 7 from -0.5 in inner steps
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("start,count", [(0.5, 5), (-0.5, 7)])
+    def test_exact_for_cubic_excitation(self, start, count, sign):
+        # with P_e cubic, net is cubic too, so the Hermite values and
+        # integrals and the cubic through 4 net samples are exact, and so
+        # is g: it equals the closed form, removal and gain taken in turn
+        # between the samples and the roots of net
+        gamma = 0.04
+        p = np.polynomial.Polynomial([1.0, 0.5 * sign, -0.3 * sign,
+                                      0.04 * sign])
+        net = p.deriv() + gamma * p
+        u = start + np.arange(float(count))
+        roots = [r.real for r in net.roots()
+                 if abs(r.imag) < 1e-12 and u[0] < r.real < u[-1]]
+        assert len(roots) == 2
+        knots = np.sort(np.concatenate([u, roots]))
+        area = p.integ()
+        exact, g = {u[-1]: 0.0}, 0.0
+        for a, b in zip(knots[-2::-1], knots[:0:-1]):
+            if net(0.5 * (a + b)) >= 0.0:
+                g *= p(a) / p(b) * np.exp(-gamma * (b - a))
+            else:
+                g += p(a) - p(b) - gamma * (area(b) - area(a))
+            exact[a] = g
+        got = _g_form(p(u)[:, None], net(u)[:, None], 1.0, gamma)[0][:, 0]
+        assert got[0] > 0.0
+        np.testing.assert_allclose(got, [exact[x] for x in u], rtol=1e-12,
+                                   atol=0)

@@ -1,5 +1,4 @@
 import functools
-import inspect
 import sys
 import tracemalloc
 import warnings
@@ -23,8 +22,6 @@ from xdwell import (
     min_coherent_model,
     transmission_probability,
 )
-from xdwell.bloch import _net_flow, _weak_pe
-from xdwell.medium import _detunings, field_transfer
 
 from conftest import (
     SPECTRAL_ODS,
@@ -44,9 +41,10 @@ DEFAULT_OD_GRID = [0.01, 0.25, 0.5, 1, 1.5, 2, 3, 4]
 BAD_OD_GRIDS = [[4, 1], [0.5, 0.5], [-1, 1], [1, float("inf")]]
 # `xdwell models` on an empty [models] section
 GOLDEN_CURVES = Path(__file__).parent / "data" / "model_curves_default.csv"
-# the min-coherent rows of that sweep on a 16,384 + 32,768-sample Richardson
-# pair, converged in time to about 2e-11; written by
-# make_model_curves_reference.py
+# the min-coherent rows of that sweep from the fate-hazard form on a
+# 16,384 + 32,768-sample Richardson pair, converged in time to about 2e-11;
+# it shares no time integration with the model's g-form, so it is an
+# independent oracle.  Written by make_model_curves_reference.py
 REFERENCE_CURVES = (Path(__file__).parent / "data"
                     / "model_curves_reference.csv")
 
@@ -196,26 +194,6 @@ def default_curve(sigma_ns):
                      for b in curve])
 
 
-def single_grid_ratio(pulse, medium, n_samples):
-    """tauT/tau0 at `medium.peak_od` (at most 4, one node block) from the
-    `n_samples` grid alone: the model's steps without the extrapolation."""
-    bloch = default_bloch_config(pulse, medium)
-    env = gaussian_envelope(pulse, n_samples=n_samples,
-                            tail=10.0 / medium.gamma)
-    depths, weights, _ = dwell._depth_nodes(np.array([medium.peak_od]), 8)
-    spectra = field_transfer(_detunings(env), medium.with_od(1.0),
-                             depths[:, None]) * np.fft.fft(env.samples)
-    pe = _weak_pe(spectra, env.dt, bloch)
-    net = _net_flow(pe, env.dt, bloch.gamma)
-    split = dwell._hard_steps(pe, net, env.dt)
-    tau0, coh = dwell._fate_integrals(pe, spectra.T, net, env.dt,
-                                      bloch.gamma, split) @ weights
-    scale = bloch.gamma ** 2 / (bloch.rabi_per_amplitude ** 2
-                                * env.photon_number)
-    tau0, coh = tau0 * scale, coh * scale
-    return coh / ((1.0 - tau0) * tau0)
-
-
 class TestMinCoherent:
     def test_frozen_od4_broadband(self, pulse_10ns, medium_od4):
         b = min_coherent_point(pulse_10ns, medium_od4)
@@ -271,16 +249,36 @@ class TestMinCoherent:
         with pytest.raises(ConfigError):
             min_coherent_point(pulse_10ns, medium_od4, slices=7)
 
-    # odd: no half grid of the same span; even but below the floor
-    @pytest.mark.parametrize("n", [1023, dwell._MIN_SAMPLES - 2])
+    # below the 512-sample floor, which at sigma_t 10 ns is finer than the
+    # tau_sp / 4 step
+    @pytest.mark.parametrize("n", [dwell._MIN_SAMPLES - 1, 254])
     def test_unusable_half_grid(self, pulse_10ns, medium_od4, n):
         with pytest.raises(ConfigError, match="n_samples"):
             min_coherent_model(pulse_10ns, medium_od4, n_samples=n)
+
+    def test_step_coarser_than_lifetime_rule(self, medium_od4):
+        # 512 samples over 32 x 200 ns and 10 lifetimes step 0.49 tau_sp
+        pulse = PulseSpec(intensity_rms=200e-9)
+        with pytest.raises(ConfigError, match="n_samples must be >= 1007"):
+            min_coherent_model(pulse, medium_od4, n_samples=512)
+        [b] = min_coherent_model(pulse, medium_od4, n_samples=1007)
+        assert isinstance(b, DwellBreakdown)
 
     @pytest.mark.parametrize("grid", BAD_OD_GRIDS)
     def test_bad_od_grid(self, pulse_10ns, medium_od4, grid):
         with pytest.raises(ConfigError):
             min_coherent_model(pulse_10ns, medium_od4, grid)
+
+    def test_gauss_legendre_cached(self):
+        # leggauss runs once per `slices`; the arrays every curve shares
+        # are read-only
+        first = dwell._gauss_legendre(8)
+        second = dwell._gauss_legendre(8)
+        for a, b, want in zip(first, second,
+                              np.polynomial.legendre.leggauss(8)):
+            assert b is a
+            np.testing.assert_array_equal(b, want)
+            assert not b.flags.writeable
 
     @pytest.mark.parametrize("pulse", [PulseSpec(intensity_rms=10e-9),
                                        PulseSpec(intensity_rms=50e-9)])
@@ -331,28 +329,38 @@ class TestTimeGrid:
         np.testing.assert_allclose(default_curve(sigma_ns), want, rtol=0,
                                    atol=1e-5)
 
-    def test_extrapolation_beats_either_grid(self, pulse_50ns, medium_od4):
-        # the worst case of the single-grid rule: tauT/tau0 at 50 ns and
-        # OD 4, where P_T is 0.048
-        ods, ref = reference_curves()[50]
-        want = ref[list(ods).index(4.0), 3]
-        n = inspect.signature(min_coherent_model).parameters[
-            "n_samples"].default
-        got = min_coherent_point(pulse_50ns, medium_od4)
-        fine, coarse = (single_grid_ratio(pulse_50ns, medium_od4, k)
-                        for k in (n, n // 2))
-        assert abs(got.tauT / got.tau0 - want) < min(abs(fine - want),
-                                                     abs(coarse - want))
+    @pytest.mark.parametrize("sigma_ns,want", [(2, 512), (10, 512),
+                                               (50, 512), (200, 1024)])
+    def test_default_grid_rule(self, sigma_ns, want, medium_od4,
+                               monkeypatch):
+        # the smallest power of two of at least 512 whose step is at most
+        # tau_sp / 4
+        sizes = []
+
+        def envelope(*args, n_samples, **kwargs):
+            sizes.append(n_samples)
+            return gaussian_envelope(*args, n_samples=n_samples, **kwargs)
+
+        monkeypatch.setattr(dwell, "gaussian_envelope", envelope)
+        min_coherent_point(PulseSpec(intensity_rms=sigma_ns * 1e-9),
+                           medium_od4)
+        assert sizes == [want]
+
+    def test_default_grid_limit(self, medium_od4):
+        # sigma_t 10 us would need 2**16 samples: the curve fails whole
+        with pytest.raises(ConvergenceError, match="65536 time samples"):
+            min_coherent_model(PulseSpec(intensity_rms=10e-6), medium_od4)
 
     def test_wide_pulse_curve_stands(self, medium_od4):
-        # the coherent dwell of a 200 ns pulse is about 0, and extrapolation
-        # can round it below 0: it is held in [0, tau0], not failed
+        # the coherent dwell of a 200 ns pulse is about 0, and rounding can
+        # put it below 0: it is held in [0, tau0], not failed
         curve = min_coherent_model(PulseSpec(intensity_rms=200e-9),
                                    medium_od4, DEFAULT_OD_GRID)
         assert all(isinstance(b, DwellBreakdown) for b in curve)
 
     def test_default_curves_warn_nothing(self):
-        # an `f_coh clamped` warning would show first on the coarse grid
+        # no overflow or invalid value in the g-form's gain ratios or its
+        # crossing roots
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for sigma_ns in (10, 50):
@@ -380,34 +388,6 @@ class TestBandLimit:
         band = parts()
         monkeypatch.setattr(dwell, "_SPECTRUM_FLOOR", 0.0)
         np.testing.assert_allclose(band, parts(), rtol=0, atol=1e-12)
-
-
-class TestSplitSteps:
-    # c = c0 exp(mu t) with Re mu = -gamma (1 + k) / 2: P_e decays at
-    # gamma (1 + k), so the removal hazard is gamma k throughout and the
-    # step has a closed form; steps 0 and 10 of 12 sit off centre in their
-    # interpolation stencil
-    @pytest.mark.parametrize("k", [0.0, 2.0])
-    @pytest.mark.parametrize("step", [0, 5, 10])
-    def test_constant_hazard_step(self, k, step):
-        h, gamma = 1e-9, 1.0 / TAU_SP
-        rate = gamma * (1.0 + k)
-        t = h * np.arange(12)
-        c = (1e-3 * np.exp((2j * 1e7 - 0.5 * rate) * t))[:, None]
-        a, b, p, q = dwell._split_steps(c, (np.array([step]), np.array([0])),
-                                        h, gamma)
-        pe = abs(c[step, 0]) ** 2
-        decay = np.exp(-rate * h)
-        share = k / (1.0 + k)
-        assert a[0] == pytest.approx(share * (1.0 - decay), rel=1e-9,
-                                     abs=1e-11)
-        assert b[0] == pytest.approx(decay, rel=1e-9)
-        assert q[0] == pytest.approx(pe * h * decay, rel=1e-9)
-        # p integrates a fraction that varies across the sub-steps, with
-        # the trapezoid rule: O((h / _SUB_STEPS)^2)
-        assert p[0] == pytest.approx(
-            pe * share * ((1.0 - decay) / rate - h * decay), rel=2e-4,
-            abs=1e-9 * pe * h)
 
 
 class TestSweep:
@@ -501,10 +481,10 @@ class TestSweep:
 
 class TestMemory:
     def test_min_coherent_point_peak(self, pulse_10ns, medium_od4):
-        # a 4,096-sample fine grid measures 3.7 MiB; 128 nodes in one
-        # block, their complex spectra plus P_e, would take 12 MiB, and a
-        # full-size temporary on top of that would pass 16 MiB (the curve
-        # test below bounds the blocked peak)
+        # a 4,096-sample grid measures 7.5 MiB, most of it one 32-node
+        # block's complex spectra and field; 128 nodes in one block would
+        # take 16 MiB for those two alone (the curve test below bounds the
+        # blocked peak on the default grid)
         min_coherent_model(pulse_10ns, medium_od4)
         tracemalloc.start()
         try:
@@ -520,10 +500,10 @@ class TestMemory:
     def test_min_coherent_curve_peak(self, pulse_10ns, medium_od4, od_grid,
                                      slices):
         # nodes go through in blocks of at most 32, each freed before the
-        # next: the peak is one block's amplitudes, P_e, flows, split
-        # steps and the fate scan's chunk-major copy, whatever the number
-        # of nodes (512 at OD 4 x 128).  Both cases measure about 2.0 MiB
-        # on the default 1,024-sample grid; blocks of 64 nodes read 3.9 MiB
+        # next: the peak is one block's amplitudes, field, P_e, net flow,
+        # g-form steps and the scan's chunk-major copy, whatever the number
+        # of nodes (512 at OD 4 x 128).  Both cases measure about 1.1 MiB
+        # on the default 512-sample grid; blocks of 64 nodes read 2.1 MiB
         min_coherent_model(pulse_10ns, medium_od4, od_grid, slices=slices)
         tracemalloc.start()
         try:
@@ -531,7 +511,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 2**20
+        assert peak <= 1.5 * 2**20
 
 
 class TestBreakdownValidation:
