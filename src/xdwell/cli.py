@@ -225,12 +225,8 @@ def cmd_models(args) -> int:
                                 carrier_detuning=body["carrier_detuning"]))
               for model in (MODEL_EGALITARIAN, MODEL_MIN_COHERENT)
               for sigma in (body["sigma_t_broad"], body["sigma_t_narrow"])]
-    # curves run on --workers threads, one curve per thread (numpy releases
-    # the GIL in the FFTs and array passes); rows are written in grid
-    # order, so the file is the same at any worker count
-    results = shots.thread_map(
-        _model_curve, ((model, pulse, medium, od_grid, body["slices"])
-                       for model, pulse in curves), args.workers)
+    results = [_model_curve(model, pulse, medium, od_grid, body["slices"])
+               for model, pulse in curves]
     rows = []
     for (model, pulse), curve in zip(curves, results):
         sigma = pulse.intensity_rms
@@ -333,14 +329,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out": dict(default=".", help="output directory"),
         "--seed": dict(type=int, default=0, help="campaign seed"),
         "--workers": dict(type=int, default=_available_cpus(),
-                          help="threads generating campaign batches or model "
-                          "curves (default: the CPUs this process may use)"),
+                          help="threads generating campaign batches "
+                          "(default: the CPUs this process may use)"),
         "--force-digest": dict(action="store_true",
                                help="analyze despite a config-digest mismatch"),
     }
     commands = {
         "propagate": (cmd_propagate, ()),
-        "models": (cmd_models, ("--workers",)),
+        "models": (cmd_models, ()),
         "simulate": (cmd_simulate, ("--seed", "--workers")),
         "analyze": (cmd_analyze, ("--force-digest",)),
         "calibrate": (cmd_calibrate, ("--seed", "--workers")),

@@ -45,46 +45,35 @@ MIN_BIN_POPULATION = 100
 
 
 class RunningMoments:
-    """Streaming per-sample mean/variance with mergeable partial moments."""
+    """Per-sample sums about a shift over all rows and over the click rows:
+    one accumulator for a whole binning pass.
+
+    `s1[0]` and `s2[0]` sum x - shift and (x - shift)**2 over all rows,
+    `s1[1]` and `s2[1]` over the click rows; the no-click sums are their
+    difference.  The shift is the first non-empty batch's mean, so the
+    sums stay small and S2 - S1**2/n loses no precision to an offset.
+    """
 
     def __init__(self, width: int):
         self.count = 0
-        self.mean = np.zeros(width)
-        self.m2 = np.zeros(width)
+        self.n_click = 0
+        self.shift = None
+        self.s1 = np.zeros((2, width))
+        self.s2 = np.zeros((2, width))
 
-    def add_batch(self, x: np.ndarray):
+    def add_batch(self, x: np.ndarray, clicks):
         m = x.shape[0]
         if m == 0:
             return
-        batch_mean = x.mean(axis=0)
-        batch_m2 = ((x - batch_mean) ** 2).sum(axis=0)
-        self._merge(m, batch_mean, batch_m2)
-
-    def merge(self, other: "RunningMoments"):
-        self._merge(other.count, other.mean, other.m2)
-
-    def _merge(self, n2, mean2, m2_2):
-        if n2 == 0:
-            return
-        n1 = self.count
-        if n1 == 0:
-            self.count, self.mean, self.m2 = n2, mean2.copy(), m2_2.copy()
-            return
-        total = n1 + n2
-        delta = mean2 - self.mean
-        self.mean = self.mean + delta * (n2 / total)
-        self.m2 = self.m2 + m2_2 + delta**2 * (n1 * n2 / total)
-        self.count = total
-
-    @property
-    def variance(self) -> np.ndarray:
-        if self.count < 2:
-            return np.full_like(self.mean, np.nan)
-        return self.m2 / (self.count - 1)
-
-    @property
-    def standard_error(self) -> np.ndarray:
-        return np.sqrt(self.variance / self.count)
+        if self.shift is None:
+            self.shift = x.mean(axis=0)
+        weights = np.ones((2, m))
+        weights[1] = np.asarray(clicks, dtype=bool)
+        d = x - self.shift
+        self.s1 += weights @ d
+        self.s2 += weights @ np.square(d, out=d)
+        self.count += m
+        self.n_click += int(np.count_nonzero(weights[1]))
 
 
 @dataclass(frozen=True)
@@ -133,39 +122,41 @@ class ClickCheckReport:
     n_noclick: int
 
 
-def bin_and_average(batches) -> BinnedTraces:
-    """Single-pass streaming means/variances per sample for each bin.
+def _bin(n: int, s1: np.ndarray, s2: np.ndarray):
+    """A bin's mean about the shift and its squared standard error; a
+    constant sample can round S2 - S1**2/n to just below 0."""
+    return s1 / n, np.maximum(s2 - s1 * s1 / n, 0.0) / ((n - 1) * n)
 
-    `batches` is an iterable of (phases, clicks[, truth]) batches.  The
-    all-shot moments are the merge of the two bins' moments.
+
+def bin_and_average(batches) -> BinnedTraces:
+    """Per-sample means and errors of each bin, in one streaming pass.
+
+    `batches` is an iterable of (phases, clicks[, truth]) batches, summed
+    by one `RunningMoments`; the no-click sums are all minus click.
     """
-    click_stats = None
-    noclick_stats = None
+    stats = None
     for batch in batches:
-        phases, clicks = batch[0], np.asarray(batch[1], dtype=bool)
-        if click_stats is None:
-            width = phases.shape[1]
-            click_stats = RunningMoments(width)
-            noclick_stats = RunningMoments(width)
-        click_stats.add_batch(phases[clicks])
-        noclick_stats.add_batch(phases[~clicks])
-    if click_stats is None:
+        if stats is None:
+            stats = RunningMoments(batch[0].shape[1])
+        stats.add_batch(batch[0], batch[1])
+    if stats is None:
         raise InsufficientBinError("click", 0, MIN_BIN_POPULATION)
-    for name, stats in (("click", click_stats), ("no-click", noclick_stats)):
-        if stats.count < MIN_BIN_POPULATION:
-            raise InsufficientBinError(name, stats.count, MIN_BIN_POPULATION)
-    all_stats = RunningMoments(width)
-    all_stats.merge(click_stats)
-    all_stats.merge(noclick_stats)
-    se_c = click_stats.standard_error
-    se_n = noclick_stats.standard_error
+    n_click = stats.n_click
+    n_noclick = stats.count - n_click
+    for name, n in (("click", n_click), ("no-click", n_noclick)):
+        if n < MIN_BIN_POPULATION:
+            raise InsufficientBinError(name, n, MIN_BIN_POPULATION)
+    (s1, s1_click), (s2, s2_click) = stats.s1, stats.s2
+    mean_click, var_click = _bin(n_click, s1_click, s2_click)
+    mean_noclick, var_noclick = _bin(n_noclick, s1 - s1_click, s2 - s2_click)
+    mean_all, var_all = _bin(stats.count, s1, s2)
     return BinnedTraces(
-        delta_phi=click_stats.mean - noclick_stats.mean,
-        se_delta=np.sqrt(se_c**2 + se_n**2),
-        n_click=click_stats.count,
-        n_noclick=noclick_stats.count,
-        phi_all=all_stats.mean,
-        se_all=all_stats.standard_error,
+        delta_phi=mean_click - mean_noclick,
+        se_delta=np.sqrt(var_click + var_noclick),
+        n_click=n_click,
+        n_noclick=n_noclick,
+        phi_all=stats.shift + mean_all,
+        se_all=np.sqrt(var_all),
     )
 
 

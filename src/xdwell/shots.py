@@ -331,24 +331,14 @@ def iter_batches(cfg: ExperimentConfig, n_shots: int, seed: int,
     jobs = ((cfg, template, _batch_rng(seed, campaign, i),
              min(BATCH_SIZE, n_shots - start))
             for i, start in enumerate(range(0, n_shots, BATCH_SIZE)))
-    yield from thread_map(_generate_batch, jobs, workers)
-
-
-def thread_map(fn, jobs, workers: int):
-    """Yield fn(*job) for each job of the iterable `jobs`, in job order.
-
-    At workers <= 1 every call runs in the calling thread, and no thread
-    starts.  Above that, the calls run on a pool of `workers` threads with
-    at most 2 * workers jobs in flight, so memory does not grow with the
-    number of jobs."""
     if workers <= 1:
         for job in jobs:
-            yield fn(*job)
+            yield _generate_batch(*job)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for job in jobs:
-            pending.append(pool.submit(fn, *job))
+            pending.append(pool.submit(_generate_batch, *job))
             if len(pending) == 2 * workers:
                 yield pending.popleft().result()
         while pending:

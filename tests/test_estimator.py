@@ -1,5 +1,6 @@
 import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -53,33 +54,60 @@ def make_batch(n_shots, rng, click_frac=0.5, offset=None, noise=0.0):
     return phases, clicks
 
 
+# seven uneven batches; the first is large enough to hold a useful shift
+SPLITS = [700, 737, 1200, 2000, 2999, 4000]
+
+
+def accumulate(x, clicks, splits=SPLITS):
+    stats = RunningMoments(x.shape[1])
+    for xb, cb in zip(np.split(x, splits), np.split(clicks, splits)):
+        stats.add_batch(xb, cb)
+    return stats
+
+
+def moments(stats, row, n):
+    """Mean and sample variance of the rows that `stats.s1[row]` sums."""
+    s1, s2 = stats.s1[row], stats.s2[row]
+    return stats.shift + s1 / n, (s2 - s1**2 / n) / (n - 1)
+
+
 class TestRunningMoments:
+    def check_two_pass(self, x, clicks):
+        stats = accumulate(x, clicks)
+        assert type(stats.count) is int and type(stats.n_click) is int
+        assert (stats.count, stats.n_click) == (len(x), clicks.sum())
+        for row, rows in ((0, x), (1, x[clicks])):
+            mean, var = moments(stats, row, len(rows))
+            # a mean near 0 is held to 1e-15 of the unit spread; numpy's
+            # own mean errs by about 1e-16 there
+            np.testing.assert_allclose(mean, rows.mean(axis=0), rtol=1e-12,
+                                       atol=1e-15)
+            np.testing.assert_allclose(var, rows.var(axis=0, ddof=1),
+                                       rtol=1e-12)
+
     def test_matches_two_pass(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((5000, N))
-        m = RunningMoments(N)
-        for chunk in np.array_split(x, 7):
-            m.add_batch(chunk)
-        np.testing.assert_allclose(m.mean, x.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(m.variance, x.var(axis=0, ddof=1),
-                                   rtol=1e-12)
+        self.check_two_pass(rng.standard_normal((5000, N)),
+                            rng.random(5000) < 0.3)
 
-    def test_merge_associative(self):
+    def test_offset_data_matches_two_pass(self):
+        # sums about zero would lose eight digits of the variance to the
+        # 1e4 offset
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((3000, N))
-        a, b = RunningMoments(N), RunningMoments(N)
-        a.add_batch(x[:1000])
-        b.add_batch(x[1000:])
-        a.merge(b)
-        np.testing.assert_allclose(a.mean, x.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(a.variance, x.var(axis=0, ddof=1),
-                                   rtol=1e-12)
+        self.check_two_pass(1e4 + rng.standard_normal((5000, N)),
+                            rng.random(5000) < 0.3)
 
-    def test_empty_merge(self):
-        a = RunningMoments(N)
-        a.add_batch(np.ones((10, N)))
-        a.merge(RunningMoments(N))
-        assert a.count == 10
+    def test_empty_first_batch_changes_nothing(self):
+        rng = np.random.default_rng(2)
+        phases, clicks = make_batch(3000, rng, noise=0.2)
+        batches = [(phases[:1000], clicks[:1000]),
+                   (phases[1000:], clicks[1000:])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plain = bin_and_average(batches)
+            padded = bin_and_average([(phases[:0], clicks[:0])] + batches)
+        for key, value in plain.__dict__.items():
+            np.testing.assert_array_equal(padded.__dict__[key], value)
 
 
 class TestBinning:
@@ -112,6 +140,10 @@ class TestBinning:
             streamed.se_all,
             phases.std(axis=0, ddof=1) / np.sqrt(phases.shape[0]),
             rtol=1e-12)
+        se2 = [phases[b].var(axis=0, ddof=1) / b.sum()
+               for b in (clicks, ~clicks)]
+        np.testing.assert_allclose(streamed.se_delta, np.sqrt(sum(se2)),
+                                   rtol=1e-12)
 
     def test_underpopulated_bin_named(self):
         phases = np.zeros((150, N))
@@ -337,8 +369,9 @@ def boosted_file(tmp_path_factory):
 class TestAnalyzeFile:
     def test_report_independent_of_batch_size(self, boosted_file,
                                               monkeypatch):
-        # only the order of the Chan merges differs, which moves the report
-        # by about 1e-13 relative
+        # only the shift (the first batch's mean) and the order in which the
+        # sums are added differ, which moves the report by about 1e-14
+        # relative
         path, cfg = boosted_file
         report, _ = analyze_file(path, cfg)
         monkeypatch.setattr(shotfile, "iter_shot_batches", functools.partial(
@@ -352,10 +385,10 @@ class TestAnalyzeFile:
 
 class TestMemory:
     def test_analysis_peak(self, boosted_file):
-        # analysis holds one 4,096-record batch (1.3 MB with truth), its two
-        # click/no-click gathers and the add_batch temporaries: this reads
-        # 3.0 MiB under tracemalloc whatever the file size.  Batches of
-        # 65,536 records read 47 MiB
+        # analysis holds one 4,096-record batch (1.3 MB with truth) and
+        # add_batch's one difference array (1.2 MB): this reads 2.6 MiB
+        # under tracemalloc whatever the file size.  Batches of 65,536
+        # records read 41 MiB
         path, cfg = boosted_file
         analyze_file(path, cfg)
         tracemalloc.start()

@@ -446,7 +446,8 @@ class TestCli:
             assert abs(p_loss * tau_l + (1 - p_loss) * tau_t - tau0) < 1e-3
 
     def test_workers_default_is_available_cpus(self):
-        args = cli._build_parser().parse_args(["models", "--config", "m.ini"])
+        args = cli._build_parser().parse_args(["simulate", "--config",
+                                               "c.ini"])
         if hasattr(os, "sched_getaffinity"):
             assert args.workers == len(os.sched_getaffinity(0))
         else:
@@ -494,7 +495,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--seed", "-1"], ["calibrate", "--seed", str(2**64)],
-        ["models", "--workers", "0"]])
+        ["simulate", "--workers", "0"]])
     def test_bad_seed_or_workers_exit_2(self, tmp_path, argv):
         cfg = write_config(tmp_path / "c.ini", SIM_INI.format(n_shots=1000))
         out = tmp_path / "o"
@@ -503,7 +504,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--seed", "1"], ["propagate", "--workers", "2"],
-        ["simulate", "--force-digest"]])
+        ["simulate", "--force-digest"], ["models", "--workers", "2"]])
     def test_flag_the_command_does_not_read_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + ["--config", "c.ini"])
@@ -512,13 +513,12 @@ class TestCli:
 
     def test_models_one_worker_starts_no_thread(self, tmp_path, monkeypatch):
         def no_thread(self):
-            raise RuntimeError("models --workers 1 started a thread")
+            raise RuntimeError("models started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         cfg = write_config(tmp_path / "m.ini", "[models]\nod_grid = 1\n")
         out = tmp_path / "models"
-        assert cli.main(["models", "--config", cfg, "--workers", "1",
-                         "--out", str(out)]) == 0
+        assert cli.main(["models", "--config", cfg, "--out", str(out)]) == 0
         rows = (out / "model_curves.csv").read_text().splitlines()
         assert len(rows) == 1 + 4
 
@@ -602,7 +602,7 @@ class NoScipy:
 sys.meta_path.insert(0, NoScipy())
 cfg, out = sys.argv[1:]
 for command in ("propagate", "models", "simulate", "analyze", "calibrate"):
-    workers = [] if command in ("propagate", "analyze") else ["--workers", "2"]
+    workers = ["--workers", "2"] if command in ("simulate", "calibrate") else []
     code = xdwell.cli.main([command, "--config", cfg, "--out", out] + workers)
     if code != 0:
         sys.exit(f"{command} exited {code}")
