@@ -90,25 +90,33 @@ def _weak_amplitudes(spectra: np.ndarray, dt: float,
     return c
 
 
-def _weak_pe(spectra: np.ndarray, dt: float, cfg: BlochConfig) -> np.ndarray:
+def _weak_pe(spectra: np.ndarray, dt: float, cfg: BlochConfig,
+             out: np.ndarray | None = None,
+             work: np.ndarray | None = None) -> np.ndarray:
     """P_e = |c|^2 of the weak response to each row of `spectra` (consumed:
-    it ends up holding c), time-major: (N, rows) for (rows, N) spectra.
-    Raises WeakExcitationError past the weak-drive limit."""
+    it ends up holding c), time-major: (N, rows) for (rows, N) spectra,
+    written into `out` and with `work` as the temporary (both (N, rows);
+    fresh by default).  Raises WeakExcitationError past the weak-drive
+    limit."""
     c = _weak_amplitudes(spectra, dt, cfg)
     # |c|^2 written time-major, with no transpose copy
-    pe = np.square(c.real.T, out=np.empty(c.shape[::-1]))
-    pe += np.square(c.imag.T)
+    pe = np.square(c.real.T,
+                   out=np.empty(c.shape[::-1]) if out is None else out)
+    pe += np.square(c.imag.T, out=work)
     _check_weak(pe)
     return pe
 
 
-def _exact_net(c: np.ndarray, field: np.ndarray, rabi: float) -> np.ndarray:
+def _exact_net(c: np.ndarray, field: np.ndarray, rabi: float,
+               out: np.ndarray | None = None,
+               work: np.ndarray | None = None) -> np.ndarray:
     """dP_e/dt + gamma P_e = Im(c conj(Omega)), Omega = rabi * field, at each
     sample of the amplitudes `c` (rows along the last axis, like `field`),
-    time-major like `_weak_pe`.  Exact: c solves dc/dt = lam c + i Omega/2
-    at the samples."""
-    net = np.multiply(c.imag.T, field.real.T, out=np.empty(c.shape[::-1]))
-    net -= np.multiply(c.real.T, field.imag.T)
+    time-major like `_weak_pe`, with its `out` and `work`.  Exact: c solves
+    dc/dt = lam c + i Omega/2 at the samples."""
+    net = np.multiply(c.imag.T, field.real.T,
+                      out=np.empty(c.shape[::-1]) if out is None else out)
+    net -= np.multiply(c.real.T, field.imag.T, out=work)
     net *= rabi
     return net
 
@@ -179,10 +187,12 @@ def _chunks(x: np.ndarray, start: int, size: int) -> np.ndarray:
     return x[start:].reshape(k, size, *x.shape[1:])
 
 
-def _backward_scan(f: np.ndarray, b: np.ndarray):
+def _backward_scan(f: np.ndarray, b: np.ndarray,
+                   work: np.ndarray | None = None):
     """Solve f_n = a_n + b_n f_{n+1} backward, in place: `f` holds a_n in
     rows :-1 and the end value in its last row; `b` has one row fewer and
-    is consumed.
+    is consumed.  The chunk-major copy of b goes to the front of `work`, a
+    flat float array of at least b.size (fresh by default).
 
     A two-level scan.  The rows after the first m % C fall into chunks of
     C = `_chunk_rows(m)` rows, all solved at once from a zero end value
@@ -199,7 +209,10 @@ def _backward_scan(f: np.ndarray, b: np.ndarray):
     # those rows side by side: on rows a chunk apart each ufunc call
     # iterates row by row and costs several times as much.  Once copied,
     # the chunk rows of b are spent and hold the copy of f
-    b_rows = bc.swapaxes(0, 1).copy()
+    rows = bc.swapaxes(0, 1)
+    b_rows = (np.empty(rows.shape) if work is None
+              else work[:rows.size].reshape(rows.shape))
+    b_rows[...] = rows
     f_rows = b[head:].reshape(b_rows.shape)
     f_rows[...] = fc.swapaxes(0, 1)
     step = np.empty(f_rows.shape[1:])
@@ -306,10 +319,14 @@ def _crossing_steps(pe, slope, net, area, floor, steps, h, gamma):
     return np.where(into, removal, b * removal), b
 
 
-def _g_form(pe: np.ndarray, net: np.ndarray, h: float, gamma: float):
+def _g_form(pe: np.ndarray, net: np.ndarray, h: float, gamma: float,
+            work: np.ndarray | None = None):
     """g = P_e f_coh at each sample (time on axis 0): the excitation
     present then that will leave by coherent return, and the exact slope
-    P_e' = net - gamma P_e; returns (g, slope).
+    P_e' = net - gamma P_e; returns (g, slope).  g, slope, the steps'
+    Hermite integrals and a scratch array are views of `work`, a flat
+    float array of at least 4 pe.size (fresh by default); the scan's copy
+    reuses the integrals once they are spent.
 
     g obeys g' = net where net < 0 (coherent removal) and
     g' = (net / P_e) g where net >= 0 (gain, where f_coh decays backward at
@@ -321,14 +338,18 @@ def _g_form(pe: np.ndarray, net: np.ndarray, h: float, gamma: float):
     changes sign is split at its root (`_crossing_steps`).  Every
     operation is per column, and so is the floor of the gain divisor.
     """
-    slope = np.multiply(pe, -gamma)
+    n, m = pe.size, net[1:].size  # samples and steps, times columns
+    if work is None:
+        work = np.empty(2 * (n + m))
+    slope, g = work[:2 * n].reshape(2, *pe.shape)
+    area, scratch = work[2 * n:2 * (n + m)].reshape(2, -1, pe.shape[1])
+    np.multiply(pe, -gamma, out=slope)
     slope += net
-    area = np.add(pe[:-1], pe[1:])  # the Hermite integral of each step
+    np.add(pe[:-1], pe[1:], out=area)  # the Hermite integral of each step
     area *= 0.5 * h
-    scratch = np.subtract(slope[:-1], slope[1:])
+    np.subtract(slope[:-1], slope[1:], out=scratch)
     scratch *= h * h / 12.0
     area += scratch
-    g = np.empty_like(pe)
     a = np.subtract(pe[:-1], pe[1:], out=g[:-1])
     a -= np.multiply(area, gamma, out=scratch)
     g[-1] = 0.0
@@ -344,7 +365,7 @@ def _g_form(pe: np.ndarray, net: np.ndarray, h: float, gamma: float):
     steps = divmod(np.flatnonzero(gain[:-1] != gain[1:]), pe.shape[1])
     a[steps], b[steps] = _crossing_steps(pe, slope, net, area, floor, steps,
                                          h, gamma)
-    _backward_scan(g, b)
+    _backward_scan(g, b, area.reshape(-1))
     return g, slope
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -319,7 +320,12 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once.  It names the subcommand and leaves
+    `--workers` at None when not given; `main` resolves both when it runs,
+    so a handler replaced after the first call and the CPUs the process
+    may use then both count."""
     parser = argparse.ArgumentParser(
         prog="xdwell",
         description="Simulate and analyze single-photon dwell-time campaigns")
@@ -328,29 +334,30 @@ def _build_parser() -> argparse.ArgumentParser:
         "--config": dict(required=True, help="INI config path"),
         "--out": dict(default=".", help="output directory"),
         "--seed": dict(type=int, default=0, help="campaign seed"),
-        "--workers": dict(type=int, default=_available_cpus(),
+        "--workers": dict(type=int,
                           help="threads generating campaign batches "
                           "(default: the CPUs this process may use)"),
         "--force-digest": dict(action="store_true",
                                help="analyze despite a config-digest mismatch"),
     }
     commands = {
-        "propagate": (cmd_propagate, ()),
-        "models": (cmd_models, ()),
-        "simulate": (cmd_simulate, ("--seed", "--workers")),
-        "analyze": (cmd_analyze, ("--force-digest",)),
-        "calibrate": (cmd_calibrate, ("--seed", "--workers")),
+        "propagate": (),
+        "models": (),
+        "simulate": ("--seed", "--workers"),
+        "analyze": ("--force-digest",),
+        "calibrate": ("--seed", "--workers"),
     }
-    for name, (handler, extra) in commands.items():
+    for name, extra in commands.items():
         p = sub.add_parser(name)
         for flag in ("--config", "--out") + extra:
             p.add_argument(flag, **flags[flag])
-        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if "workers" in args and args.workers is None:
+        args.workers = _available_cpus()
     if not 0 <= getattr(args, "seed", 0) <= 2**64 - 1:
         print("error: --seed must fit in an unsigned 64-bit value",
               file=sys.stderr)
@@ -359,7 +366,7 @@ def main(argv=None) -> int:
         print("error: --workers must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return args.handler(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +118,7 @@ def egalitarian_broadband(pulse: PulseSpec, medium: MediumSpec,
     results = []
     for p_loss, pt_taut, pl_taul, err in zip(p_losses, pt_tauts, pl_tauls,
                                              errors.max(axis=0)):
-        if err > _BROADBAND_TOL:
+        if not err <= _BROADBAND_TOL:  # a NaN error fails too
             results.append(ConvergenceError(
                 f"broadband aggregation error {err:.2e} > "
                 f"{_BROADBAND_TOL:g}", achieved=float(err)))
@@ -149,9 +150,9 @@ _MIN_SLICES = 8
 _PANEL_MAX_OD = 1.0
 _BLOCK_NODES = 32
 # the node spectra are filled only on the FFT bins where the envelope
-# spectrum reaches this fraction of its peak (15% of the bins at sigma_t
-# 10 ns, 9% at 50 ns); what the others carry is below a float64 sum's
-# rounding
+# spectrum reaches this fraction of its peak (33% of the bins at sigma_t
+# 10 ns, 19% at 50 ns, on their 512-sample grids); what the others carry
+# is below a float64 sum's rounding
 _SPECTRUM_FLOOR = 1e-16
 # the time grid is the smallest power of two of at least _MIN_SAMPLES
 # samples whose step is at most tau_sp / _STEPS_PER_LIFETIME: 512 at sigma_t
@@ -161,6 +162,15 @@ _SPECTRUM_FLOOR = 1e-16
 _MIN_SAMPLES = 512
 _STEPS_PER_LIFETIME = 4
 _MAX_SAMPLES = 1 << 15
+# a node block's workspace holds, per sample and node, 6 floats: P_e, the
+# net flow and the complex spectra and field; once the net flow is out, the
+# g-form's arrays and the scan's copy reuse the last four.  A thread keeps
+# its workspace across blocks, curves and calls on grids of up to
+# _RETAINED_SAMPLES samples (0.75 MiB at 512, 1.5 MiB at 1,024); a larger
+# grid's workspace dies with its call
+_WORK_PER_CELL = 6
+_RETAINED_SAMPLES = 1024
+_workspace = threading.local()
 
 
 @functools.lru_cache(maxsize=64)
@@ -213,24 +223,46 @@ def _depth_nodes(od_grid: np.ndarray, slices: int):
     return nodes.ravel(), (half * w).ravel(), np.asarray(ends, dtype=int)
 
 
+def _node_workspace(n_samples: int) -> np.ndarray:
+    """A flat float workspace for node blocks on an `n_samples` grid: this
+    thread's, grown as needed, up to _RETAINED_SAMPLES; a fresh one past
+    that."""
+    size = _WORK_PER_CELL * _BLOCK_NODES * n_samples
+    if n_samples > _RETAINED_SAMPLES:
+        return np.empty(size)
+    work = getattr(_workspace, "work", None)
+    if work is None or work.size < size:
+        work = _workspace.work = np.empty(size)
+    return work
+
+
 def _node_integrals(depths: np.ndarray, spectrum: np.ndarray,
                     band: np.ndarray, detunings: np.ndarray, h: float,
-                    medium: MediumSpec, bloch: BlochConfig) -> np.ndarray:
+                    medium: MediumSpec, bloch: BlochConfig,
+                    work: np.ndarray) -> np.ndarray:
     """Time integrals of P_e and of g = P_e f_coh at each of `depths` (OD
     units, at most _BLOCK_NODES of them), shape (2, depths), on the
     envelope's grid (step h): the trapezoid rule plus the cubic Hermite end
     correction h^2 / 12 (y'(start) - y'(end)), from the exact slopes.  Only
     the bins of `band` carry the envelope spectrum; the others stay zero.
-    The block's arrays die on return."""
-    spectra = np.zeros((depths.size, spectrum.size), complex)
+    Every block-sized array is a view of `work` (`_node_workspace`), which
+    the next block overwrites; only the returned integrals are fresh."""
+    cells = depths.size * spectrum.size
+    pe, net = work[:2 * cells].reshape(2, spectrum.size, depths.size)
+    spectra, field = work[2 * cells:6 * cells].view(complex).reshape(
+        2, depths.size, spectrum.size)
+    spectra.fill(0)
     transfer = field_transfer(detunings[band], medium, depths[:, None])
     spectra[:, band] = np.multiply(transfer, spectrum[band], out=transfer)
-    field = np.fft.ifft(spectra, axis=-1)
-    pe = _weak_pe(spectra, h, bloch)
-    # _weak_pe leaves the amplitudes in `spectra`
-    net = _exact_net(spectra, field, bloch.rabi_per_amplitude)
-    del spectra, field
-    g, slope = _g_form(pe, net, h, bloch.gamma)
+    np.fft.ifft(spectra, axis=-1, out=field)
+    # the net flow is not out yet, so it takes _weak_pe's temporary
+    _weak_pe(spectra, h, bloch, out=pe, work=net)
+    # _weak_pe leaves the amplitudes in `spectra`; the field's imaginary
+    # part is spent once it enters the net flow, so it takes the product
+    _exact_net(spectra, field, bloch.rabi_per_amplitude, out=net,
+               work=field.imag.T)
+    # the spectra and field are spent
+    g, slope = _g_form(pe, net, h, bloch.gamma, work=work[2 * cells:])
     # g' is net where net < 0 and (net / P_e) g elsewhere, which is 0 at
     # both ends: g ends at 0, and c starts at 0
     dg = np.minimum(net[[0, -1]], 0.0)
@@ -280,10 +312,12 @@ def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, od_grid=None,
     detunings = _detunings(env)
     depths, weights, ends = _depth_nodes(ods, slices)
     integrals = np.empty((2, depths.size))
+    work = _node_workspace(n_samples)
     for i in range(0, depths.size, _BLOCK_NODES):
         block = slice(i, i + _BLOCK_NODES)
         integrals[:, block] = _node_integrals(
-            depths[block], spectrum, band, detunings, env.dt, unit, bloch)
+            depths[block], spectrum, band, detunings, env.dt, unit, bloch,
+            work)
     # each OD sums the node integrals below its panel edge; the atom
     # weight makes gross scattering match Beer-Lambert loss, and the
     # dwell is in tau_sp units
@@ -304,10 +338,10 @@ def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, od_grid=None,
 def _breakdown(tau0: float, coh: float, p_loss_spectral: float):
     """The breakdown at one OD from its dwell, coherent-fate dwell and
     spectral P_L, or the ConvergenceError of a failed P_L consistency
-    check."""
+    check, which a NaN on either side fails too."""
     p_loss = tau0  # P_L = tau0 / tau_sp
     gap = abs(p_loss - p_loss_spectral)
-    if gap > _ENERGY_CONSISTENCY_TOL:
+    if not gap <= _ENERGY_CONSISTENCY_TOL:
         return ConvergenceError(
             f"min-coherent P_L={p_loss:.4f} disagrees with spectral "
             f"transmission P_L={p_loss_spectral:.4f} by {gap:.2e} "

@@ -445,13 +445,41 @@ class TestCli:
             assert abs(tau0 - p_loss) < 1e-3
             assert abs(p_loss * tau_l + (1 - p_loss) * tau_t - tau0) < 1e-3
 
-    def test_workers_default_is_available_cpus(self):
-        args = cli._build_parser().parse_args(["simulate", "--config",
-                                               "c.ini"])
+    def test_workers_default_is_available_cpus(self, monkeypatch):
+        # the parser is built once; main resolves the default on each call,
+        # so it follows the CPUs the process may use at that moment
+        seen = []
+        monkeypatch.setattr(cli, "cmd_simulate",
+                            lambda args: seen.append(args.workers) or 0)
+        argv = ["simulate", "--config", "c.ini"]
+        assert cli.main(argv) == 0
         if hasattr(os, "sched_getaffinity"):
-            assert args.workers == len(os.sched_getaffinity(0))
+            assert seen == [len(os.sched_getaffinity(0))]
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: {0, 1, 2})
+            assert cli.main(argv) == 0
+            assert seen[1:] == [3]
         else:
-            assert args.workers == os.cpu_count()
+            assert seen == [os.cpu_count()]
+
+    def test_handler_replaced_after_first_call_runs(self, tmp_path,
+                                                    monkeypatch):
+        # main looks the handler up when it runs, so a wrapper installed
+        # after the parser was built and used still fires
+        cfg = write_config(tmp_path / "m.ini",
+                           "[models]\nod_grid = 1\nslices = 32\n")
+        argv = ["models", "--config", cfg, "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 0
+        real, calls = cli.cmd_models, []
+
+        def wrapper(args):
+            calls.append(args.command)
+            return real(args)
+
+        monkeypatch.setattr(cli, "cmd_models", wrapper)
+        assert cli.main(argv) == 0
+        assert calls == ["models"]
+        assert cli._build_parser() is cli._build_parser()
 
     def test_models_bad_grid_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "m.ini", "[models]\nod_grid = 4,1\n")
