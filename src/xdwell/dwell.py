@@ -205,11 +205,13 @@ def _grid_samples(pulse: PulseSpec, medium: MediumSpec,
     return n_samples
 
 
-def _depth_nodes(od_grid: np.ndarray, slices: int):
+@functools.lru_cache(maxsize=64)
+def _depth_nodes(od_grid: tuple, slices: int):
     """Gauss-Legendre nodes and weights in absolute depth (OD units) for
     the panels between consecutive grid ODs, starting at 0, and the number
     of nodes at or below each OD.  A panel wider than _PANEL_MAX_OD is split
-    into equal sub-panels; a zero-width panel gets no nodes."""
+    into equal sub-panels; a zero-width panel gets no nodes.  Computed once
+    per (OD grid, `slices`) and read-only, like `_gauss_legendre`."""
     x, w = _gauss_legendre(slices)
     edges = [0.0]
     ends = []
@@ -220,7 +222,10 @@ def _depth_nodes(od_grid: np.ndarray, slices: int):
     edges = np.asarray(edges)
     half = 0.5 * np.diff(edges)[:, None]
     nodes = edges[:-1, None] + half * (x + 1.0)
-    return nodes.ravel(), (half * w).ravel(), np.asarray(ends, dtype=int)
+    arrays = nodes.ravel(), (half * w).ravel(), np.asarray(ends, dtype=int)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _node_workspace(n_samples: int) -> np.ndarray:
@@ -310,7 +315,7 @@ def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, od_grid=None,
     magnitude = np.abs(spectrum)
     band = np.flatnonzero(magnitude >= _SPECTRUM_FLOOR * magnitude.max())
     detunings = _detunings(env)
-    depths, weights, ends = _depth_nodes(ods, slices)
+    depths, weights, ends = _depth_nodes(tuple(ods.tolist()), slices)
     integrals = np.empty((2, depths.size))
     work = _node_workspace(n_samples)
     for i in range(0, depths.size, _BLOCK_NODES):

@@ -10,6 +10,9 @@ over a shot file and over bright calibration campaigns.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +78,17 @@ class RunningMoments:
         self.count += m
         self.n_click += int(np.count_nonzero(weights[1]))
 
+    def merge(self, other: "RunningMoments"):
+        """Add `other`'s sums, which must be about the same shift, into
+        these; for a one-batch `other` that adds exactly what `add_batch`
+        of its rows here would."""
+        if self.shift is None:
+            self.shift = other.shift
+        self.count += other.count
+        self.n_click += other.n_click
+        self.s1 += other.s1
+        self.s2 += other.s2
+
 
 @dataclass(frozen=True)
 class BinnedTraces:
@@ -139,6 +153,11 @@ def bin_and_average(batches) -> BinnedTraces:
         if stats is None:
             stats = RunningMoments(batch[0].shape[1])
         stats.add_batch(batch[0], batch[1])
+    return _finish(stats)
+
+
+def _finish(stats: RunningMoments | None) -> BinnedTraces:
+    """The bins' means and errors from one pass's sums (None: no rows)."""
     if stats is None:
         raise InsufficientBinError("click", 0, MIN_BIN_POPULATION)
     n_click = stats.n_click
@@ -329,14 +348,13 @@ def click_inference_check(batches) -> ClickCheckReport:
     )
 
 
-def _fit_chain(cfg: ExperimentConfig, batches):
-    """Bin `batches` by click and fit phi_0 on the all-shot mean and raw
-    phi_T on the difference trace: (BinnedTraces, phi_0, phi_T)."""
-    template = shots.xps_template(cfg)
-    binned = bin_and_average(batches)
+def _fit_chain(cfg: ExperimentConfig, template: XpsTemplate,
+               binned: BinnedTraces):
+    """phi_0 fitted on the all-shot mean and raw phi_T on the difference
+    trace: (phi_0, phi_T)."""
     phi0 = fit_phi0(binned.phi_all, cfg.mean_photons, template,
                     sigma=binned.se_all)
-    return binned, phi0, fit_transmitted(binned, template)
+    return phi0, fit_transmitted(binned, template)
 
 
 def analyze_file(path, cfg: ExperimentConfig, s2: float = 0.0,
@@ -356,7 +374,8 @@ def analyze_file(path, cfg: ExperimentConfig, s2: float = 0.0,
             f"{path}: file has {header.n_samples} samples per shot, config "
             f"says {cfg.n_samples}")
 
-    binned, phi0, phi_t = _fit_chain(cfg, shotfile.iter_shot_batches(path))
+    binned = bin_and_average(shotfile.iter_shot_batches(path))
+    phi0, phi_t = _fit_chain(cfg, shots.xps_template(cfg), binned)
     if s2 != 0.0:
         phi_t = correct_phi_T(phi_t, s2, cfg.mean_photons, phi0, s2_se=s2_se)
     combined = combine_detunings([(cfg.probe_detuning, phi_t, phi0)])
@@ -383,7 +402,9 @@ def _calibration_eta(cfg: ExperimentConfig, mu: float,
         raise ConfigError(f"photon_numbers must be > 0, got {mu:g}")
     if cfg.p_transmit == 0:
         raise ConfigError("p_transmit must be > 0 to calibrate")
-    p_signal = (target_click - cfg.dark_prob) / (1.0 - cfg.dark_prob)
+    # a dark count on every shot leaves no signal rate to reach
+    p_signal = ((target_click - cfg.dark_prob) / (1.0 - cfg.dark_prob)
+                if cfg.dark_prob < 1.0 else 0.0)
     if not 0.0 < p_signal < 1.0:
         raise ConfigError(
             f"target_click_rate {target_click:g} unreachable with "
@@ -396,23 +417,69 @@ def _calibration_eta(cfg: ExperimentConfig, mu: float,
     return eta
 
 
+def _binned_batch(cfg: ExperimentConfig, template: XpsTemplate,
+                  rng: np.random.Generator, m: int, shift: Future,
+                  first: bool) -> RunningMoments:
+    """Generate one calibration batch and sum it about its point's shift,
+    both on the thread that runs this; only the sums leave it.
+
+    The shift is the point's first batch's mean, as `bin_and_average`
+    takes it: that batch publishes it through `shift` (or its failure,
+    so that no later batch waits for ever), and the point's later batches
+    wait for it."""
+    try:
+        phases, clicks, _ = shots._generate_batch(cfg, template, rng, m)
+        if first:
+            shift.set_result(phases.mean(axis=0))
+    except BaseException as exc:
+        if first:
+            shift.set_exception(exc)
+        raise
+    stats = RunningMoments(phases.shape[1])
+    stats.shift = shift.result()
+    stats.add_batch(phases, clicks)
+    return stats
+
+
 def run_calibration(cfg: ExperimentConfig, photon_numbers, n_shots: int,
                     seed: int, target_click: float = 0.10,
                     workers: int = 1) -> dict:
     """Bright campaigns at each photon number; fits e(mu) = 1 + s^2 mu.
+
+    Point i is the campaign `shots.iter_batches(cal_cfg, n_shots, seed,
+    workers, campaign=i)` binned by `bin_and_average`, with the same sums
+    added in the same order.  All points' batches go through one pool
+    (`shots._ordered_map`), point after point: each batch is generated and
+    summed on one thread, and the calling thread adds the sums up in batch
+    order and fits each point as its last batch comes in.
 
     A point whose phi_0 is under 5 sigma raises DataFormatError."""
     # every point's config first, so a bad point fails before any campaign
     cal_cfgs = [cfg.replace(mean_photons=mu, phi_atom=cfg.phi_atom,
                             eta_detect=_calibration_eta(cfg, mu, target_click))
                 for mu in photon_numbers]
+    shots._check_campaign(n_shots, seed)
+    templates = [shots.xps_template(c) for c in cal_cfgs]
+
+    def jobs():
+        for i, (cal_cfg, template) in enumerate(zip(cal_cfgs, templates)):
+            shift = Future()
+            for b, job in enumerate(shots._campaign_jobs(
+                    cal_cfg, template, n_shots, seed, campaign=i)):
+                yield (*job, shift, b == 0)
+
+    n_batches = len(range(0, n_shots, shots.BATCH_SIZE))
     points = []
-    for i, (mu, cal_cfg) in enumerate(zip(photon_numbers, cal_cfgs)):
-        _, phi0, phi_t = _fit_chain(cal_cfg, shots.iter_batches(
-            cal_cfg, n_shots, seed, workers, campaign=i))
-        _require_phi0(phi0, f"{mu:g} photons")
-        excess, var = _ratio(phi_t, phi0)
-        points.append((mu, excess, float(np.sqrt(var))))
+    with contextlib.closing(
+            shots._ordered_map(_binned_batch, jobs(), workers)) as sums:
+        for mu, cal_cfg, template in zip(photon_numbers, cal_cfgs, templates):
+            total = RunningMoments(cal_cfg.n_samples)
+            for stats in itertools.islice(sums, n_batches):
+                total.merge(stats)
+            phi0, phi_t = _fit_chain(cal_cfg, template, _finish(total))
+            _require_phi0(phi0, f"{mu:g} photons")
+            excess, var = _ratio(phi_t, phi0)
+            points.append((mu, excess, float(np.sqrt(var))))
     cal = calibrate_proportional_noise(points)
     return {
         "s2": cal.s2,

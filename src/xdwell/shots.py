@@ -311,38 +311,59 @@ def _batch_rng(seed: int, campaign: int, batch: int) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=(campaign, batch))))
 
 
+def _check_campaign(n_shots: int, seed: int):
+    if n_shots < 1:
+        raise ConfigError("n_shots must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+
+
+def _campaign_jobs(cfg: ExperimentConfig, template: XpsTemplate,
+                   n_shots: int, seed: int, campaign: int):
+    """`_generate_batch`'s arguments (cfg, template, rng, m) for each batch
+    of a campaign, made as they are asked for, so that a long campaign
+    holds no list of streams."""
+    for b, start in enumerate(range(0, n_shots, BATCH_SIZE)):
+        yield (cfg, template, _batch_rng(seed, campaign, b),
+               min(BATCH_SIZE, n_shots - start))
+
+
+def _ordered_map(fn, jobs, workers: int):
+    """Yield fn(*job) for each of `jobs`, in job order.
+
+    At one worker every job runs in the calling thread.  Above one, the
+    jobs run on a pool of that many threads (numpy releases the GIL in the
+    RNG fills and the array arithmetic) with at most 2 * workers submitted
+    and not yet yielded, so memory does not grow with the number of jobs.
+    """
+    if workers <= 1:
+        for job in jobs:
+            yield fn(*job)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for job in jobs:
+            pending.append(pool.submit(fn, *job))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
 def iter_batches(cfg: ExperimentConfig, n_shots: int, seed: int,
                  workers: int = 1, campaign: int = 0):
     """Yield (phases, clicks, truth) batches for a deterministic campaign.
 
     Batch b of `BATCH_SIZE` shots draws from its own SFC64 stream keyed by
     (seed, campaign, b), so every campaign of a run, e.g. each calibration
-    point, has streams apart from every other seed's and campaign's.  With
-    workers > 1 the batches are generated on that many threads (numpy
-    releases the GIL in the RNG fills and the array arithmetic), at most
-    2 * workers in flight, and yielded in batch order, so the output is the
-    same at any worker count and memory does not grow with n_shots.
+    point, has streams apart from every other seed's and campaign's.  The
+    batches come through `_ordered_map`: generated on `workers` threads,
+    at most 2 * workers in flight, and yielded in batch order, so the
+    output is the same at any worker count.
     """
-    if n_shots < 1:
-        raise ConfigError("n_shots must be >= 1")
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
-    template = xps_template(cfg)
-    jobs = ((cfg, template, _batch_rng(seed, campaign, i),
-             min(BATCH_SIZE, n_shots - start))
-            for i, start in enumerate(range(0, n_shots, BATCH_SIZE)))
-    if workers <= 1:
-        for job in jobs:
-            yield _generate_batch(*job)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        for job in jobs:
-            pending.append(pool.submit(_generate_batch, *job))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+    _check_campaign(n_shots, seed)
+    yield from _ordered_map(_generate_batch, _campaign_jobs(
+        cfg, xps_template(cfg), n_shots, seed, campaign), workers)
 
 
 def run_campaign(cfg: ExperimentConfig, n_shots: int, seed: int, out_path,

@@ -281,6 +281,18 @@ class TestMinCoherent:
             np.testing.assert_array_equal(b, want)
             assert not b.flags.writeable
 
+    def test_depth_nodes_cached(self, pulse_10ns, medium_od4):
+        # the panel nodes are built once per (OD grid, slices) and shared,
+        # read-only, by every curve on that grid
+        before = dwell._depth_nodes.cache_info()
+        for _ in range(2):
+            min_coherent_model(pulse_10ns, medium_od4, DEFAULT_OD_GRID)
+        after = dwell._depth_nodes.cache_info()
+        assert after.hits - before.hits >= 1
+        nodes = dwell._depth_nodes(tuple(DEFAULT_OD_GRID), 8)
+        assert nodes is dwell._depth_nodes(tuple(DEFAULT_OD_GRID), 8)
+        assert not any(a.flags.writeable for a in nodes)
+
     @pytest.mark.parametrize("pulse", [PulseSpec(intensity_rms=10e-9),
                                        PulseSpec(intensity_rms=50e-9)])
     def test_grid_matches_single_od(self, pulse, medium_od4):

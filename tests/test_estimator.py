@@ -1,4 +1,8 @@
 import functools
+import itertools
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -26,8 +30,14 @@ from xdwell import (
     run_campaign,
     xps_template,
 )
-from xdwell import shotfile
-from xdwell.estimator import FitResult, RunningMoments
+from xdwell import shotfile, shots
+from xdwell.estimator import (
+    FitResult,
+    RunningMoments,
+    _calibration_eta,
+    _ratio,
+    run_calibration,
+)
 
 CFG = ExperimentConfig()
 TEMPLATE = xps_template(CFG)
@@ -255,6 +265,102 @@ class TestCalibration:
             calibrate_proportional_noise([(588, 1.0, 0.01)] * 3)
 
 
+# the calibration photon numbers, and the x50 phi_atom of the boosted
+# acceptance campaign, which resolves phi_0 at a few thousand shots
+CAL_PHOTONS = [588, 898, 1527, 3040]
+BOOSTED = CFG.replace(phi_atom=50 * CFG.phi_atom)
+
+
+def per_point_calibration(cfg, n_shots, seed):
+    """`run_calibration` as one serial campaign, binning and fit per point."""
+    points = []
+    for i, mu in enumerate(CAL_PHOTONS):
+        cal_cfg = cfg.replace(mean_photons=mu, phi_atom=cfg.phi_atom,
+                              eta_detect=_calibration_eta(cfg, mu, 0.10))
+        template = xps_template(cal_cfg)
+        binned = bin_and_average(iter_batches(cal_cfg, n_shots, seed,
+                                              campaign=i))
+        phi0 = fit_phi0(binned.phi_all, mu, template, sigma=binned.se_all)
+        excess, var = _ratio(fit_transmitted(binned, template), phi0)
+        points.append((mu, excess, float(np.sqrt(var))))
+    cal = calibrate_proportional_noise(points)
+    return {"s2": cal.s2, "s2_se": cal.s2_se, "upper_bound": cal.upper_bound,
+            "points": [{"mean_photons": mu, "excess": e, "excess_se": se}
+                       for mu, e, se in points]}
+
+
+class TestCalibrationPipeline:
+    # run_calibration generates and sums every batch of every point on one
+    # pool and adds the sums up on the calling thread
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_equals_per_point_chain(self, workers):
+        # bit for bit, with a short last batch per point and threads that
+        # switch often: the per-batch sums are formed and added in the
+        # serial chain's order whatever order the batches finish in
+        n_shots = 3 * shots.BATCH_SIZE + 1000
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = run_calibration(BOOSTED, CAL_PHOTONS, n_shots, seed=11,
+                                  workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == per_point_calibration(BOOSTED, n_shots, seed=11)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_jobs_in_flight_bounded(self, monkeypatch, workers):
+        # a slow consumer holds the pool to 2 * workers batches ahead of the
+        # sums it has added, also while it fits a point and the next point
+        # starts
+        real_generate, real_merge = shots._generate_batch, RunningMoments.merge
+        generated = itertools.count(1)
+        merged = 0
+
+        def generate(*args):
+            assert next(generated) - merged <= 2 * workers
+            return real_generate(*args)
+
+        def merge(self, other):
+            nonlocal merged
+            time.sleep(0.01)
+            real_merge(self, other)
+            merged += 1
+
+        monkeypatch.setattr(shots, "_generate_batch", generate)
+        monkeypatch.setattr(RunningMoments, "merge", merge)
+        run_calibration(BOOSTED, CAL_PHOTONS, 3 * shots.BATCH_SIZE, seed=5,
+                        workers=workers)
+        assert next(generated) - 1 == merged == 12
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_batch_failure_raises(self, monkeypatch, workers):
+        # a point's later batches wait for its first batch's mean; when that
+        # batch fails they fail with it instead of waiting for ever.  At two
+        # workers the second point's next two batches are in flight then
+        real = shots._generate_batch
+
+        def fail_first_of_point_1(cfg, template, rng, m):
+            if rng.bit_generator.seed_seq.spawn_key == (1, 0):
+                raise RuntimeError("first batch failed")
+            return real(cfg, template, rng, m)
+
+        monkeypatch.setattr(shots, "_generate_batch", fail_first_of_point_1)
+        raised = []
+
+        def calibrate():
+            with pytest.raises(RuntimeError) as exc:
+                run_calibration(BOOSTED, CAL_PHOTONS, 3 * shots.BATCH_SIZE,
+                                seed=5, workers=workers)
+            raised.append(str(exc.value))
+
+        thread = threading.Thread(target=calibrate, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "run_calibration hangs"
+        assert raised == ["first batch failed"]
+
+
 class TestCorrection:
     def _fit(self, amp, se=1e-6):
         return FitResult(amplitude=amp, amplitude_se=se,
@@ -398,3 +504,18 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+    def test_calibration_peak(self):
+        # each batch is generated and summed on one thread, which holds its
+        # phases, scratch rows and difference array (1.2 MB each), and only
+        # the sums are kept: at two workers the four 200k-shot points read
+        # 7.3 MiB under tracemalloc, and so do 400k.  Batches queued back to
+        # the calling thread to be binned there read 9.3 MiB
+        run_calibration(CFG, CAL_PHOTONS, 200_000, seed=1, workers=2)
+        tracemalloc.start()
+        try:
+            run_calibration(CFG, CAL_PHOTONS, 200_000, seed=1, workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.5 * 2**20

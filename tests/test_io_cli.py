@@ -510,6 +510,9 @@ class TestCli:
         ("calibrate", "[experiment]\n[calibrate]\n"
                       "photon_numbers = 0.1,898,1527,3040\n"),
         ("calibrate", "[experiment]\np_transmit = 0\n"),
+        # a dark count on every shot leaves no click rate to reach
+        ("calibrate", "[calibrate]\nn_shots = 1000\n"
+                      "[experiment]\ndark_prob = 1\n"),
     ])
     def test_non_finite_or_zero_lifetime_exit_2(self, tmp_path, capsys,
                                                 command, text):
