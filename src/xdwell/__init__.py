@@ -28,10 +28,6 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DataFormatError,
-    InsufficientBinError,
-    RankDeficiencyError,
-    WeakExcitationError,
-    WindowLeakageError,
     XdwellError,
 )
 from .estimator import (

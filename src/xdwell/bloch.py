@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, WeakExcitationError
+from .errors import ConfigError, ConvergenceError
 from .medium import SampledEnvelope
 
 __all__ = [
@@ -63,9 +63,9 @@ class ExcitationRecord:
 def _check_weak(pe: np.ndarray):
     peak = float(pe.max())
     if peak >= _WEAK_PE_LIMIT:
-        raise WeakExcitationError(
+        raise ConvergenceError(
             f"peak excitation probability {peak:.3e} >= {_WEAK_PE_LIMIT:g}; "
-            "reduce rabi_per_amplitude", peak)
+            "reduce rabi_per_amplitude", achieved=peak)
 
 
 def _weak_amplitudes(spectra: np.ndarray, dt: float,
@@ -96,7 +96,7 @@ def _weak_pe(spectra: np.ndarray, dt: float, cfg: BlochConfig,
     """P_e = |c|^2 of the weak response to each row of `spectra` (consumed:
     it ends up holding c), time-major: (N, rows) for (rows, N) spectra,
     written into `out` and with `work` as the temporary (both (N, rows);
-    fresh by default).  Raises WeakExcitationError past the weak-drive
+    fresh by default).  Raises ConvergenceError past the weak-drive
     limit."""
     c = _weak_amplitudes(spectra, dt, cfg)
     # |c|^2 written time-major, with no transpose copy

@@ -173,15 +173,6 @@ _RETAINED_SAMPLES = 1024
 _workspace = threading.local()
 
 
-@functools.lru_cache(maxsize=64)
-def _gauss_legendre(slices: int):
-    """`leggauss(slices)`, computed once per `slices` and read-only, since
-    every caller shares it."""
-    x, w = np.polynomial.legendre.leggauss(slices)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
 def _grid_samples(pulse: PulseSpec, medium: MediumSpec,
                   n_samples: int | None = None) -> int:
     """The time grid's sample count: `n_samples`, which must be at least
@@ -211,8 +202,8 @@ def _depth_nodes(od_grid: tuple, slices: int):
     the panels between consecutive grid ODs, starting at 0, and the number
     of nodes at or below each OD.  A panel wider than _PANEL_MAX_OD is split
     into equal sub-panels; a zero-width panel gets no nodes.  Computed once
-    per (OD grid, `slices`) and read-only, like `_gauss_legendre`."""
-    x, w = _gauss_legendre(slices)
+    per (OD grid, `slices`) and read-only, since every curve shares them."""
+    x, w = np.polynomial.legendre.leggauss(slices)
     edges = [0.0]
     ends = []
     for lo, hi in zip(np.concatenate([[0.0], od_grid]), od_grid):

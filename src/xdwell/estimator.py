@@ -18,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shotfile, shots
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    InsufficientBinError,
-    RankDeficiencyError,
-)
+from .errors import ConfigError, ConvergenceError, DataFormatError
 from .shots import ExperimentConfig, XpsTemplate
 
 __all__ = [
@@ -158,13 +153,12 @@ def bin_and_average(batches) -> BinnedTraces:
 
 def _finish(stats: RunningMoments | None) -> BinnedTraces:
     """The bins' means and errors from one pass's sums (None: no rows)."""
-    if stats is None:
-        raise InsufficientBinError("click", 0, MIN_BIN_POPULATION)
-    n_click = stats.n_click
-    n_noclick = stats.count - n_click
+    n_click = 0 if stats is None else stats.n_click
+    n_noclick = 0 if stats is None else stats.count - n_click
     for name, n in (("click", n_click), ("no-click", n_noclick)):
         if n < MIN_BIN_POPULATION:
-            raise InsufficientBinError(name, n, MIN_BIN_POPULATION)
+            raise DataFormatError(f"bin '{name}' has {n} shots, need at "
+                                  f"least {MIN_BIN_POPULATION}")
     (s1, s1_click), (s2, s2_click) = stats.s1, stats.s2
     mean_click, var_click = _bin(n_click, s1_click, s2_click)
     mean_noclick, var_noclick = _bin(n_noclick, s1 - s1_click, s2 - s2_click)
@@ -205,9 +199,10 @@ def _weighted_fit(y: np.ndarray, sigma, template: XpsTemplate,
     diag = np.abs(np.diag(r))
     condition = diag.max() / diag.min() if diag.min() > 0 else np.inf
     if condition > _CONDITION_LIMIT:
-        raise RankDeficiencyError(
+        raise ConvergenceError(
             f"fit design matrix ill conditioned (estimate {condition:.2e}); "
-            "template may be collinear with the cubic background", condition)
+            "template may be collinear with the cubic background",
+            achieved=condition)
     coeffs = np.linalg.solve(r, q.T @ yw)
     r_inv = np.linalg.solve(r, np.eye(r.shape[0]))
     cov = r_inv @ r_inv.T
@@ -455,6 +450,8 @@ def run_calibration(cfg: ExperimentConfig, photon_numbers, n_shots: int,
 
     A point whose phi_0 is under 5 sigma raises DataFormatError."""
     # every point's config first, so a bad point fails before any campaign
+    if len(photon_numbers) < 4:
+        raise ConfigError("photon_numbers needs at least 4 entries")
     cal_cfgs = [cfg.replace(mean_photons=mu, phi_atom=cfg.phi_atom,
                             eta_detect=_calibration_eta(cfg, mu, target_click))
                 for mu in photon_numbers]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, WindowLeakageError
+from .errors import ConfigError, ConvergenceError
 
 __all__ = [
     "MediumSpec",
@@ -183,7 +183,7 @@ def propagate_spectral(env: SampledEnvelope, medium: MediumSpec,
         raise ConfigError(f"depth_fraction must be in [0, 1], got {depth_fraction}")
     leak_in = env.edge_energy_fraction()
     if leak_in > _INPUT_LEAK_TOL:
-        raise WindowLeakageError(
+        raise ConvergenceError(
             f"input envelope carries {leak_in:.2e} of its energy in the outermost "
             f"5% of the grid (limit {_INPUT_LEAK_TOL:g}); widen the window",
             achieved=leak_in,
@@ -194,7 +194,7 @@ def propagate_spectral(env: SampledEnvelope, medium: MediumSpec,
                              carrier_detuning=env.carrier_detuning)
     leak_out = result.edge_energy_fraction()
     if leak_out > _OUTPUT_LEAK_TOL:
-        raise WindowLeakageError(
+        raise ConvergenceError(
             f"propagated envelope carries {leak_out:.2e} of its energy in the "
             f"outermost 5% of the grid (limit {_OUTPUT_LEAK_TOL:g})",
             achieved=leak_out,

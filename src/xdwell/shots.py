@@ -374,8 +374,7 @@ def run_campaign(cfg: ExperimentConfig, n_shots: int, seed: int, out_path,
     files at any worker count, because every batch has its own keyed substream.
     An interrupted run leaves no file and keeps any earlier one.
     """
-    if n_shots < 1:  # before the file exists, which declares its size
-        raise ConfigError("n_shots must be >= 1")
+    _check_campaign(n_shots, seed)  # before the file exists
     digest = shotfile.experiment_digest(cfg)
     n_click = 0
     dwell_sum = 0.0

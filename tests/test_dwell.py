@@ -270,17 +270,6 @@ class TestMinCoherent:
         with pytest.raises(ConfigError):
             min_coherent_model(pulse_10ns, medium_od4, grid)
 
-    def test_gauss_legendre_cached(self):
-        # leggauss runs once per `slices`; the arrays every curve shares
-        # are read-only
-        first = dwell._gauss_legendre(8)
-        second = dwell._gauss_legendre(8)
-        for a, b, want in zip(first, second,
-                              np.polynomial.legendre.leggauss(8)):
-            assert b is a
-            np.testing.assert_array_equal(b, want)
-            assert not b.flags.writeable
-
     def test_depth_nodes_cached(self, pulse_10ns, medium_od4):
         # the panel nodes are built once per (OD grid, slices) and shared,
         # read-only, by every curve on that grid

@@ -14,10 +14,9 @@ from scipy import stats
 
 from xdwell import (
     ConfigError,
+    ConvergenceError,
     DataFormatError,
     ExperimentConfig,
-    InsufficientBinError,
-    RankDeficiencyError,
     analyze_file,
     bin_and_average,
     calibrate_proportional_noise,
@@ -159,9 +158,8 @@ class TestBinning:
         phases = np.zeros((150, N))
         clicks = np.zeros(150, dtype=bool)
         clicks[:10] = True
-        with pytest.raises(InsufficientBinError) as exc:
+        with pytest.raises(DataFormatError, match="bin 'click'"):
             bin_and_average([(phases, clicks)])
-        assert exc.value.bin_name == "click"
 
 
 class TestFits:
@@ -200,9 +198,10 @@ class TestFits:
     def test_rank_deficiency_reported(self):
         from types import SimpleNamespace
         cubic_template = SimpleNamespace(samples=0.1 + 0.2 * T_NORM**2)
-        with pytest.raises(RankDeficiencyError) as exc:
+        with pytest.raises(ConvergenceError,
+                           match="fit design matrix ill conditioned") as exc:
             fit_phi0(np.zeros(N), 1.0, cubic_template)
-        assert exc.value.condition > 1e10
+        assert exc.value.achieved > 1e10
 
     def test_bad_sigma_rejected(self):
         with pytest.raises(ConfigError):
@@ -452,7 +451,7 @@ class TestClickInference:
     def test_small_bin_rejected(self):
         # a dark-count-only campaign of 5,000 shots has about 50 clicks
         cfg = ExperimentConfig(mean_photons=0.0)
-        with pytest.raises(InsufficientBinError):
+        with pytest.raises(DataFormatError, match="bin 'click'"):
             click_inference_check(self._campaign(cfg, 5000, seed=29))
 
     def test_requires_truth(self):

@@ -12,8 +12,9 @@ import pytest
 import xdwell
 from xdwell import ConfigError, DataFormatError, ExperimentConfig, cli
 from xdwell import shotfile, shots
-from xdwell.errors import ConvergenceError
+from xdwell.errors import ConvergenceError, XdwellError
 from xdwell.estimator import run_calibration
+from xdwell.medium import propagate_spectral
 from xdwell.shots import run_campaign
 
 
@@ -357,6 +358,15 @@ class TestCli:
             run_campaign(ExperimentConfig(), 0, seed=0, out_path=path)
         assert not path.exists()
 
+    def test_bad_seed_fails_before_the_file(self, tmp_path, monkeypatch):
+        def no_writer(*a, **k):
+            raise RuntimeError("run_campaign opened the shot file")
+
+        monkeypatch.setattr(shotfile, "ShotFileWriter", no_writer)
+        with pytest.raises(ConfigError, match="seed"):
+            run_campaign(ExperimentConfig(), 1000, seed=-1,
+                         out_path=tmp_path / "shots.bin")
+
     def test_unresolved_phi0_exit_3(self, tmp_path, capsys):
         # a valid default campaign of 100k shots resolves phi_0 at under
         # 5 sigma: too few data, not a bad config
@@ -390,16 +400,44 @@ class TestCli:
         assert cli.main(["simulate", "--config",
                          str(tmp_path / "nope.ini")]) == 2
 
-    def test_convergence_maps_to_exit_4(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("kind, code, label", [
+        (ConfigError, 2, "config error"),
+        (DataFormatError, 3, "data error"),
+        (ConvergenceError, 4, "convergence error")],
+        ids=["exit2", "exit3", "exit4"])
+    def test_error_kind_maps_to_exit_code(self, tmp_path, monkeypatch, capsys,
+                                          kind, code, label):
         cfg = write_config(tmp_path / "p.ini",
                            "[pulse]\nsigma_t = 10e-9\n[medium]\npeak_od = 4\n")
 
         def boom(*a, **k):
-            raise ConvergenceError("synthetic failure")
+            raise kind("synthetic failure")
 
         monkeypatch.setattr(cli, "propagate_spectral", boom)
         assert cli.main(["propagate", "--config", cfg,
-                         "--out", str(tmp_path / "o")]) == 4
+                         "--out", str(tmp_path / "o")]) == code
+        # one line naming the kind, and no traceback
+        assert capsys.readouterr().err.splitlines() == [
+            f"{label}: synthetic failure"]
+
+    def test_every_error_is_one_of_three_kinds(self):
+        # a fourth kind would need its own exit code in cli.main
+        subclasses, todo = set(), [XdwellError]
+        while todo:
+            for sub in todo.pop().__subclasses__():
+                if sub.__module__.startswith("xdwell"):
+                    subclasses.add(sub)
+                    todo.append(sub)
+        assert subclasses == {ConfigError, DataFormatError, ConvergenceError}
+
+    def test_too_few_clicks_exit_3(self, tmp_path, capsys):
+        # 200 default shots give about 52 clicks against the 100 a bin needs
+        cfg = write_config(tmp_path / "c.ini",
+                           "[experiment]\n[campaign]\nn_shots = 200\n")
+        out = str(tmp_path / "run")
+        assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
+        assert cli.main(["analyze", "--config", cfg, "--out", out]) == 3
+        assert "bin 'click'" in capsys.readouterr().err
 
     def test_propagate_outputs(self, tmp_path):
         cfg = write_config(tmp_path / "p.ini",
@@ -413,6 +451,21 @@ class TestCli:
         areas = [float(r.split(",")[1]) for r in
                  (out / "area_vs_depth.csv").read_text().splitlines()[1:]]
         assert all(b < a for a, b in zip(areas, areas[1:]))
+
+    def test_propagate_computes_each_depth_once(self, tmp_path, monkeypatch):
+        # depths 1/4, 1/2, 3/4 and the full medium; depth 0 is the input
+        cfg = write_config(tmp_path / "p.ini",
+                           "[pulse]\nsigma_t = 10e-9\n[medium]\npeak_od = 4\n")
+        depths = []
+
+        def counting(env, medium, depth_fraction=1.0):
+            depths.append(depth_fraction)
+            return propagate_spectral(env, medium, depth_fraction)
+
+        monkeypatch.setattr(cli, "propagate_spectral", counting)
+        assert cli.main(["propagate", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 0
+        assert sorted(depths) == [0.25, 0.5, 0.75, 1.0]
 
     def test_propagate_od0_identity(self, tmp_path):
         cfg = write_config(tmp_path / "p.ini",
@@ -513,6 +566,9 @@ class TestCli:
         # a dark count on every shot leaves no click rate to reach
         ("calibrate", "[calibrate]\nn_shots = 1000\n"
                       "[experiment]\ndark_prob = 1\n"),
+        # s^2 is fitted from at least 4 points
+        ("calibrate", "[experiment]\n[calibrate]\n"
+                      "photon_numbers = 588,898,1527\n"),
     ])
     def test_non_finite_or_zero_lifetime_exit_2(self, tmp_path, capsys,
                                                 command, text):
@@ -580,6 +636,14 @@ class TestCli:
         assert cli.main(["calibrate", "--config", cfg, "--seed",
                          str(2**64 - 1), "--out", str(out)]) == 3
         assert not (out / "calibration.json").exists()
+
+    def test_calibration_too_few_points_runs_no_campaign(self, monkeypatch):
+        def no_batch(*a, **k):
+            raise RuntimeError("run_calibration generated a batch")
+
+        monkeypatch.setattr(shots, "_generate_batch", no_batch)
+        with pytest.raises(ConfigError, match="photon_numbers"):
+            run_calibration(ExperimentConfig(), [588, 898, 1527], 5000, seed=0)
 
     def test_calibration_seed_streams_distinct(self):
         # every photon-number point of every seed has its own stream, so at

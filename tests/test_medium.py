@@ -7,7 +7,6 @@ from xdwell import (
     MediumSpec,
     PulseSpec,
     SampledEnvelope,
-    WindowLeakageError,
     dispersion_phase,
     field_transfer,
     gaussian_envelope,
@@ -168,7 +167,7 @@ class TestPropagation:
     def test_input_leakage_rejected(self, medium_od4):
         pulse = PulseSpec(intensity_rms=10e-9)
         env = gaussian_envelope(pulse, n_samples=256, span_sigmas=1.5)
-        with pytest.raises(WindowLeakageError):
+        with pytest.raises(ConvergenceError, match="input envelope carries"):
             propagate_spectral(env, medium_od4, 1.0)
 
     def test_depth_fraction_validated(self, pulse_10ns, medium_od4):
