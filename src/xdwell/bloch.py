@@ -68,37 +68,48 @@ def _check_weak(pe: np.ndarray):
             "reduce rabi_per_amplitude", achieved=peak)
 
 
-def _weak_amplitudes(spectra: np.ndarray, dt: float,
-                     cfg: BlochConfig) -> np.ndarray:
+def _response(n: int, dt: float, cfg: BlochConfig):
+    """The kernels of `_weak_amplitudes` on an n-sample grid of step dt:
+    each FFT bin's response (i cfg.rabi_per_amplitude / 2)/(i w - lam) and
+    the homogeneous decay exp(lam (t - t0)) at each sample, with
+    lam = i Delta - Gamma/2."""
+    lam = 1j * cfg.detuning - 0.5 * cfg.gamma
+    w = 2.0 * np.pi * np.fft.fftfreq(n, dt)
+    return ((0.5j * cfg.rabi_per_amplitude) / (1j * w - lam),
+            np.exp(lam * dt * np.arange(n)))
+
+
+def _weak_amplitudes(spectra: np.ndarray, response,
+                     work: np.ndarray | None = None) -> np.ndarray:
     """Solve dc/dt = lam c + i Omega(t)/2 with c(t0) = 0 on the FFT grid.
 
     `spectra` holds envelope FFTs along the last axis; Omega is
-    cfg.rabi_per_amplitude times the envelope.  Each bin is solved by
+    cfg.rabi_per_amplitude times the envelope, and `response` is
+    `_response` of the grid and cfg.  Each bin is solved by
     C(w) = (i Omega(w)/2)/(i w - lam), which is the periodic solution;
     subtracting the homogeneous term c(t0) exp(lam (t - t0)) makes it the
-    causal one.  Works in place: returns `spectra` holding c(t).
+    causal one.  Works in place: returns `spectra` holding c(t).  The
+    homogeneous term of every row is written into `work`, a complex array
+    shaped like `spectra` (fresh by default).
     """
-    n = spectra.shape[-1]
-    lam = 1j * cfg.detuning - 0.5 * cfg.gamma
-    w = 2.0 * np.pi * np.fft.fftfreq(n, dt)
-    spectra *= (0.5j * cfg.rabi_per_amplitude) / (1j * w - lam)
+    bins, decay = response
+    spectra *= bins
     c = np.fft.ifft(spectra, axis=-1, out=spectra)
-    decay = np.exp(lam * dt * np.arange(n))
-    homogeneous = np.empty_like(decay)
-    for row in np.atleast_2d(c):  # one row at a time: no (rows, n) temporary
-        row -= np.multiply(row[:1], decay, out=homogeneous)
+    # c(t0) spread over each row first, then times the decay: a product of
+    # two broadcast operands would cost numpy's buffers for both
+    homogeneous = np.empty_like(c) if work is None else work
+    homogeneous[...] = c[..., :1]
+    homogeneous *= decay
+    c -= homogeneous
     return c
 
 
-def _weak_pe(spectra: np.ndarray, dt: float, cfg: BlochConfig,
-             out: np.ndarray | None = None,
+def _weak_pe(c: np.ndarray, out: np.ndarray | None = None,
              work: np.ndarray | None = None) -> np.ndarray:
-    """P_e = |c|^2 of the weak response to each row of `spectra` (consumed:
-    it ends up holding c), time-major: (N, rows) for (rows, N) spectra,
-    written into `out` and with `work` as the temporary (both (N, rows);
-    fresh by default).  Raises ConvergenceError past the weak-drive
-    limit."""
-    c = _weak_amplitudes(spectra, dt, cfg)
+    """P_e = |c|^2 of the amplitudes `c` (`_weak_amplitudes`), time-major:
+    (N, rows) for (rows, N) amplitudes, written into `out` and with `work`
+    as the temporary (both (N, rows); fresh by default).  Raises
+    ConvergenceError past the weak-drive limit."""
     # |c|^2 written time-major, with no transpose copy
     pe = np.square(c.real.T,
                    out=np.empty(c.shape[::-1]) if out is None else out)
@@ -123,8 +134,9 @@ def _exact_net(c: np.ndarray, field: np.ndarray, rabi: float,
 
 def integrate_weak_bloch(env: SampledEnvelope, cfg: BlochConfig) -> ExcitationRecord:
     """Weak-drive excitation of one envelope, on the envelope's own grid."""
-    c = np.fft.fft(env.samples)
-    pe = _weak_pe(c, env.dt, cfg)
+    c = _weak_amplitudes(np.fft.fft(env.samples),
+                         _response(env.samples.size, env.dt, cfg))
+    pe = _weak_pe(c)
     net = _exact_net(c, env.samples, cfg.rabi_per_amplitude)
     return ExcitationRecord(t0=env.t0, dt=env.dt, gamma=cfg.gamma, pe=pe,
                             up_flow=np.maximum(net, 0.0),
@@ -181,40 +193,48 @@ def _chunk_rows(m: int) -> int:
 
 
 def _chunks(x: np.ndarray, start: int, size: int) -> np.ndarray:
-    """Rows `start:` of `x` as a (chunks, size, ...) view; splitting an
-    axis never copies, so writes to it land in `x`."""
-    k = (x.shape[0] - start) // size
-    return x[start:].reshape(k, size, *x.shape[1:])
+    """Samples `start:` of `x` (time on axis -2) as a (..., chunks, size,
+    columns) view; splitting an axis never copies, so writes to it land in
+    `x`."""
+    k = (x.shape[-2] - start) // size
+    return x[..., start:, :].reshape(*x.shape[:-2], k, size, x.shape[-1])
+
+
+def _chunk_major(x: np.ndarray) -> np.ndarray:
+    """The (..., chunks, size, columns) view `x` as (size, chunks, ...,
+    columns), a view too."""
+    return x.transpose(x.ndim - 2, x.ndim - 3, *range(x.ndim - 3),
+                       x.ndim - 1)
 
 
 def _backward_scan(f: np.ndarray, b: np.ndarray,
                    work: np.ndarray | None = None):
-    """Solve f_n = a_n + b_n f_{n+1} backward, in place: `f` holds a_n in
-    rows :-1 and the end value in its last row; `b` has one row fewer and
-    is consumed.  The chunk-major copy of b goes to the front of `work`, a
-    flat float array of at least b.size (fresh by default).
+    """Solve f_n = a_n + b_n f_{n+1} backward along axis -2, in place: `f`
+    holds a_n in samples :-1 and the end value in its last sample; `b` has
+    one sample fewer and is left as it was.  The chunk-major copies of b
+    and f go to the front of `work`, a flat float array of at least
+    2 b.size (fresh by default).
 
-    A two-level scan.  The rows after the first m % C fall into chunks of
-    C = `_chunk_rows(m)` rows, all solved at once from a zero end value
-    on chunk-major copies of f and b; that leaves each row of the b copy
-    holding its product of b to its chunk's end.  A loop over one row per
-    chunk carries the true value after each chunk back from the end, one
-    pass adds b * carry to every chunk row and the copy of f goes back into
-    f, and the leading rows take plain steps from the first chunk's start.
+    A two-level scan.  The samples after the first m % C fall into chunks
+    of C = `_chunk_rows(m)`, all solved at once from a zero end value on
+    the chunk-major copies; that leaves each row of the b copy holding its
+    product of b to its chunk's end.  A loop over one row per chunk
+    carries the true value after each chunk back from the end, one pass
+    adds b * carry to every chunk row and the copy of f goes back into f,
+    and the leading samples take plain steps from the first chunk's start.
     """
-    size = _chunk_rows(b.shape[0])
-    head = b.shape[0] % size
-    fc, bc = _chunks(f[:-1], head, size), _chunks(b, head, size)
+    size = _chunk_rows(b.shape[-2])
+    head = b.shape[-2] % size
+    fc, bc = _chunks(f[..., :-1, :], head, size), _chunks(b, head, size)
     # within chunks, row j of every chunk at once, on copies that hold
     # those rows side by side: on rows a chunk apart each ufunc call
-    # iterates row by row and costs several times as much.  Once copied,
-    # the chunk rows of b are spent and hold the copy of f
-    rows = bc.swapaxes(0, 1)
-    b_rows = (np.empty(rows.shape) if work is None
-              else work[:rows.size].reshape(rows.shape))
+    # iterates row by row and costs several times as much
+    rows = _chunk_major(bc)
+    if work is None:
+        work = np.empty(2 * rows.size)
+    b_rows, f_rows = work[:2 * rows.size].reshape(2, *rows.shape)
     b_rows[...] = rows
-    f_rows = b[head:].reshape(b_rows.shape)
-    f_rows[...] = fc.swapaxes(0, 1)
+    f_rows[...] = _chunk_major(fc)
     step = np.empty(f_rows.shape[1:])
     for f_j, f_next, b_j, b_next in zip(f_rows[-2::-1], f_rows[::-1],
                                         b_rows[-2::-1], b_rows[::-1]):
@@ -222,17 +242,16 @@ def _backward_scan(f: np.ndarray, b: np.ndarray,
         b_j *= b_next
     # carry[c]: the true value at chunk c's first row, carry[-1] the end
     # value; chunk c's rows then add b * carry[c + 1]
-    carry = np.empty((fc.shape[0] + 1,) + fc.shape[2:])
-    carry[-1] = f[-1]
+    carry = np.empty((f_rows.shape[1] + 1, *f_rows.shape[2:]))
+    carry[-1] = f[..., -1, :]
     for start, prod, here, after in zip(f_rows[0, ::-1], b_rows[0, ::-1],
                                         carry[-2::-1], carry[::-1]):
         np.add(start, np.multiply(prod, after, out=here), out=here)
     f_rows += np.multiply(b_rows, carry[1:], out=b_rows)
-    fc[...] = f_rows.swapaxes(0, 1)
-    row = carry[0]  # spent: scratch for the leading rows
-    for b_n, f_n, f_next in zip(b[:head][::-1], f[:head][::-1],
-                                f[1:head + 1][::-1]):
-        f_n += np.multiply(b_n, f_next, out=row)
+    _chunk_major(fc)[...] = f_rows
+    row = carry[0]  # spent: scratch for the leading samples
+    for n in range(head - 1, -1, -1):
+        f[..., n, :] += np.multiply(b[..., n, :], f[..., n + 1, :], out=row)
 
 
 # a gain step divides by P_e, floored per column at this fraction of the
@@ -277,24 +296,26 @@ def _cubic_root(y0, y1, alpha, beta):
 
 
 def _crossing_steps(pe, slope, net, area, floor, steps, h, gamma):
-    """(a, b) of the steps (rows, columns) on which net changes sign: net
-    crosses zero at the root of the cubic through it at the step's ends and
-    two samples beside them, P_e there is the cubic Hermite value, and the
-    gain and removal parts on either side of the root compose into one
-    step."""
-    rows, cols = steps
-    y0, y1 = net[rows, cols], net[rows + 1, cols]
-    e = _CUBIC_NODES[rows - np.clip(rows - 1, 0, net.shape[0] - 4)]
+    """(a, b) of the steps on which net changes sign, indexed by `steps`
+    (leading indices, step rows, columns): net crosses zero at the root of
+    the cubic through it at the step's ends and two samples beside them,
+    P_e there is the cubic Hermite value, and the gain and removal parts on
+    either side of the root compose into one step.  `slope` holds P_e' at
+    each step's two ends and `area` each step's Hermite integral of P_e,
+    both gathered per step."""
+    *lead, rows, cols = steps
+    after = (*lead, rows + 1, cols)
+    y0, y1 = net[steps], net[after]
+    e = _CUBIC_NODES[rows - np.clip(rows - 1, 0, net.shape[-2] - 4)]
     # alpha + beta e at the two other samples, from q(e) there
-    d = net[rows[:, None] + e, cols[:, None]]
+    d = net[(*(i[:, None] for i in lead), rows[:, None] + e, cols[:, None])]
     d -= y0[:, None] * (1 - e) + y1[:, None] * e
     d /= e * (e - 1)
     beta = (d[:, 1] - d[:, 0]) / (e[:, 1] - e[:, 0])
     s = _cubic_root(y0, y1, d[:, 0] - beta * e[:, 0], beta)
     # the Hermite cubic's value at the root and its integral up to it, from
     # P_n, h P'_n, P_{n+1} and h P'_{n+1}
-    ends = (pe[rows, cols], h * slope[rows, cols], pe[rows + 1, cols],
-            h * slope[rows + 1, cols])
+    ends = (pe[steps], h * slope[0], pe[after], h * slope[1])
     s2, s3, s4 = s * s, s ** 3, s ** 4
     at_root = sum(w * y for w, y in zip(
         (2 * s3 - 3 * s2 + 1, s3 - 2 * s2 + s, 3 * s2 - 2 * s3, s3 - s2),
@@ -311,22 +332,29 @@ def _crossing_steps(pe, slope, net, area, floor, steps, h, gamma):
     np.clip(at_root, np.where(into, 0.0, ends[2]),
             np.where(into, ends[0], np.inf), out=at_root)
     b = (np.where(into, at_root, ends[0])
-         / np.maximum(np.where(into, ends[2], at_root), floor[cols])
+         / np.maximum(np.where(into, ends[2], at_root), floor[(*lead, cols)])
          * np.exp(-gamma * h * np.where(into, 1.0 - s, s)))
     # the removal part: P_e's fall less its decay
     removal = np.where(into, ends[0] - at_root - gamma * before,
-                       at_root - ends[2] - gamma * (area[rows, cols] - before))
+                       at_root - ends[2] - gamma * (area - before))
     return np.where(into, removal, b * removal), b
+
+
+# a step's earlier and later samples along the time axis of `_g_form`
+_EARLIER = np.s_[..., :-1, :]
+_LATER = np.s_[..., 1:, :]
 
 
 def _g_form(pe: np.ndarray, net: np.ndarray, h: float, gamma: float,
             work: np.ndarray | None = None):
-    """g = P_e f_coh at each sample (time on axis 0): the excitation
-    present then that will leave by coherent return, and the exact slope
-    P_e' = net - gamma P_e; returns (g, slope).  g, slope, the steps'
-    Hermite integrals and a scratch array are views of `work`, a flat
-    float array of at least 4 pe.size (fresh by default); the scan's copy
-    reuses the integrals once they are spent.
+    """g = P_e f_coh at each sample (time on axis -2, columns on the last
+    axis, any leading axes holding more columns): the excitation present
+    then that will leave by coherent return; returns (g, slope), slope
+    holding the exact P_e' = net - gamma P_e at the first and last samples.
+    g and the recurrence's b are views of the last 2 pe.size of `work`, a
+    flat float array of at least 4 pe.size (fresh by default); the scan's
+    copies go to its front once pe and net are spent, so they may live
+    there.
 
     g obeys g' = net where net < 0 (coherent removal) and
     g' = (net / P_e) g where net >= 0 (gain, where f_coh decays backward at
@@ -335,38 +363,49 @@ def _g_form(pe: np.ndarray, net: np.ndarray, h: float, gamma: float,
     a = -(P_{n+1} - P_n) - gamma int P_e, by the cubic Hermite rule on P_e
     and its exact slope, and b = 1; a gain step has a = 0 and
     b = (P_n / P_{n+1}) exp(-gamma h), exactly; a step on which net
-    changes sign is split at its root (`_crossing_steps`).  Every
-    operation is per column, and so is the floor of the gain divisor.
+    changes sign is split at its root (`_crossing_steps`).  The slope and
+    the Hermite integrals live in g's and b's storage until the end and
+    crossing samples have been gathered from them.  Every operation is per
+    column, and so is the floor of the gain divisor.
     """
-    n, m = pe.size, net[1:].size  # samples and steps, times columns
+    size, shape = pe.size, pe[_EARLIER].shape  # the samples', the steps'
     if work is None:
-        work = np.empty(2 * (n + m))
-    slope, g = work[:2 * n].reshape(2, *pe.shape)
-    area, scratch = work[2 * n:2 * (n + m)].reshape(2, -1, pe.shape[1])
-    np.multiply(pe, -gamma, out=slope)
-    slope += net
-    np.add(pe[:-1], pe[1:], out=area)  # the Hermite integral of each step
-    area *= 0.5 * h
-    np.subtract(slope[:-1], slope[1:], out=scratch)
-    scratch *= h * h / 12.0
-    area += scratch
-    a = np.subtract(pe[:-1], pe[1:], out=g[:-1])
-    a -= np.multiply(area, gamma, out=scratch)
-    g[-1] = 0.0
-    peak = pe.max(axis=0)
-    floor = np.where(peak > 0.0, _GAIN_FLOOR * peak, 1.0)
-    b = np.maximum(pe[1:], floor, out=scratch)
-    np.divide(pe[:-1], b, out=b)
-    b *= math.exp(-gamma * h)
+        work = np.empty(4 * size)
+    g = work[-2 * size:-size].reshape(pe.shape)
+    b = work[-size:][:math.prod(shape)].reshape(shape)
     gain = net >= 0.0
-    np.copyto(a, 0.0, where=gain[1:])
-    np.copyto(b, 1.0, where=~gain[1:])
-    # np.nonzero of a 2-d mask costs ten times this
-    steps = divmod(np.flatnonzero(gain[:-1] != gain[1:]), pe.shape[1])
-    a[steps], b[steps] = _crossing_steps(pe, slope, net, area, floor, steps,
-                                         h, gamma)
-    _backward_scan(g, b, area.reshape(-1))
-    return g, slope
+    # np.nonzero of a mask costs ten times this
+    steps = np.unravel_index(
+        np.flatnonzero(gain[_EARLIER] != gain[_LATER]), shape)
+    *lead, rows, cols = steps
+    slope = np.multiply(pe, -gamma, out=g)
+    slope += net
+    crossing_slope = slope[steps], slope[(*lead, rows + 1, cols)]
+    end_slope = slope[..., [0, -1], :]
+    # the Hermite integral of each step, (P_n + P_{n+1}) h / 2 plus
+    # (P'_n - P'_{n+1}) h^2 / 12, in b
+    area = np.subtract(slope[_EARLIER], slope[_LATER], out=b)
+    area *= h * h / 12.0
+    # the slope is spent but for its gathered samples
+    trapezoid = np.add(pe[_EARLIER], pe[_LATER], out=g[_EARLIER])
+    trapezoid *= 0.5 * h
+    area += trapezoid
+    crossing_area = area[steps]
+    a = np.subtract(pe[_EARLIER], pe[_LATER], out=g[_EARLIER])
+    a -= np.multiply(area, gamma, out=area)
+    g[..., -1, :] = 0.0
+    peak = pe.max(axis=-2)
+    floor = np.where(peak > 0.0, _GAIN_FLOOR * peak, 1.0)
+    np.maximum(pe[_LATER], floor[..., None, :], out=b)
+    np.divide(pe[_EARLIER], b, out=b)
+    b *= math.exp(-gamma * h)
+    np.copyto(a, 0.0, where=gain[_LATER])
+    np.copyto(b, 1.0, where=~gain[_LATER])
+    a[steps], b[steps] = _crossing_steps(pe, crossing_slope, net,
+                                         crossing_area, floor, steps, h,
+                                         gamma)
+    _backward_scan(g, b, work)
+    return g, end_slope
 
 
 def fate_fractions(rec: ExcitationRecord) -> np.ndarray:

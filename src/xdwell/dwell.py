@@ -13,17 +13,26 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import BlochConfig, _exact_net, _g_form, _weak_pe
+from .bloch import (
+    BlochConfig,
+    _exact_net,
+    _g_form,
+    _response,
+    _weak_amplitudes,
+    _weak_pe,
+)
 from .errors import ConfigError, ConvergenceError
 from .medium import (
     MediumSpec,
     PulseSpec,
     _detunings,
     _spectral_average,
-    field_transfer,
+    _transfer,
+    _transfer_exponent,
     gaussian_envelope,
     od_grid_array,
     transmission_probability,
@@ -94,10 +103,15 @@ _BROADBAND_TOL = 1e-4
 
 
 def _egalitarian_terms(a):
-    """P_L, P_T tauT and P_L tauL of one spectral component at local OD a."""
-    p_loss = -np.expm1(-a)
-    pt_taut = a * np.exp(-a)
-    return np.stack([p_loss, pt_taut, p_loss - pt_taut])
+    """P_L, P_T tauT and P_L tauL of one spectral component at local OD a,
+    stacked on a new first axis in one array."""
+    terms = np.empty((3, *a.shape))
+    p_loss, pt_taut, pl_taul = terms
+    minus_a = np.negative(a, out=pl_taul)
+    np.multiply(np.exp(minus_a, out=pt_taut), a, out=pt_taut)
+    np.negative(np.expm1(minus_a, out=p_loss), out=p_loss)
+    np.subtract(p_loss, pt_taut, out=pl_taul)
+    return terms
 
 
 def egalitarian_broadband(pulse: PulseSpec, medium: MediumSpec,
@@ -148,7 +162,16 @@ _ENERGY_CONSISTENCY_TOL = 2e-2
 _DECAY_TAIL_LIFETIMES = 10.0
 _MIN_SLICES = 8
 _PANEL_MAX_OD = 1.0
-_BLOCK_NODES = 32
+# a node block takes as many depth nodes as fit _BLOCK_CELLS (nodes x
+# samples), in steps of _NODE_STEP and at least _MIN_BLOCK_NODES: 64 on the
+# default 512-sample grid, 32 on 1,024 samples and more.  Blocks whose
+# widths are multiples of 8 give the same bits (the tests check 8 to 64);
+# other widths, such as 1, 3, 7, 17 or 33, change the last bits, since the
+# BLAS sums over time of the node integrals (w @ pe, w @ g) group their
+# terms by the column count
+_BLOCK_CELLS = 32 * 1024
+_MIN_BLOCK_NODES = 32
+_NODE_STEP = 8
 # the node spectra are filled only on the FFT bins where the envelope
 # spectrum reaches this fraction of its peak (33% of the bins at sigma_t
 # 10 ns, 19% at 50 ns, on their 512-sample grids); what the others carry
@@ -162,13 +185,16 @@ _SPECTRUM_FLOOR = 1e-16
 _MIN_SAMPLES = 512
 _STEPS_PER_LIFETIME = 4
 _MAX_SAMPLES = 1 << 15
-# a node block's workspace holds, per sample and node, 6 floats: P_e, the
-# net flow and the complex spectra and field; once the net flow is out, the
-# g-form's arrays and the scan's copy reuse the last four.  A thread keeps
-# its workspace across blocks, curves and calls on grids of up to
-# _RETAINED_SAMPLES samples (0.75 MiB at 512, 1.5 MiB at 1,024); a larger
-# grid's workspace dies with its call
-_WORK_PER_CELL = 6
+# a node block's workspace holds, per sample and node, 4 floats: each
+# half block's P_e and net flow, time-major and side by side, then 2 floats
+# of scratch.  The response fills the block one half at a time: the half's
+# complex spectra and field take the scratch, and its homogeneous term the
+# half's P_e and net flow before they are out.  The g-form's g and b then
+# take the scratch, and the scan's copies the spent P_e and net flows.  A
+# thread keeps its workspace across blocks, curves and calls on grids of up
+# to _RETAINED_SAMPLES samples (1 MiB at 512 and at 1,024 samples); a
+# larger grid's workspace dies with its call
+_WORK_PER_CELL = 4
 _RETAINED_SAMPLES = 1024
 _workspace = threading.local()
 
@@ -219,11 +245,17 @@ def _depth_nodes(od_grid: tuple, slices: int):
     return arrays
 
 
+def _block_nodes(n_samples: int) -> int:
+    """Depth nodes per block on an `n_samples` grid (see _BLOCK_CELLS)."""
+    return max(_MIN_BLOCK_NODES,
+               _BLOCK_CELLS // n_samples // _NODE_STEP * _NODE_STEP)
+
+
 def _node_workspace(n_samples: int) -> np.ndarray:
     """A flat float workspace for node blocks on an `n_samples` grid: this
     thread's, grown as needed, up to _RETAINED_SAMPLES; a fresh one past
     that."""
-    size = _WORK_PER_CELL * _BLOCK_NODES * n_samples
+    size = _WORK_PER_CELL * _block_nodes(n_samples) * n_samples
     if n_samples > _RETAINED_SAMPLES:
         return np.empty(size)
     work = getattr(_workspace, "work", None)
@@ -232,40 +264,73 @@ def _node_workspace(n_samples: int) -> np.ndarray:
     return work
 
 
-def _node_integrals(depths: np.ndarray, spectrum: np.ndarray,
-                    band: np.ndarray, detunings: np.ndarray, h: float,
-                    medium: MediumSpec, bloch: BlochConfig,
+class _Grid(NamedTuple):
+    """What the node blocks of a curve share: the time step, the envelope
+    spectrum and the unit-OD transfer exponent (`medium._transfer_exponent`)
+    on the bins that carry the spectrum, where those bins sit in a half
+    block's flattened spectra, the trapezoid rule's weights, and the weak
+    response's kernels (`bloch._response`) under `bloch`."""
+
+    h: float
+    spectrum: np.ndarray
+    exponent: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
+    response: tuple
+    bloch: BlochConfig
+
+
+def _node_integrals(depths: np.ndarray, grid: _Grid,
                     work: np.ndarray) -> np.ndarray:
     """Time integrals of P_e and of g = P_e f_coh at each of `depths` (OD
-    units, at most _BLOCK_NODES of them), shape (2, depths), on the
-    envelope's grid (step h): the trapezoid rule plus the cubic Hermite end
-    correction h^2 / 12 (y'(start) - y'(end)), from the exact slopes.  Only
-    the bins of `band` carry the envelope spectrum; the others stay zero.
-    Every block-sized array is a view of `work` (`_node_workspace`), which
-    the next block overwrites; only the returned integrals are fresh."""
-    cells = depths.size * spectrum.size
-    pe, net = work[:2 * cells].reshape(2, spectrum.size, depths.size)
-    spectra, field = work[2 * cells:6 * cells].view(complex).reshape(
-        2, depths.size, spectrum.size)
-    spectra.fill(0)
-    transfer = field_transfer(detunings[band], medium, depths[:, None])
-    spectra[:, band] = np.multiply(transfer, spectrum[band], out=transfer)
-    np.fft.ifft(spectra, axis=-1, out=field)
-    # the net flow is not out yet, so it takes _weak_pe's temporary
-    _weak_pe(spectra, h, bloch, out=pe, work=net)
-    # _weak_pe leaves the amplitudes in `spectra`; the field's imaginary
-    # part is spent once it enters the net flow, so it takes the product
-    _exact_net(spectra, field, bloch.rabi_per_amplitude, out=net,
-               work=field.imag.T)
-    # the spectra and field are spent
-    g, slope = _g_form(pe, net, h, bloch.gamma, work=work[2 * cells:])
+    units, at most a block of them, `_block_nodes`), shape (2, depths), on
+    the curve's `grid`: the trapezoid rule plus the cubic Hermite end
+    correction h^2 / 12 (y'(start) - y'(end)), from the exact slopes.  The
+    bins that carry no envelope spectrum stay zero.  Every block-sized
+    array is a view of `work` (`_node_workspace`), which the next block
+    overwrites; only the returned integrals are fresh."""
+    n, h, bloch = grid.weights.size, grid.h, grid.bloch
+    rows = -(-depths.size // 2)
+    # the block goes through in two halves of `rows` nodes; an odd block
+    # repeats its first node to fill the second
+    halves = np.resize(depths, (2, rows))
+    cells = halves.size * n
+    # each half's P_e and net flow, time-major and side by side
+    flows = work[:2 * cells].reshape(2, 2, n, rows)
+    pe, net = flows[:, 0], flows[:, 1]
+    spectra, field = work[2 * cells:4 * cells].view(complex).reshape(
+        2, rows, n)
+    targets = grid.targets[:rows * grid.spectrum.size]
+    for half, flow in zip(halves, flows):
+        # the transfers go to the field's storage, which the ifft then fills
+        transfer = _transfer(grid.exponent, half[:, None],
+                             out=field.reshape(-1)[:targets.size].reshape(
+                                 rows, -1))
+        transfer *= grid.spectrum
+        spectra.fill(0)
+        spectra.reshape(-1)[targets] = transfer.reshape(-1)
+        np.fft.ifft(spectra, axis=-1, out=field)
+        # the half's P_e and net flow are not out yet, so their storage
+        # takes the homogeneous term
+        c = _weak_amplitudes(spectra, grid.response,
+                             work=flow.reshape(-1).view(complex).reshape(
+                                 rows, n))
+        # the net flow is not out yet either, so it takes _weak_pe's
+        # temporary
+        _weak_pe(c, out=flow[0], work=flow[1])
+        # the field's imaginary part is spent once it enters the net flow,
+        # so it takes the product
+        _exact_net(c, field, bloch.rabi_per_amplitude, out=flow[1],
+                   work=field.imag.T)
     # g' is net where net < 0 and (net / P_e) g elsewhere, which is 0 at
-    # both ends: g ends at 0, and c starts at 0
-    dg = np.minimum(net[[0, -1]], 0.0)
-    w = np.full(pe.shape[0], h)  # the trapezoid rule's weights
-    w[[0, -1]] *= 0.5
-    return np.stack([w @ pe + h * h / 12.0 * (slope[0] - slope[-1]),
-                     w @ g + h * h / 12.0 * (dg[0] - dg[1])])
+    # both ends: g ends at 0, and c starts at 0.  Both are taken before the
+    # g-form, whose scan then overwrites P_e and the net flow
+    pe_sum = grid.weights @ pe
+    dg = np.minimum(net[:, [0, -1]], 0.0)
+    g, slope = _g_form(pe, net, h, bloch.gamma, work=work[:4 * cells])
+    return np.stack([pe_sum + h * h / 12.0 * (slope[:, 0] - slope[:, 1]),
+                     grid.weights @ g + h * h / 12.0 * (dg[:, 0] - dg[:, 1])]
+                    ).reshape(2, -1)[:, :depths.size]
 
 
 def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, od_grid=None,
@@ -300,33 +365,43 @@ def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, od_grid=None,
     ods = od_grid_array(medium, od_grid)
     bloch = default_bloch_config(pulse, medium)
     unit = medium.with_od(1.0)
+    # before the blocks, so that its transients and theirs do not meet
+    p_loss_spectral = 1.0 - transmission_probability(pulse, unit, ods)
     env = gaussian_envelope(pulse, n_samples=n_samples,
                             tail=_DECAY_TAIL_LIFETIMES / medium.gamma)
     spectrum = np.fft.fft(env.samples)
     magnitude = np.abs(spectrum)
     band = np.flatnonzero(magnitude >= _SPECTRUM_FLOOR * magnitude.max())
-    detunings = _detunings(env)
-    depths, weights, ends = _depth_nodes(tuple(ods.tolist()), slices)
+    width = _block_nodes(n_samples)
+    weights = np.full(n_samples, env.dt)  # the trapezoid rule's
+    weights[[0, -1]] *= 0.5
+    grid = _Grid(
+        h=env.dt, spectrum=spectrum[band],
+        exponent=_transfer_exponent(_detunings(env)[band], unit),
+        # one flat scatter costs a third of indexing the band on the last
+        # axis
+        targets=(n_samples * np.arange(-(-width // 2))[:, None]
+                 + band).reshape(-1),
+        weights=weights, response=_response(n_samples, env.dt, bloch),
+        bloch=bloch)
+    depths, node_weights, ends = _depth_nodes(tuple(ods.tolist()), slices)
     integrals = np.empty((2, depths.size))
     work = _node_workspace(n_samples)
-    for i in range(0, depths.size, _BLOCK_NODES):
-        block = slice(i, i + _BLOCK_NODES)
-        integrals[:, block] = _node_integrals(
-            depths[block], spectrum, band, detunings, env.dt, unit, bloch,
-            work)
+    for i in range(0, depths.size, width):
+        block = slice(i, i + width)
+        integrals[:, block] = _node_integrals(depths[block], grid, work)
     # each OD sums the node integrals below its panel edge; the atom
     # weight makes gross scattering match Beer-Lambert loss, and the
     # dwell is in tau_sp units
     scale = bloch.gamma ** 2 / (bloch.rabi_per_amplitude ** 2
                                 * env.photon_number)
-    sums = np.cumsum(weights * integrals, axis=1)
+    sums = np.cumsum(node_weights * integrals, axis=1)
     tau0, coh = np.pad(sums, ((0, 0), (1, 0)))[:, ends] * scale
     # the dwell lies in [0, 1] (tau0 = P_L) and its coherent part in
     # [0, tau0] (0 <= f_coh <= 1); rounding can put them past a bound where
     # the truth sits at it (at sigma_t 200 ns, tau0 at OD 40)
     tau0 = np.clip(tau0, 0.0, 1.0)
     coh = np.clip(coh, 0.0, tau0)
-    p_loss_spectral = 1.0 - transmission_probability(pulse, unit, ods)
     return [_breakdown(float(t), float(c), float(p))
             for t, c, p in zip(tau0, coh, p_loss_spectral)]
 

@@ -149,17 +149,33 @@ def dispersion_phase(delta, medium: MediumSpec):
     return -(medium.peak_od / 2.0) * x / (1.0 + x * x)
 
 
+def _transfer_exponent(delta, medium: MediumSpec):
+    """a/2 + i phi at each detuning of `delta`: the field transfer over a
+    depth fraction d is exp(-d (a/2 + i phi)) (`_transfer`)."""
+    return (0.5 * lorentzian_od(delta, medium)
+            + 1.0j * dispersion_phase(delta, medium))
+
+
+def _transfer(exponent, depth_fraction, out: np.ndarray | None = None):
+    """exp(-depth_fraction * exponent), broadcast, written into the complex
+    array `out` (fresh by default)."""
+    if out is None:
+        out = np.empty(np.broadcast(depth_fraction, exponent).shape, complex)
+    # the depths spread over the array first, then times the exponent and
+    # exp in place: a product of two broadcast operands would cost numpy's
+    # buffers for both
+    out[...] = -np.asarray(depth_fraction)
+    out *= exponent
+    return np.exp(out, out=out)
+
+
 def field_transfer(delta, medium: MediumSpec, depth_fraction: float = 1.0):
     """Complex field amplitude transfer over `depth_fraction` of the medium.
 
     `delta` and `depth_fraction` broadcast: a column of depth fractions
     against a row of detunings gives one row of transfers per depth.
     """
-    a = lorentzian_od(delta, medium)
-    phi = dispersion_phase(delta, medium)
-    z = -depth_fraction * (0.5 * a + 1.0j * phi)
-    # exp in place on arrays, so a block of depths costs one buffer, not two
-    return np.exp(z, out=z if isinstance(z, np.ndarray) else None)
+    return _transfer(_transfer_exponent(delta, medium), depth_fraction)
 
 
 _INPUT_LEAK_TOL = 1e-6
@@ -220,8 +236,9 @@ def _spectral_average(pulse: PulseSpec, medium: MediumSpec, ods, f):
     density, for the line `medium` at each peak OD of `ods`, in one array
     pass.
 
-    `f` maps an (ods, nodes) array of local ODs a(delta) to an array of
-    shape (..., ods, nodes).  The rule is the uniform trapezoid rule in
+    `f` maps an (ods, nodes) array of local ODs a(delta), which it may
+    overwrite, to an array of shape (..., ods, nodes), which is then
+    weighted in place.  The rule is the uniform trapezoid rule in
     x = (delta - carrier)/sigma_w on [-9, 9], with step
     h <= min(1/8, gamma sigma_t/16): gamma sigma_t is the Lorentzian
     half-width in x units, so the step stays fine against the line at any
@@ -243,9 +260,14 @@ def _spectral_average(pulse: PulseSpec, medium: MediumSpec, ods, f):
     w = np.exp(-0.5 * x * x) * (_SPECTRAL_SPAN / half / np.sqrt(2.0 * np.pi))
     w[[0, -1]] *= 0.5
     values = f(np.multiply.outer(np.asarray(ods, dtype=float), line))
-    fine = (values * w).sum(axis=-1)
-    coarse = (values[..., ::2] * (2.0 * w[::2])).sum(axis=-1)
-    return fine, np.abs(fine - coarse)
+    # the coarse sums first, one (ods, nodes) slab at a time: a product of
+    # the strided, broadcast operands costs numpy's buffers as well; then
+    # the fine weights go in place
+    coarse = np.stack([(slab[:, ::2] * (2.0 * w[::2])).sum(axis=-1)
+                       for slab in values.reshape(-1, *values.shape[-2:])])
+    values *= w
+    fine = values.sum(axis=-1)
+    return fine, np.abs(fine - coarse.reshape(fine.shape))
 
 
 def od_grid_array(medium: MediumSpec, od_grid=None) -> np.ndarray:
@@ -271,8 +293,8 @@ def transmission_probability(pulse: PulseSpec, medium: MediumSpec,
     `od_grid`, which `od_grid_array` checks; OD 0 gives exactly 1.
     """
     ods = od_grid_array(medium, od_grid)
-    values, errors = _spectral_average(pulse, medium, ods,
-                                       lambda a: np.exp(-a))
+    values, errors = _spectral_average(
+        pulse, medium, ods, lambda a: np.exp(np.negative(a, out=a), out=a))
     if np.any(errors > _SPECTRAL_TOL):
         worst = float(errors.max())
         raise ConvergenceError(

@@ -23,6 +23,8 @@ from xdwell.bloch import (
     _chunks,
     _exact_net,
     _g_form,
+    _response,
+    _weak_amplitudes,
     _weak_pe,
 )
 from xdwell.dwell import default_bloch_config
@@ -121,8 +123,9 @@ def model_block(sigma_ns, od, carrier, n_samples=None):
                * np.fft.fft(env.samples))
     field = np.fft.ifft(spectra, axis=-1)
     bloch = default_bloch_config(pulse, medium)
-    pe = _weak_pe(spectra, env.dt, bloch)
-    net = _exact_net(spectra, field, bloch.rabi_per_amplitude)
+    c = _weak_amplitudes(spectra, _response(n_samples, env.dt, bloch))
+    pe = _weak_pe(c)
+    net = _exact_net(c, field, bloch.rabi_per_amplitude)
     return pe, net, env.dt, medium.gamma
 
 

@@ -14,6 +14,7 @@ from xdwell import (
     DwellBreakdown,
     MediumSpec,
     PulseSpec,
+    bloch,
     cli,
     default_bloch_config,
     dwell,
@@ -542,10 +543,9 @@ def traced_peak(fn):
 class TestMemory:
     def test_min_coherent_point_peak(self, pulse_10ns, medium_od4):
         # a 4,096-sample grid is past the retained size, so the call makes
-        # a workspace of its own: 6 MiB for one 32-node block, of a peak
-        # that measures 6.5 MiB; 128 nodes in one block would take 16 MiB
-        # for the complex spectra and field alone (the curve test below
-        # bounds the peak on the default grid)
+        # a workspace of its own: 4 MiB for 32-node blocks, of a peak that
+        # measures 4.6 MiB; 128 nodes in one block would take 16 MiB (the
+        # curve test below bounds the peak on the default grid)
         min_coherent_model(pulse_10ns, medium_od4)
         peak = traced_peak(lambda: min_coherent_model(
             pulse_10ns, medium_od4, slices=128, n_samples=4096))
@@ -555,17 +555,26 @@ class TestMemory:
                                                 ([4.0], 128)])
     def test_min_coherent_curve_peak(self, pulse_10ns, medium_od4, od_grid,
                                      slices):
-        # nodes go through in blocks of at most 32 in one workspace (the
-        # amplitudes, field, P_e and net flow, whose complex part the
-        # g-form's arrays and the scan's copy reuse), whatever the number
-        # of nodes (512 at OD 4 x 128).  A thread's first curve makes the
-        # workspace, 0.75 MiB on the default 512-sample grid, and both
-        # cases measure about 1.0 MiB with it; blocks of 64 nodes read
-        # 1.9 MiB
+        # nodes go through in blocks of at most 64 on the default
+        # 512-sample grid, in one workspace of 4 floats per sample and
+        # node, whatever the number of nodes (512 at OD 4 x 128).  A
+        # thread's first curve makes the workspace, 1 MiB, and the two
+        # cases measure 1.23 and 1.26 MiB with it
         min_coherent_model(pulse_10ns, medium_od4, od_grid, slices=slices)
         peak = in_new_thread(lambda: traced_peak(lambda: min_coherent_model(
             pulse_10ns, medium_od4, od_grid, slices=slices)))
         assert peak <= 1.5 * 2**20
+
+
+    def test_egalitarian_sweep_peak(self, pulse_10ns, medium_od4):
+        # the default OD sweep at sigma_t 10 ns averages a (3, 8, 765)
+        # stack of terms (147 KB), written into one array and weighted in
+        # place after the coarse sums: its peak measures 239 KiB, where
+        # stacking the terms and weighting a copy read 367 KiB
+        egalitarian_broadband(pulse_10ns, medium_od4, DEFAULT_OD_GRID)
+        peak = traced_peak(lambda: egalitarian_broadband(
+            pulse_10ns, medium_od4, DEFAULT_OD_GRID))
+        assert peak <= 280 * 2**10
 
 
 class TestWorkspace:
@@ -576,12 +585,12 @@ class TestWorkspace:
     def test_second_curve_allocates_no_block(self, pulse_10ns, medium_od4,
                                              n_samples):
         # the second curve in a thread reuses the first one's workspace.
-        # Its peak measures 292 KiB on the default 512-sample grid and
-        # 299 KiB on 1,024, most of it field_transfer's block of transfers
-        # and its broadcast; elsewhere in a block the peak stays under
-        # 150 KiB, so a fresh block-sized float array (256 KiB at 1,024
-        # samples x 32 nodes) would pass the bound at any step.  The
-        # blocks' fresh arrays read 1.1 MiB on the default grid
+        # Its peak measures 239 KiB on the default 512-sample grid and
+        # 242 KiB on 1,024: about 90 KiB that the curve holds while its
+        # blocks run, and at most 150 KiB of transients in a block, most of
+        # it numpy's buffers for broadcast or transposed operands.  So a
+        # fresh block-sized float array (256 KiB at 64 nodes x 512 samples
+        # or 32 x 1,024) would pass the bound at any step
         run = functools.partial(min_coherent_model, pulse_10ns, medium_od4,
                                 DEFAULT_OD_GRID, n_samples=n_samples)
         run()
@@ -624,11 +633,50 @@ class TestWorkspace:
             assert got == [serial[j] for j in order[k]]
         assert len(results) == len(order)
 
+    @pytest.mark.parametrize("n_samples,blocks", [(None, 1), (1024, 2),
+                                                  (4096, 2)])
+    def test_blocks_per_curve(self, medium_od4, monkeypatch, n_samples,
+                              blocks):
+        # a default curve's 64 depth nodes go through as one block on the
+        # default 512-sample grid, so the g-form's root solve and scan run
+        # once per curve; on 1,024 and 4,096 samples the blocks hold 32
+        # nodes, two per curve, as they did at every grid before the cell
+        # budget
+        calls = {"_backward_scan": 0, "_cubic_root": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(bloch, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(bloch, name, counted)
+        for sigma in (10e-9, 50e-9):
+            min_coherent_model(PulseSpec(intensity_rms=sigma), medium_od4,
+                               DEFAULT_OD_GRID, n_samples=n_samples)
+        assert calls == {"_backward_scan": 2 * blocks,
+                         "_cubic_root": 2 * blocks}
+
+    def test_block_width_changes_no_bits(self, medium_od4, monkeypatch):
+        # blocks forced to 8, 16, 32 and 64 nodes give the same curves bit
+        # for bit on both default grids; run in a thread of its own, so the
+        # 2 MiB workspace of 64-node blocks on 1,024 samples dies with it
+        def curves():
+            return [[float(x).hex() for b in min_coherent_model(
+                PulseSpec(intensity_rms=sigma), medium_od4, DEFAULT_OD_GRID,
+                n_samples=n) for x in (b.tau0, b.tauL, b.tauT, b.p_loss)]
+                for sigma in (10e-9, 50e-9) for n in (None, 1024)]
+
+        got = {}
+        for width in (8, 16, 32, 64):
+            monkeypatch.setattr(dwell, "_block_nodes", lambda n, w=width: w)
+            got[width] = in_new_thread(curves)
+        assert got[8] == got[16] == got[32] == got[64]
+
     def test_large_grid_not_retained(self, pulse_10ns, medium_od4):
-        # after a default curve and one on 8,192 samples (a 12 MiB
-        # workspace), the thread holds no more than the retained cap
-        cap = (dwell._WORK_PER_CELL * dwell._BLOCK_NODES
-               * dwell._RETAINED_SAMPLES * 8)
+        # after a default curve and one on 8,192 samples (an 8 MiB
+        # workspace), the thread holds no more than the retained cap: the
+        # 1 MiB workspace of a block's cell budget, and 64 KiB for the
+        # thread's own objects (they measure 7 KiB)
+        cap = dwell._WORK_PER_CELL * dwell._BLOCK_CELLS * 8 + 2**16
         min_coherent_model(pulse_10ns, medium_od4, [4.0], n_samples=8192)
 
         def held():
