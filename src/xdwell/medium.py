@@ -173,9 +173,10 @@ def field_transfer(delta, medium: MediumSpec, depth_fraction: float = 1.0):
     """Complex field amplitude transfer over `depth_fraction` of the medium.
 
     `delta` and `depth_fraction` broadcast: a column of depth fractions
-    against a row of detunings gives one row of transfers per depth.
+    against a row of detunings gives one row of transfers per depth;
+    scalars give a scalar.
     """
-    return _transfer(_transfer_exponent(delta, medium), depth_fraction)
+    return _transfer(_transfer_exponent(delta, medium), depth_fraction)[()]
 
 
 _INPUT_LEAK_TOL = 1e-6
