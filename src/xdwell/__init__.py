@@ -21,7 +21,6 @@ from .dwell import (
     DwellBreakdown,
     default_bloch_config,
     egalitarian_broadband,
-    egalitarian_monochromatic,
     min_coherent_model,
 )
 from .errors import (
@@ -39,7 +38,6 @@ from .estimator import (
     analyze_file,
     bin_and_average,
     calibrate_proportional_noise,
-    click_inference_check,
     combine_detunings,
     correct_phi_T,
     fit_phi0,

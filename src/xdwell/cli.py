@@ -38,7 +38,6 @@ from .medium import (
     MediumSpec,
     PulseSpec,
     gaussian_envelope,
-    od_grid_array,
     propagate_spectral,
     transmission_probability,
 )
@@ -222,7 +221,6 @@ def cmd_models(args) -> int:
     body = _read(_load_config(args.config), "models", _MODELS_KEYS)
     od_grid = body["od_grid"]
     medium = MediumSpec.from_lifetime(peak_od=1.0, tau_sp=body["tau_sp"])
-    od_grid_array(medium, od_grid)  # a bad grid exits 2 before any job
     curves = [(model, PulseSpec(intensity_rms=sigma,
                                 carrier_detuning=body["carrier_detuning"]))
               for model in (MODEL_EGALITARIAN, MODEL_MIN_COHERENT)

@@ -42,7 +42,6 @@ __all__ = [
     "DwellBreakdown",
     "MODEL_EGALITARIAN",
     "MODEL_MIN_COHERENT",
-    "egalitarian_monochromatic",
     "egalitarian_broadband",
     "min_coherent_model",
     "default_bloch_config",
@@ -80,23 +79,6 @@ class DwellBreakdown:
         if not abs(mix - self.tau0) <= tol:
             raise ConvergenceError(
                 f"|P_L tauL + P_T tauT - tau0| = {abs(mix - self.tau0):.2e} > {tol:g}")
-
-
-def egalitarian_monochromatic(od: float) -> DwellBreakdown:
-    """Closed-form egalitarian breakdown for a single spectral component.
-
-    Derived from uniform dwell accrual while the photon survives,
-    exponential survival exp(-a z/L), and the normalization P_L = Gamma tau0.
-    """
-    if od < 0:
-        raise ConfigError("od must be >= 0")
-    if od == 0:
-        return DwellBreakdown(tau0=0.0, tauL=0.0, tauT=0.0, p_loss=0.0)
-    p_loss = -np.expm1(-od)
-    tau_t = od
-    tau_l = 1.0 - od * np.exp(-od) / p_loss
-    return DwellBreakdown(tau0=float(p_loss), tauL=float(tau_l),
-                          tauT=float(tau_t), p_loss=float(p_loss))
 
 
 _BROADBAND_TOL = 1e-4
@@ -145,16 +127,17 @@ def egalitarian_broadband(pulse: PulseSpec, medium: MediumSpec,
     return results
 
 
-def default_bloch_config(pulse: PulseSpec, medium: MediumSpec,
-                         area: float = 0.02) -> BlochConfig:
-    """Drive scale giving a small fixed pulse area; normalized results are
-    independent of this choice in the weak regime."""
+_PROBE_AREA = 0.02  # weak, so normalized results do not depend on it
+
+
+def default_bloch_config(pulse: PulseSpec, medium: MediumSpec) -> BlochConfig:
+    """Drive scale giving the pulse area `_PROBE_AREA`."""
     s = pulse.intensity_rms
     # unit-photon Gaussian peak amplitude and analytic area integral
     peak_amp = np.sqrt(pulse.mean_photons / (s * np.sqrt(2.0 * np.pi)))
     area_integral = peak_amp * 2.0 * s * np.sqrt(np.pi)
     return BlochConfig(gamma=medium.gamma,
-                       rabi_per_amplitude=area / area_integral,
+                       rabi_per_amplitude=_PROBE_AREA / area_integral,
                        detuning=-pulse.carrier_detuning)
 
 

@@ -27,14 +27,12 @@ __all__ = [
     "FitResult",
     "CombinedEstimate",
     "NoiseCalibration",
-    "ClickCheckReport",
     "bin_and_average",
     "fit_phi0",
     "fit_transmitted",
     "calibrate_proportional_noise",
     "correct_phi_T",
     "combine_detunings",
-    "click_inference_check",
     "analyze_file",
     "run_calibration",
 ]
@@ -119,16 +117,6 @@ class NoiseCalibration:
     s2: float
     s2_se: float
     upper_bound: bool  # fitted s2 was negative; value is consistent with 0
-
-
-@dataclass(frozen=True)
-class ClickCheckReport:
-    excess_transmitted: float
-    excess_transmitted_se: float
-    excess_lost: float
-    excess_lost_se: float
-    n_click: int
-    n_noclick: int
 
 
 def _bin(n: int, s1: np.ndarray, s2: np.ndarray):
@@ -312,35 +300,6 @@ def combine_detunings(entries) -> CombinedEstimate:
     ratio = float(np.sum(w * np.asarray(ratios)) / np.sum(w))
     se = float(1.0 / np.sqrt(np.sum(w)))
     return CombinedEstimate(ratio=ratio, se=se)
-
-
-def click_inference_check(batches) -> ClickCheckReport:
-    """Conditional photon-number excesses from truth metadata.
-
-    `batches` is an iterable of (phases, clicks, truth) batches.  Bins the
-    (n_T, n - n_T) pairs by click through `bin_and_average`, so each bin
-    needs MIN_BIN_POPULATION (100) shots, and returns
-    E[n_T | click] - E[n_T | no click] and the lost-photon analogue, with
-    Monte Carlo errors; the small-efficiency analytic expectations are 1
-    and 0 respectively.
-    """
-    def pairs():
-        for batch in batches:
-            if len(batch) < 3 or batch[2] is None:
-                raise ConfigError(
-                    "click_inference_check requires truth metadata")
-            n, n_t = batch[2][:, 0], batch[2][:, 1]
-            yield np.column_stack([n_t, n - n_t]), batch[1]
-
-    binned = bin_and_average(pairs())
-    return ClickCheckReport(
-        excess_transmitted=float(binned.delta_phi[0]),
-        excess_transmitted_se=float(binned.se_delta[0]),
-        excess_lost=float(binned.delta_phi[1]),
-        excess_lost_se=float(binned.se_delta[1]),
-        n_click=binned.n_click,
-        n_noclick=binned.n_noclick,
-    )
 
 
 def _fit_chain(cfg: ExperimentConfig, template: XpsTemplate,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import DataFormatError
 
 __all__ = [
     "MAGIC",
@@ -95,10 +95,12 @@ class ShotFileWriter:
         self._records = np.zeros(BATCH_SIZE, _record_dtype(n_samples,
                                                            with_truth))
         flags = FLAG_TRUTH if with_truth else 0
+        # packed first, so a count out of range leaves no file behind
+        header = _HEADER.pack(MAGIC, FORMAT_VERSION, flags, n_samples,
+                              n_shots, digest)
         self._partial = self.path + ".partial"
         self._fh = open(self._partial, "wb")
-        self._fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, flags, n_samples,
-                                    n_shots, digest))
+        self._fh.write(header)
 
     def append(self, phases: np.ndarray, clicks: np.ndarray, truth=None):
         phases = np.asarray(phases, dtype=np.float64)
@@ -166,17 +168,15 @@ def read_header(path) -> Header:
     return header
 
 
-def iter_shot_batches(path, batch_size: int = BATCH_SIZE):
-    """Yield (phases, clicks, truth-or-None) batches from a shot file."""
-    if batch_size < 1:  # a caller error, not the file's
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+def iter_shot_batches(path):
+    """Yield a shot file's (phases, clicks, truth-or-None) batches."""
     header = read_header(path)
     dtype = _record_dtype(header.n_samples, header.with_truth)
     remaining = header.n_shots
     with open(path, "rb") as fh:
         fh.seek(_HEADER.size)
         while remaining > 0:
-            m = min(batch_size, remaining)
+            m = min(BATCH_SIZE, remaining)
             records = np.fromfile(fh, dtype=dtype, count=m)
             if records.size != m:
                 raise DataFormatError(

@@ -177,18 +177,21 @@ def _tau0(cfg: ExperimentConfig, tauT_frac: float, tauL_frac: float) -> float:
     return p_l * tauL_frac * cfg.tau_sp / (1.0 - cfg.p_transmit * tauT_frac)
 
 
-def xps_template_curve(cfg: ExperimentConfig, dt_fine: float = 0.25e-9):
-    """Un-normalized fine-grid template: unit-area Gaussian pulse intensity
-    convolved with the lifetime decay (DC gain tau_sp), then low-passed at
-    the measurement bandwidth (DC gain 1)."""
-    n = int(round(cfg.shot_len / dt_fine))
-    t = dt_fine * np.arange(n)
+_TEMPLATE_DT = 0.25e-9
+
+
+def xps_template_curve(cfg: ExperimentConfig):
+    """Un-normalized template on a `_TEMPLATE_DT` grid: unit-area Gaussian
+    pulse intensity convolved with the lifetime decay (DC gain tau_sp), then
+    low-passed at the measurement bandwidth (DC gain 1)."""
+    n = int(round(cfg.shot_len / _TEMPLATE_DT))
+    t = _TEMPLATE_DT * np.arange(n)
     center = cfg.arrival_index * cfg.sample_dt + 1.5 * cfg.sigma_t
     intensity = np.exp(-0.5 * ((t - center) / cfg.sigma_t) ** 2)
-    intensity /= intensity.sum() * dt_fine
-    b_life = np.exp(-dt_fine / cfg.tau_sp)
+    intensity /= intensity.sum() * _TEMPLATE_DT
+    b_life = np.exp(-_TEMPLATE_DT / cfg.tau_sp)
     curve = _first_order_filter(cfg.tau_sp * (1.0 - b_life), b_life, intensity)
-    b_lp = np.exp(-2.0 * np.pi * cfg.meas_bandwidth * dt_fine)
+    b_lp = np.exp(-2.0 * np.pi * cfg.meas_bandwidth * _TEMPLATE_DT)
     curve = _first_order_filter(1.0 - b_lp, b_lp, curve)
     return t, curve
 
@@ -312,8 +315,8 @@ def _batch_rng(seed: int, campaign: int, batch: int) -> np.random.Generator:
 
 
 def _check_campaign(n_shots: int, seed: int):
-    if n_shots < 1:
-        raise ConfigError("n_shots must be >= 1")
+    if not 1 <= n_shots < 2**64:  # the shot file's u64 count
+        raise ConfigError(f"n_shots must be in [1, 2**64), got {n_shots}")
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
 

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from xdwell import MediumSpec, PulseSpec, min_coherent_model
+from xdwell import (
+    ConfigError,
+    DwellBreakdown,
+    MediumSpec,
+    PulseSpec,
+    bin_and_average,
+    min_coherent_model,
+)
 
 TAU_SP = 26.5e-9
 GAMMA = 1.0 / TAU_SP
@@ -51,3 +58,29 @@ def min_coherent_point(pulse, medium, **kwargs):
     if isinstance(b, Exception):
         raise b
     return b
+
+
+def egalitarian_monochromatic(od: float) -> DwellBreakdown:
+    """Closed-form egalitarian breakdown for a single spectral component.
+
+    Derived from uniform dwell accrual while the photon survives,
+    exponential survival exp(-a z/L), and the normalization P_L = Gamma tau0.
+    """
+    if od < 0:
+        raise ConfigError("od must be >= 0")
+    if od == 0:
+        return DwellBreakdown(tau0=0.0, tauL=0.0, tauT=0.0, p_loss=0.0)
+    p_loss = -np.expm1(-od)
+    tau_t = od
+    tau_l = 1.0 - od * np.exp(-od) / p_loss
+    return DwellBreakdown(tau0=float(p_loss), tauL=float(tau_l),
+                          tauT=float(tau_t), p_loss=float(p_loss))
+
+
+def click_excess(batches):
+    """The truth's (n_T, n - n_T) pairs binned by click: `delta_phi` and
+    `se_delta` hold E[n_T | click] - E[n_T | no click] and the lost-photon
+    analogue, with their Monte Carlo errors."""
+    return bin_and_average(
+        (np.column_stack([truth[:, 1], truth[:, 0] - truth[:, 1]]), clicks)
+        for _, clicks, truth in batches)

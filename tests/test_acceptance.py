@@ -17,7 +17,6 @@ from xdwell import (
     bin_and_average,
     cli,
     correct_phi_T,
-    egalitarian_monochromatic,
     fit_phi0,
     fit_transmitted,
     gaussian_envelope,
@@ -31,12 +30,16 @@ from xdwell.bloch import BlochConfig
 from xdwell.estimator import (
     _calibration_eta,
     analyze_file,
-    click_inference_check,
     run_calibration,
 )
 from xdwell.shots import run_campaign
 
-from conftest import TAU_SP, min_coherent_point
+from conftest import (
+    TAU_SP,
+    click_excess,
+    egalitarian_monochromatic,
+    min_coherent_point,
+)
 
 # shot files are byte-identical at any worker count (criterion 11), so the
 # large campaigns run on every available CPU
@@ -152,15 +155,15 @@ def test_06_energy_conservation(capsys, pulse10):
 def test_07_click_statistics(capsys):
     start = time.time()
     cfg = ExperimentConfig(eta_detect=0.01, p_transmit=0.4)
-    rep = click_inference_check(iter_batches(cfg, 1_000_000, seed=71))
+    binned = click_excess(iter_batches(cfg, 1_000_000, seed=71))
     elapsed = time.time() - start
-    z_t = abs(rep.excess_transmitted - 1.0) / rep.excess_transmitted_se
-    z_l = abs(rep.excess_lost) / rep.excess_lost_se
+    (excess_t, excess_l), (se_t, se_l) = binned.delta_phi, binned.se_delta
+    z_t = abs(excess_t - 1.0) / se_t
+    z_l = abs(excess_l) / se_l
     ok = z_t < 5.0 and z_l < 5.0 and elapsed < 30.0
     report(capsys, 7, ok,
-           f"transmitted excess = {rep.excess_transmitted:.4f} +- "
-           f"{rep.excess_transmitted_se:.4f} (z = {z_t:.2f}); lost excess = "
-           f"{rep.excess_lost:.4f} +- {rep.excess_lost_se:.4f} "
+           f"transmitted excess = {excess_t:.4f} +- {se_t:.4f} "
+           f"(z = {z_t:.2f}); lost excess = {excess_l:.4f} +- {se_l:.4f} "
            f"(z = {z_l:.2f}); {elapsed:.1f} s")
 
 

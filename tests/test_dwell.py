@@ -16,10 +16,8 @@ from xdwell import (
     PulseSpec,
     bloch,
     cli,
-    default_bloch_config,
     dwell,
     egalitarian_broadband,
-    egalitarian_monochromatic,
     gaussian_envelope,
     min_coherent_model,
     transmission_probability,
@@ -30,6 +28,7 @@ from conftest import (
     SPECTRAL_PULSES,
     TAU_SP,
     dense_spectral_oracle,
+    egalitarian_monochromatic,
     min_coherent_point,
 )
 
@@ -223,11 +222,9 @@ class TestMinCoherent:
     def test_drive_scale_invariance(self, pulse_10ns, medium_od4,
                                     monkeypatch):
         # normalized dwell is independent of the probe area in the weak regime
-        monkeypatch.setattr(dwell, "default_bloch_config",
-                            functools.partial(default_bloch_config, area=0.01))
+        monkeypatch.setattr(dwell, "_PROBE_AREA", 0.01)
         a = min_coherent_point(pulse_10ns, medium_od4)
-        monkeypatch.setattr(dwell, "default_bloch_config",
-                            functools.partial(default_bloch_config, area=0.04))
+        monkeypatch.setattr(dwell, "_PROBE_AREA", 0.04)
         b = min_coherent_point(pulse_10ns, medium_od4)
         assert a.tauT / a.tau0 == pytest.approx(b.tauT / b.tau0, abs=1e-3)
 

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import sys
 import threading
@@ -20,7 +19,6 @@ from xdwell import (
     analyze_file,
     bin_and_average,
     calibrate_proportional_noise,
-    click_inference_check,
     combine_detunings,
     correct_phi_T,
     fit_phi0,
@@ -37,6 +35,8 @@ from xdwell.estimator import (
     _ratio,
     run_calibration,
 )
+
+from conftest import click_excess
 
 CFG = ExperimentConfig()
 TEMPLATE = xps_template(CFG)
@@ -425,40 +425,32 @@ class TestClickInference:
 
     def test_small_eta_excess_one(self):
         cfg = ExperimentConfig(eta_detect=0.01, p_transmit=0.4)
-        rep = click_inference_check(self._campaign(cfg, 400000, seed=19))
+        rep = click_excess(self._campaign(cfg, 400000, seed=19))
         oracle = exact_click_excess(34.0, 0.4, 0.01, cfg.dark_prob)
         assert abs(oracle - 1.0) < 0.01  # analytic check of the regime
-        assert abs(rep.excess_transmitted - 1.0) < \
-            5 * rep.excess_transmitted_se
-        assert abs(rep.excess_lost) < 5 * rep.excess_lost_se
+        assert abs(rep.delta_phi[0] - 1.0) < 5 * rep.se_delta[0]
+        assert abs(rep.delta_phi[1]) < 5 * rep.se_delta[1]
 
     def test_large_eta_matches_exact_summation(self):
         # small photon number, eta = 0.5: excess below 1, deviation negative
         cfg = ExperimentConfig(mean_photons=0.5, eta_detect=0.5,
                                p_transmit=0.4)
-        rep = click_inference_check(self._campaign(cfg, 400000, seed=23))
+        rep = click_excess(self._campaign(cfg, 400000, seed=23))
         oracle = exact_click_excess(0.5, 0.4, 0.5, cfg.dark_prob)
         assert oracle < 1.0
-        assert abs(rep.excess_transmitted - oracle) < \
-            5 * rep.excess_transmitted_se
+        assert abs(rep.delta_phi[0] - oracle) < 5 * rep.se_delta[0]
 
     def test_dark_only_zero_excess(self):
         cfg = ExperimentConfig(mean_photons=0.0)
-        rep = click_inference_check(self._campaign(cfg, 50000, seed=29))
-        assert rep.excess_transmitted == 0.0
-        assert rep.excess_lost == 0.0
+        rep = click_excess(self._campaign(cfg, 50000, seed=29))
+        assert rep.delta_phi[0] == 0.0
+        assert rep.delta_phi[1] == 0.0
 
     def test_small_bin_rejected(self):
         # a dark-count-only campaign of 5,000 shots has about 50 clicks
         cfg = ExperimentConfig(mean_photons=0.0)
         with pytest.raises(DataFormatError, match="bin 'click'"):
-            click_inference_check(self._campaign(cfg, 5000, seed=29))
-
-    def test_requires_truth(self):
-        phases = np.zeros((300, N))
-        clicks = np.arange(300) % 2 == 0
-        with pytest.raises(ConfigError):
-            click_inference_check([(phases, clicks, None)])
+            click_excess(self._campaign(cfg, 5000, seed=29))
 
 
 @pytest.fixture(scope="module")
@@ -479,8 +471,15 @@ class TestAnalyzeFile:
         # relative
         path, cfg = boosted_file
         report, _ = analyze_file(path, cfg)
-        monkeypatch.setattr(shotfile, "iter_shot_batches", functools.partial(
-            shotfile.iter_shot_batches, batch_size=300))
+        read = shotfile.iter_shot_batches
+
+        def recut(path):  # each file batch in 300-row pieces
+            for phases, clicks, truth in read(path):
+                for i in range(0, len(clicks), 300):
+                    yield (phases[i:i + 300], clicks[i:i + 300],
+                           truth[i:i + 300])
+
+        monkeypatch.setattr(shotfile, "iter_shot_batches", recut)
         small, _ = analyze_file(path, cfg)
         assert small.keys() == report.keys()
         for key, value in report.items():

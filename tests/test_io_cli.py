@@ -1,6 +1,9 @@
+import ast
 import itertools
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
 import threading
@@ -25,6 +28,31 @@ def test_version_matches_pyproject():
         assert xdwell.__version__ == tomllib.load(fh)["project"]["version"]
 
 
+def test_every_export_used_outside_tests():
+    # each name the package exports is read somewhere in its own code, the
+    # benchmark or the README's example, so no export lives for the tests
+    # alone: a read is an ast.Name load or an attribute; an import, a
+    # definition, an assignment or an __all__ string does not count
+    root = Path(__file__).resolve().parent.parent
+    package = root / "src" / "xdwell"
+    exported = {alias.asname or alias.name
+                for node in ast.parse((package / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    sources = [p.read_text() for p in sorted(package.glob("*.py"))
+               if p.name != "__init__.py"]
+    sources += [p.read_text() for p in sorted((root / "bench").glob("*.py"))]
+    sources += re.findall(r"```python\n(.*?)```",
+                          (root / "README.md").read_text(), re.S)
+    used = set()
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(exported - used) == []
+
+
 class TestShotFileRoundTrip:
     def _write(self, path, with_truth=True, n=500, n_samples=36):
         rng = np.random.default_rng(0)
@@ -41,13 +69,16 @@ class TestShotFileRoundTrip:
         return phases, clicks, truth
 
     def test_round_trip_exact(self, tmp_path):
+        # one full read batch and one short one
         path = tmp_path / "shots.bin"
-        phases, clicks, truth = self._write(path)
+        n = shotfile.BATCH_SIZE + 500
+        phases, clicks, truth = self._write(path, n=n)
         header = shotfile.read_header(path)
-        assert header.n_shots == 500
+        assert header.n_shots == n
         assert header.n_samples == 36
         assert header.with_truth
-        got = list(shotfile.iter_shot_batches(path, batch_size=300))
+        got = list(shotfile.iter_shot_batches(path))
+        assert [len(g[1]) for g in got] == [shotfile.BATCH_SIZE, 500]
         p = np.concatenate([g[0] for g in got])
         c = np.concatenate([g[1] for g in got])
         t = np.concatenate([g[2] for g in got])
@@ -84,13 +115,12 @@ class TestShotFileRoundTrip:
         np.testing.assert_array_equal(records["truth"], truth)
         assert not records["pad"].tobytes().strip(b"\0")
 
-    @pytest.mark.parametrize("batch_size", [0, -5])
-    def test_bad_batch_size_rejected(self, tmp_path, batch_size):
-        # a caller error (exit 2) raised before the file is opened, so a
-        # missing file does not turn it into a data error
-        with pytest.raises(ConfigError, match="batch_size"):
-            next(shotfile.iter_shot_batches(tmp_path / "missing.bin",
-                                            batch_size=batch_size))
+    def test_unpackable_header_leaves_no_file(self, tmp_path):
+        path = tmp_path / "shots.bin"
+        with pytest.raises(struct.error):
+            shotfile.ShotFileWriter(path, n_samples=36, n_shots=-1,
+                                    digest=bytes(32), with_truth=False)
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -357,6 +387,15 @@ class TestCli:
         with pytest.raises(ConfigError):
             run_campaign(ExperimentConfig(), 0, seed=0, out_path=path)
         assert not path.exists()
+
+    def test_shot_count_beyond_u64_exit_2(self, tmp_path, capsys):
+        # the shot file counts its shots in a u64
+        cfg = write_config(tmp_path / "c.ini", SIM_INI.format(n_shots="1e20"))
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "n_shots" in capsys.readouterr().err
+        assert not (out / "shots.bin").exists()
+        assert not (out / "shots.bin.partial").exists()
 
     def test_bad_seed_fails_before_the_file(self, tmp_path, monkeypatch):
         def no_writer(*a, **k):

@@ -84,8 +84,8 @@ class TestTemplate:
         # files do not depend on which one built the template
         lfilter = pytest.importorskip("scipy.signal").lfilter
         cfg = ExperimentConfig(**kw)
-        dt = 0.25e-9
-        t, curve = xps_template_curve(cfg, dt)
+        dt = shots._TEMPLATE_DT
+        t, curve = xps_template_curve(cfg)
         center = cfg.arrival_index * cfg.sample_dt + 1.5 * cfg.sigma_t
         want = np.exp(-0.5 * ((t - center) / cfg.sigma_t) ** 2)
         want /= want.sum() * dt
