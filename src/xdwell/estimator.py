@@ -48,6 +48,8 @@ class RunningMoments:
     `s1[1]` and `s2[1]` over the click rows; the no-click sums are their
     difference.  The shift is the first non-empty batch's mean, so the
     sums stay small and S2 - S1**2/n loses no precision to an offset.
+    `add_white_noise` adds to the sums what iid Gaussian noise on every
+    row and sample would, without the rows.
     """
 
     def __init__(self, width: int):
@@ -70,6 +72,35 @@ class RunningMoments:
         self.s2 += weights @ np.square(d, out=d)
         self.count += m
         self.n_click += int(np.count_nonzero(weights[1]))
+
+    def add_white_noise(self, sigma: float, rng: np.random.Generator):
+        """Add iid N(0, sigma**2) noise on every summed row and sample to
+        the sums, drawn exactly in distribution from `rng`: 3 draws per
+        bin and sample instead of one per row and sample.
+
+        Per bin (click, no-click) and sample, with k rows d about the shift
+        and S1, S2 their sums, the noise w adds sigma*Sum(w) to S1 and
+        2*sigma*Sum(d w) + sigma**2*Sum(w**2) to S2.  In the orthonormal
+        basis {1/sqrt(k), (d - mean)/|d - mean|} of the rows those are
+        A = sqrt(k) z1, B = (S1/sqrt(k)) z1 + sqrt(S2 - S1**2/k) z2 and
+        C = z1**2 + z2**2 + chi2(k - 2), with z1, z2 standard normal.  A
+        bin of one row has no second direction (B = S1 z1, C = z1**2), one
+        of none gets nothing, and rounding below 0 of the conditional
+        spread S2 - S1**2/k is taken as 0."""
+        k = np.array([self.n_click, self.count - self.n_click])[:, None]
+        s1 = np.stack([self.s1[1], self.s1[0] - self.s1[1]])
+        s2 = np.stack([self.s2[1], self.s2[0] - self.s2[1]])
+        z1, z2 = rng.standard_normal((2, *s1.shape))
+        chi2 = rng.gamma(np.maximum(k - 2, 0) / 2.0, 2.0, size=s1.shape)
+        n = np.maximum(k, 1)  # an empty bin's S1 is 0
+        spread = np.sqrt(np.maximum(s2 - s1 * s1 / n, 0.0))
+        a = np.sqrt(k) * z1
+        b = s1 / np.sqrt(n) * z1 + (k >= 2) * spread * z2
+        c = (k >= 1) * z1 * z1 + (k >= 2) * z2 * z2 + chi2
+        d1, d2 = sigma * a, (2.0 * sigma) * b + sigma * sigma * c
+        # rows: all = click + no-click, then click
+        self.s1 += np.stack([d1[0] + d1[1], d1[0]])
+        self.s2 += np.stack([d2[0] + d2[1], d2[0]])
 
     def merge(self, other: "RunningMoments"):
         """Add `other`'s sums, which must be about the same shift, into
@@ -377,12 +408,14 @@ def _binned_batch(cfg: ExperimentConfig, template: XpsTemplate,
     """Generate one calibration batch and sum it about its point's shift,
     both on the thread that runs this; only the sums leave it.
 
-    The shift is the point's first batch's mean, as `bin_and_average`
-    takes it: that batch publishes it through `shift` (or its failure,
-    so that no later batch waits for ever), and the point's later batches
-    wait for it."""
+    The rows are the batch's noise-free shots; their white phase noise
+    enters the sums through `RunningMoments.add_white_noise`, drawn from
+    the batch's stream after the rows.  The shift is the point's first
+    batch's noise-free mean: that batch publishes it through `shift` (or
+    its failure, so that no later batch waits for ever), and the point's
+    later batches wait for it."""
     try:
-        phases, clicks, _ = shots._generate_batch(cfg, template, rng, m)
+        phases, clicks, _ = shots._noise_free_batch(cfg, template, rng, m)
         if first:
             shift.set_result(phases.mean(axis=0))
     except BaseException as exc:
@@ -392,6 +425,7 @@ def _binned_batch(cfg: ExperimentConfig, template: XpsTemplate,
     stats = RunningMoments(phases.shape[1])
     stats.shift = shift.result()
     stats.add_batch(phases, clicks)
+    stats.add_white_noise(cfg.phase_noise_rms, rng)
     return stats
 
 
@@ -400,12 +434,15 @@ def run_calibration(cfg: ExperimentConfig, photon_numbers, n_shots: int,
                     workers: int = 1) -> dict:
     """Bright campaigns at each photon number; fits e(mu) = 1 + s^2 mu.
 
-    Point i is the campaign `shots.iter_batches(cal_cfg, n_shots, seed,
-    workers, campaign=i)` binned by `bin_and_average`, with the same sums
-    added in the same order.  All points' batches go through one pool
-    (`shots._ordered_map`), point after point: each batch is generated and
-    summed on one thread, and the calling thread adds the sums up in batch
-    order and fits each point as its last batch comes in.
+    Point i is campaign i of `seed`, `n_shots` shots in batches keyed as
+    `shots.iter_batches` keys them.  Each batch's noise-free shots are
+    summed by `RunningMoments.add_batch`, and their white phase noise
+    enters through exact per-bin sums (`RunningMoments.add_white_noise`),
+    so no batch draws 36 normals per shot.  All points' batches go through
+    one pool (`shots._ordered_map`), point after point: each batch is
+    generated and summed on one thread, and the calling thread adds the
+    sums up in batch order and fits each point as its last batch comes in,
+    so the result is the same at any worker count.
 
     A point whose phi_0 is under 5 sigma raises DataFormatError."""
     # every point's config first, so a bad point fails before any campaign

@@ -260,7 +260,13 @@ def _spectral_average(pulse: PulseSpec, medium: MediumSpec, ods, f):
     # every second one are the T_2h weights, ends halved as well
     w = np.exp(-0.5 * x * x) * (_SPECTRAL_SPAN / half / np.sqrt(2.0 * np.pi))
     w[[0, -1]] *= 0.5
-    values = f(np.multiply.outer(np.asarray(ods, dtype=float), line))
+    # the local depths: the line filled into the rows, then scaled by the
+    # OD column (an outer product costs numpy a buffer per broadcast
+    # operand); the name is rebound to f's result so that they are freed
+    values = np.empty((len(ods), line.size))
+    values[:] = line
+    values *= np.asarray(ods, dtype=float)[:, None]
+    values = f(values)
     # the coarse sums first, one (ods, nodes) slab at a time: a product of
     # the strided, broadcast operands costs numpy's buffers as well; then
     # the fine weights go in place

@@ -257,9 +257,9 @@ def anchored_phi_atom(cfg: ExperimentConfig) -> float:
 
 
 # per-thread (BATCH_SIZE, n_samples) buffer for the full-size terms that
-# `_generate_batch` adds into the phases; one reused buffer instead of fresh
-# temporaries, which the allocator hands back to the OS and faults in again
-# on every batch
+# `_noise_free_batch` and `_generate_batch` add into the phases; one reused
+# buffer instead of fresh temporaries, which the allocator hands back to
+# the OS and faults in again on every batch
 _scratch = threading.local()
 
 
@@ -270,13 +270,14 @@ def _scratch_rows(m: int, n_samples: int) -> np.ndarray:
     return buf[:m]
 
 
-def _generate_batch(cfg: ExperimentConfig, template: XpsTemplate,
-                    rng: np.random.Generator, m: int):
-    """Vectorized generation of m shots; returns (phases, clicks, truth).
+def _noise_free_batch(cfg: ExperimentConfig, template: XpsTemplate,
+                      rng: np.random.Generator, m: int):
+    """m shots without their white phase noise: every draw of
+    `_generate_batch` that comes before that noise, in the same order;
+    returns (phases, clicks, truth).
 
     The phases are a fresh array; the full-size terms added into them pass
-    through this thread's scratch buffer, in the draw order and addition
-    order that fix the shot-file bytes."""
+    through this thread's scratch buffer."""
     eps = cfg.prop_noise_s * rng.standard_normal(m)
     lam = np.clip(cfg.mean_photons * (1.0 + eps), 0.0, None)
     n = rng.poisson(lam)
@@ -298,11 +299,22 @@ def _generate_batch(cfg: ExperimentConfig, template: XpsTemplate,
         phases += np.multiply.outer(amp, _osc_shape(cfg), out=term)
     phases += np.multiply.outer(cfg.phi_atom * dwell / template.area,
                                 template.samples, out=term)
+    truth = np.column_stack([n, n_t, n_det, dwell]).astype(np.float64)
+    return phases, clicks, truth
+
+
+def _generate_batch(cfg: ExperimentConfig, template: XpsTemplate,
+                    rng: np.random.Generator, m: int):
+    """Vectorized generation of m shots; returns (phases, clicks, truth).
+
+    The noise-free shots of `_noise_free_batch`, then white phase noise
+    drawn from the same stream into this thread's scratch buffer and added:
+    the draw order and addition order that fix the shot-file bytes."""
+    phases, clicks, truth = _noise_free_batch(cfg, template, rng, m)
+    term = _scratch_rows(m, cfg.n_samples)
     rng.standard_normal(out=term)
     term *= cfg.phase_noise_rms
     phases += term
-
-    truth = np.column_stack([n, n_t, n_det, dwell]).astype(np.float64)
     return phases, clicks, truth
 
 

@@ -32,6 +32,7 @@ from xdwell.estimator import (
     FitResult,
     RunningMoments,
     _calibration_eta,
+    _finish,
     _ratio,
     run_calibration,
 )
@@ -270,6 +271,24 @@ CAL_PHOTONS = [588, 898, 1527, 3040]
 BOOSTED = CFG.replace(phi_atom=50 * CFG.phi_atom)
 
 
+def point_sums(cal_cfg, n_shots, seed, campaign):
+    """One calibration point's sums as a serial chain of per-batch sums:
+    each batch's noise-free rows about the first batch's mean, then its
+    white noise drawn from the rest of the batch's stream."""
+    template = xps_template(cal_cfg)
+    total = RunningMoments(N)
+    for b, start in enumerate(range(0, n_shots, shots.BATCH_SIZE)):
+        rng = shots._batch_rng(seed, campaign, b)
+        m = min(shots.BATCH_SIZE, n_shots - start)
+        phases, clicks, _ = shots._noise_free_batch(cal_cfg, template, rng, m)
+        stats = RunningMoments(N)
+        stats.shift = phases.mean(axis=0) if b == 0 else total.shift
+        stats.add_batch(phases, clicks)
+        stats.add_white_noise(cal_cfg.phase_noise_rms, rng)
+        total.merge(stats)
+    return total
+
+
 def per_point_calibration(cfg, n_shots, seed):
     """`run_calibration` as one serial campaign, binning and fit per point."""
     points = []
@@ -277,8 +296,7 @@ def per_point_calibration(cfg, n_shots, seed):
         cal_cfg = cfg.replace(mean_photons=mu, phi_atom=cfg.phi_atom,
                               eta_detect=_calibration_eta(cfg, mu, 0.10))
         template = xps_template(cal_cfg)
-        binned = bin_and_average(iter_batches(cal_cfg, n_shots, seed,
-                                              campaign=i))
+        binned = _finish(point_sums(cal_cfg, n_shots, seed, i))
         phi0 = fit_phi0(binned.phi_all, mu, template, sigma=binned.se_all)
         excess, var = _ratio(fit_transmitted(binned, template), phi0)
         points.append((mu, excess, float(np.sqrt(var))))
@@ -312,7 +330,8 @@ class TestCalibrationPipeline:
         # a slow consumer holds the pool to 2 * workers batches ahead of the
         # sums it has added, also while it fits a point and the next point
         # starts
-        real_generate, real_merge = shots._generate_batch, RunningMoments.merge
+        real_generate, real_merge = (shots._noise_free_batch,
+                                     RunningMoments.merge)
         generated = itertools.count(1)
         merged = 0
 
@@ -326,7 +345,7 @@ class TestCalibrationPipeline:
             real_merge(self, other)
             merged += 1
 
-        monkeypatch.setattr(shots, "_generate_batch", generate)
+        monkeypatch.setattr(shots, "_noise_free_batch", generate)
         monkeypatch.setattr(RunningMoments, "merge", merge)
         run_calibration(BOOSTED, CAL_PHOTONS, 3 * shots.BATCH_SIZE, seed=5,
                         workers=workers)
@@ -337,14 +356,14 @@ class TestCalibrationPipeline:
         # a point's later batches wait for its first batch's mean; when that
         # batch fails they fail with it instead of waiting for ever.  At two
         # workers the second point's next two batches are in flight then
-        real = shots._generate_batch
+        real = shots._noise_free_batch
 
         def fail_first_of_point_1(cfg, template, rng, m):
             if rng.bit_generator.seed_seq.spawn_key == (1, 0):
                 raise RuntimeError("first batch failed")
             return real(cfg, template, rng, m)
 
-        monkeypatch.setattr(shots, "_generate_batch", fail_first_of_point_1)
+        monkeypatch.setattr(shots, "_noise_free_batch", fail_first_of_point_1)
         raised = []
 
         def calibrate():
@@ -358,6 +377,136 @@ class TestCalibrationPipeline:
         thread.join(timeout=60)
         assert not thread.is_alive(), "run_calibration hangs"
         assert raised == ["first batch failed"]
+
+    def test_one_shot_last_batch(self):
+        # n_shots = 1 mod BATCH_SIZE: each point's last batch holds one
+        # shot, so one of its bins has one row and the other none
+        n_shots = 2 * shots.BATCH_SIZE + 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_calibration(BOOSTED, CAL_PHOTONS, n_shots, seed=3,
+                                  workers=2)
+        assert got == per_point_calibration(BOOSTED, n_shots, seed=3)
+        assert np.isfinite(got["s2"]) and got["s2_se"] > 0
+
+
+def zero_shift_sums(rows, clicks):
+    """`add_batch` of the rows about a zero shift."""
+    moments = RunningMoments(rows.shape[1])
+    moments.shift = np.zeros(rows.shape[1])
+    moments.add_batch(rows, clicks)
+    return moments
+
+
+def white_noise_sums(rows, clicks, sigma, rng):
+    """The sums of the noise-free rows with their white noise added by
+    `add_white_noise`."""
+    moments = zero_shift_sums(rows, clicks)
+    moments.add_white_noise(sigma, rng)
+    return moments
+
+
+def bin_sums(moments):
+    """(click S1, click S2, no-click S1, no-click S2), each per sample."""
+    (s1, s1_click), (s2, s2_click) = moments.s1, moments.s2
+    return np.stack([s1_click, s2_click, s1 - s1_click, s2 - s2_click])
+
+
+def ks_p_values(a, b):
+    """Two-sample KS p-value of each statistic: a and b are (draws, ...)."""
+    a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
+    return np.array([stats.ks_2samp(a[:, j], b[:, j]).pvalue
+                     for j in range(a.shape[1])])
+
+
+class TestWhiteNoiseSums:
+    # RunningMoments.add_white_noise on a batch's noise-free rows against
+    # add_batch on the rows of `shots._generate_batch`, which draws the
+    # noise per row and sample
+
+    BRIGHT = ExperimentConfig(phase_noise_rms=0.05, tauT_frac=1.0,
+                              prop_noise_s=0.03)
+    CONFIGS = {
+        # acceptance 10's 588-photon point
+        "calibration": BRIGHT.replace(
+            mean_photons=588, phi_atom=50 * BRIGHT.phi_atom,
+            eta_detect=_calibration_eta(BRIGHT, 588, 0.10)),
+        "dark counts": CFG.replace(dark_prob=0.3),
+        "oscillation": CFG.replace(osc_amplitude=0.05, od_coupling=2.0,
+                                   prop_noise_s=0.1),
+    }
+
+    @staticmethod
+    def both_paths(cfg, template, m, direct_rng, sums_rng):
+        """(per-shot sums, white-noise sums) of one batch of m shots."""
+        direct = zero_shift_sums(*shots._generate_batch(
+            cfg, template, direct_rng, m)[:2])
+        summed = white_noise_sums(*shots._noise_free_batch(
+            cfg, template, sums_rng, m)[:2], cfg.phase_noise_rms, sums_rng)
+        return direct, summed
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_counts_equal_per_shot_path(self, name):
+        # the draws before the noise are shared, so the bins hold the same
+        # rows, and so the same counts, on both paths
+        cfg = self.CONFIGS[name]
+        template = xps_template(cfg)
+        for b, m in enumerate((1, 2, 300, shots.BATCH_SIZE)):
+            direct, summed = self.both_paths(cfg, template, m,
+                                             shots._batch_rng(8, 0, b),
+                                             shots._batch_rng(8, 0, b))
+            assert (summed.count, summed.n_click) == (direct.count,
+                                                      direct.n_click)
+
+    def test_sums_match_per_shot_path(self):
+        # every bin's S1 and S2 at every sample, over 2,000 batches of 64
+        # rows on each path, from streams apart: the 3 x 144 two-sample KS
+        # p-values are uniform
+        n_batches, m = 2000, 64
+        p_values = []
+        for cfg in self.CONFIGS.values():
+            template = xps_template(cfg)
+            pairs = [self.both_paths(cfg, template, m,
+                                     shots._batch_rng(21, 0, b),
+                                     shots._batch_rng(21, 1, b))
+                     for b in range(n_batches)]
+            p_values.append(ks_p_values(
+                *(np.array([bin_sums(pair[i]) for pair in pairs])
+                  for i in (0, 1))))
+        p_values = np.concatenate(p_values)
+        assert p_values.size == 3 * 4 * N
+        assert stats.kstest(p_values, "uniform").pvalue > 0.01
+        assert np.mean(p_values < 0.01) < 0.03
+
+    @pytest.mark.parametrize("clicks", [[True], [True, False, True],
+                                        [False, True, True, False]],
+                             ids=["bins 1 and 0", "bins 2 and 1",
+                                  "bins 2 and 2"])
+    def test_small_bins_exact(self, clicks):
+        # fixed rows of 0, 1 and 2 per bin: the sums' distribution over
+        # 4,000 noise draws against the rows with their noise added
+        sigma, draws = 0.3, 4000
+        clicks = np.array(clicks)
+        rows = np.random.default_rng(4).standard_normal((clicks.size, 3))
+        rng = np.random.default_rng(5)
+        direct = np.array([bin_sums(zero_shift_sums(
+            rows + sigma * rng.standard_normal(rows.shape), clicks))
+            for _ in range(draws)])
+        summed = np.array([bin_sums(white_noise_sums(rows, clicks, sigma,
+                                                     rng))
+                           for _ in range(draws)])
+        assert np.all(np.isfinite(summed))
+        assert ks_p_values(direct, summed).min() > 1e-3
+        for k, s1, s2 in ((clicks.sum(), summed[:, 0], summed[:, 1]),
+                          ((~clicks).sum(), summed[:, 2], summed[:, 3])):
+            if k == 0:  # an empty bin gets nothing
+                assert np.all(s1 == 0.0) and np.all(s2 == 0.0)
+            if k == 1:  # one row's S2 stays the square of its S1 (the
+                # sums of unit-scale rows round at about 1e-16)
+                np.testing.assert_allclose(s2, s1 * s1, rtol=1e-12,
+                                           atol=1e-14)
+            if k == 2:  # two rows' S2 - S1**2/2 stays >= 0
+                assert np.all(s2 - s1 * s1 / 2 >= -1e-12)
 
 
 class TestCorrection:

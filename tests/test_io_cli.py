@@ -667,10 +667,12 @@ class TestCli:
                          str(workers), "--out", str(tmp_path / "o")]) == 2
 
     def test_calibrate_unresolved_phi0_exit_3(self, tmp_path):
-        # at 5,000 default shots and this seed, phi_0 of the 588-photon
-        # point is at 4.4 sigma: too weak to divide by
+        # at 5,000 shots with 0.5 rad of white phase noise, phi_0 of the
+        # 588-photon point is expected at 2.0 sigma (mean over 40 seeds;
+        # 4.3 at this one): too weak to divide by
         cfg = write_config(tmp_path / "c.ini",
-                           "[experiment]\n[calibrate]\nn_shots = 5000\n")
+                           "[experiment]\nphase_noise_rms = 0.5\n"
+                           "[calibrate]\nn_shots = 5000\n")
         out = tmp_path / "o"
         assert cli.main(["calibrate", "--config", cfg, "--seed",
                          str(2**64 - 1), "--out", str(out)]) == 3
@@ -680,7 +682,7 @@ class TestCli:
         def no_batch(*a, **k):
             raise RuntimeError("run_calibration generated a batch")
 
-        monkeypatch.setattr(shots, "_generate_batch", no_batch)
+        monkeypatch.setattr(shots, "_noise_free_batch", no_batch)
         with pytest.raises(ConfigError, match="photon_numbers"):
             run_calibration(ExperimentConfig(), [588, 898, 1527], 5000, seed=0)
 
