@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +45,11 @@ class RunningMoments:
 
     `s1[0]` and `s2[0]` sum x - shift and (x - shift)**2 over all rows,
     `s1[1]` and `s2[1]` over the click rows; the no-click sums are their
-    difference.  The shift is the first non-empty batch's mean, so the
-    sums stay small and S2 - S1**2/n loses no precision to an offset.
-    `add_white_noise` adds to the sums what iid Gaussian noise on every
-    row and sample would, without the rows.
+    difference.  Unless set before, the shift is the first non-empty
+    batch's mean, so the sums stay small and S2 - S1**2/n loses no
+    precision to an offset.  `add_white_noise` adds to the sums what iid
+    Gaussian noise on every row and sample would, without the rows, and
+    `merge` adds sums made about another shift.
     """
 
     def __init__(self, width: int):
@@ -103,15 +103,20 @@ class RunningMoments:
         self.s2 += np.stack([d2[0] + d2[1], d2[0]])
 
     def merge(self, other: "RunningMoments"):
-        """Add `other`'s sums, which must be about the same shift, into
-        these; for a one-batch `other` that adds exactly what `add_batch`
-        of its rows here would."""
+        """Add `other`'s sums into these, re-centred exactly from its shift
+        onto this one: with d = other.shift - self.shift, its S1 and S2
+        over n rows add S1 + n d and S2 + d (2 S1 + n d).  An empty
+        `other` adds nothing, and an empty self takes `other`'s shift."""
+        if other.shift is None:
+            return
         if self.shift is None:
             self.shift = other.shift
+        d = other.shift - self.shift
+        n = np.array([other.count, other.n_click])[:, None]
+        self.s1 += other.s1 + n * d
+        self.s2 += other.s2 + d * (2.0 * other.s1 + n * d)
         self.count += other.count
         self.n_click += other.n_click
-        self.s1 += other.s1
-        self.s2 += other.s2
 
 
 @dataclass(frozen=True)
@@ -403,27 +408,17 @@ def _calibration_eta(cfg: ExperimentConfig, mu: float,
 
 
 def _binned_batch(cfg: ExperimentConfig, template: XpsTemplate,
-                  rng: np.random.Generator, m: int, shift: Future,
-                  first: bool) -> RunningMoments:
-    """Generate one calibration batch and sum it about its point's shift,
-    both on the thread that runs this; only the sums leave it.
+                  rng: np.random.Generator, m: int) -> RunningMoments:
+    """Generate one calibration batch and sum it, both on the thread that
+    runs this; only the sums leave it.
 
-    The rows are the batch's noise-free shots; their white phase noise
-    enters the sums through `RunningMoments.add_white_noise`, drawn from
-    the batch's stream after the rows.  The shift is the point's first
-    batch's noise-free mean: that batch publishes it through `shift` (or
-    its failure, so that no later batch waits for ever), and the point's
-    later batches wait for it."""
-    try:
-        phases, clicks, _ = shots._noise_free_batch(cfg, template, rng, m)
-        if first:
-            shift.set_result(phases.mean(axis=0))
-    except BaseException as exc:
-        if first:
-            shift.set_exception(exc)
-        raise
+    The rows are the batch's noise-free shots, summed about the batch's own
+    first row; their white phase noise enters the sums through
+    `RunningMoments.add_white_noise`, drawn from the batch's stream after
+    the rows."""
+    phases, clicks, _ = shots._noise_free_batch(cfg, template, rng, m)
     stats = RunningMoments(phases.shape[1])
-    stats.shift = shift.result()
+    stats.shift = phases[0].copy()
     stats.add_batch(phases, clicks)
     stats.add_white_noise(cfg.phase_noise_rms, rng)
     return stats
@@ -440,9 +435,10 @@ def run_calibration(cfg: ExperimentConfig, photon_numbers, n_shots: int,
     enters through exact per-bin sums (`RunningMoments.add_white_noise`),
     so no batch draws 36 normals per shot.  All points' batches go through
     one pool (`shots._ordered_map`), point after point: each batch is
-    generated and summed on one thread, and the calling thread adds the
-    sums up in batch order and fits each point as its last batch comes in,
-    so the result is the same at any worker count.
+    generated and summed about its own first row on one thread, and the
+    calling thread merges the sums in batch order with an exact re-centring
+    (`RunningMoments.merge`) and fits each point as its last batch comes
+    in, so the result is the same at any worker count.
 
     A point whose phi_0 is under 5 sigma raises DataFormatError."""
     # every point's config first, so a bad point fails before any campaign
@@ -454,17 +450,13 @@ def run_calibration(cfg: ExperimentConfig, photon_numbers, n_shots: int,
     shots._check_campaign(n_shots, seed)
     templates = [shots.xps_template(c) for c in cal_cfgs]
 
-    def jobs():
-        for i, (cal_cfg, template) in enumerate(zip(cal_cfgs, templates)):
-            shift = Future()
-            for b, job in enumerate(shots._campaign_jobs(
-                    cal_cfg, template, n_shots, seed, campaign=i)):
-                yield (*job, shift, b == 0)
-
+    jobs = itertools.chain.from_iterable(
+        shots._campaign_jobs(cal_cfg, template, n_shots, seed, campaign=i)
+        for i, (cal_cfg, template) in enumerate(zip(cal_cfgs, templates)))
     n_batches = len(range(0, n_shots, shots.BATCH_SIZE))
     points = []
     with contextlib.closing(
-            shots._ordered_map(_binned_batch, jobs(), workers)) as sums:
+            shots._ordered_map(_binned_batch, jobs, workers)) as sums:
         for mu, cal_cfg, template in zip(photon_numbers, cal_cfgs, templates):
             total = RunningMoments(cal_cfg.n_samples)
             for stats in itertools.islice(sums, n_batches):

@@ -74,6 +74,7 @@ class PulseSpec:
 
 
 _EDGE = 0.05  # share of a grid, both ends together, read for leakage
+_SPAN_SIGMAS = 16.0  # gaussian_envelope's half-width before its tail
 
 
 @dataclass(frozen=True)
@@ -119,16 +120,15 @@ class SampledEnvelope:
 def gaussian_envelope(
     pulse: PulseSpec,
     n_samples: int = 2048,
-    span_sigmas: float = 16.0,
     tail: float = 0.0,
 ) -> SampledEnvelope:
     """Sample the Gaussian field envelope exp(-t^2/(4 sigma_t^2)).
 
-    The grid spans [-span_sigmas*sigma_t, +span_sigmas*sigma_t + tail];
+    The grid spans [-16 sigma_t, +16 sigma_t + tail] (`_SPAN_SIGMAS`);
     `tail` buys extra room after the pulse, e.g. for lifetime decay.
     """
     s = pulse.intensity_rms
-    lo, hi = -span_sigmas * s, span_sigmas * s + tail
+    lo, hi = -_SPAN_SIGMAS * s, _SPAN_SIGMAS * s + tail
     dt = (hi - lo) / n_samples
     t = lo + dt * np.arange(n_samples)
     amp = np.sqrt(pulse.mean_photons / (s * np.sqrt(2.0 * np.pi)))

@@ -335,9 +335,9 @@ def _check_campaign(n_shots: int, seed: int):
 
 def _campaign_jobs(cfg: ExperimentConfig, template: XpsTemplate,
                    n_shots: int, seed: int, campaign: int):
-    """`_generate_batch`'s arguments (cfg, template, rng, m) for each batch
-    of a campaign, made as they are asked for, so that a long campaign
-    holds no list of streams."""
+    """The arguments (cfg, template, rng, m) of `_generate_batch` and
+    `estimator._binned_batch` for each batch of a campaign, made as they
+    are asked for, so that a long campaign holds no list of streams."""
     for b, start in enumerate(range(0, n_shots, BATCH_SIZE)):
         yield (cfg, template, _batch_rng(seed, campaign, b),
                min(BATCH_SIZE, n_shots - start))

@@ -83,7 +83,9 @@ def moments(stats, row, n):
 
 class TestRunningMoments:
     def check_two_pass(self, x, clicks):
-        stats = accumulate(x, clicks)
+        self.check_moments(accumulate(x, clicks), x, clicks)
+
+    def check_moments(self, stats, x, clicks):
         assert type(stats.count) is int and type(stats.n_click) is int
         assert (stats.count, stats.n_click) == (len(x), clicks.sum())
         for row, rows in ((0, x), (1, x[clicks])):
@@ -106,6 +108,25 @@ class TestRunningMoments:
         rng = np.random.default_rng(1)
         self.check_two_pass(1e4 + rng.standard_normal((5000, N)),
                             rng.random(5000) < 0.3)
+
+    def test_merge_recentres(self):
+        # per-batch sums, each about its own first row, merged in order
+        rng = np.random.default_rng(1)
+        x = 1e4 + rng.standard_normal((5000, N))
+        clicks = rng.random(5000) < 0.3
+        merged = RunningMoments(N)
+        for xb, cb in zip(np.split(x, SPLITS), np.split(clicks, SPLITS)):
+            stats = RunningMoments(N)
+            stats.shift = xb[0].copy()
+            stats.add_batch(xb, cb)
+            merged.merge(stats)
+        self.check_moments(merged, x, clicks)
+        # an empty side adds nothing and keeps the full side's shift
+        for target, other in ((merged, RunningMoments(N)),
+                              (RunningMoments(N), merged)):
+            target.merge(other)
+            np.testing.assert_array_equal(target.shift, x[0])
+            self.check_moments(target, x, clicks)
 
     def test_empty_first_batch_changes_nothing(self):
         rng = np.random.default_rng(2)
@@ -273,8 +294,8 @@ BOOSTED = CFG.replace(phi_atom=50 * CFG.phi_atom)
 
 def point_sums(cal_cfg, n_shots, seed, campaign):
     """One calibration point's sums as a serial chain of per-batch sums:
-    each batch's noise-free rows about the first batch's mean, then its
-    white noise drawn from the rest of the batch's stream."""
+    each batch's noise-free rows about its own first row, then its white
+    noise drawn from the rest of the batch's stream."""
     template = xps_template(cal_cfg)
     total = RunningMoments(N)
     for b, start in enumerate(range(0, n_shots, shots.BATCH_SIZE)):
@@ -282,7 +303,7 @@ def point_sums(cal_cfg, n_shots, seed, campaign):
         m = min(shots.BATCH_SIZE, n_shots - start)
         phases, clicks, _ = shots._noise_free_batch(cal_cfg, template, rng, m)
         stats = RunningMoments(N)
-        stats.shift = phases.mean(axis=0) if b == 0 else total.shift
+        stats.shift = phases[0].copy()
         stats.add_batch(phases, clicks)
         stats.add_white_noise(cal_cfg.phase_noise_rms, rng)
         total.merge(stats)
@@ -351,19 +372,19 @@ class TestCalibrationPipeline:
                         workers=workers)
         assert next(generated) - 1 == merged == 12
 
+    @pytest.mark.parametrize("key", [(1, 0), (2, 1)], ids=["p1b0", "p2b1"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_first_batch_failure_raises(self, monkeypatch, workers):
-        # a point's later batches wait for its first batch's mean; when that
-        # batch fails they fail with it instead of waiting for ever.  At two
-        # workers the second point's next two batches are in flight then
+    def test_batch_failure_raises(self, monkeypatch, key, workers):
+        # a failed batch, the first of point 1 or the second of point 2,
+        # reaches the caller, and no batch in flight with it hangs the run
         real = shots._noise_free_batch
 
-        def fail_first_of_point_1(cfg, template, rng, m):
-            if rng.bit_generator.seed_seq.spawn_key == (1, 0):
-                raise RuntimeError("first batch failed")
+        def fail_one(cfg, template, rng, m):
+            if rng.bit_generator.seed_seq.spawn_key == key:
+                raise RuntimeError("batch failed")
             return real(cfg, template, rng, m)
 
-        monkeypatch.setattr(shots, "_noise_free_batch", fail_first_of_point_1)
+        monkeypatch.setattr(shots, "_noise_free_batch", fail_one)
         raised = []
 
         def calibrate():
@@ -376,7 +397,7 @@ class TestCalibrationPipeline:
         thread.start()
         thread.join(timeout=60)
         assert not thread.is_alive(), "run_calibration hangs"
-        assert raised == ["first batch failed"]
+        assert raised == ["batch failed"]
 
     def test_one_shot_last_batch(self):
         # n_shots = 1 mod BATCH_SIZE: each point's last batch holds one

@@ -165,8 +165,12 @@ class TestPropagation:
                                    atol=1e-9)
 
     def test_input_leakage_rejected(self, medium_od4):
-        pulse = PulseSpec(intensity_rms=10e-9)
-        env = gaussian_envelope(pulse, n_samples=256, span_sigmas=1.5)
+        # a Gaussian envelope of sigma_t 10 ns cut off at +-1.5 sigma_t
+        sigma, n = 10e-9, 256
+        dt = 3.0 * sigma / n
+        t = -1.5 * sigma + dt * np.arange(n)
+        env = SampledEnvelope(t0=t[0], dt=dt,
+                              samples=np.exp(-t**2 / (4.0 * sigma**2)))
         with pytest.raises(ConvergenceError, match="input envelope carries"):
             propagate_spectral(env, medium_od4, 1.0)
 
