@@ -49,7 +49,8 @@ class BlochConfig:
 @dataclass(frozen=True)
 class ExcitationRecord:
     """P_e(t) with rectified excitation/de-excitation flows on a uniform grid:
-    up_flow - coh_down_flow is the exact net flow."""
+    up_flow - coh_down_flow is the exact net flow, and gamma P_e the
+    spontaneous one."""
 
     t0: float
     dt: float
@@ -57,7 +58,6 @@ class ExcitationRecord:
     pe: np.ndarray
     up_flow: np.ndarray
     coh_down_flow: np.ndarray
-    spont_flow: np.ndarray
 
 
 def _check_weak(pe: np.ndarray):
@@ -65,7 +65,7 @@ def _check_weak(pe: np.ndarray):
     if peak >= _WEAK_PE_LIMIT:
         raise ConvergenceError(
             f"peak excitation probability {peak:.3e} >= {_WEAK_PE_LIMIT:g}; "
-            "reduce rabi_per_amplitude", achieved=peak)
+            "reduce rabi_per_amplitude")
 
 
 def _response(n: int, dt: float, cfg: BlochConfig):
@@ -140,8 +140,7 @@ def integrate_weak_bloch(env: SampledEnvelope, cfg: BlochConfig) -> ExcitationRe
     net = _exact_net(c, env.samples, cfg.rabi_per_amplitude)
     return ExcitationRecord(t0=env.t0, dt=env.dt, gamma=cfg.gamma, pe=pe,
                             up_flow=np.maximum(net, 0.0),
-                            coh_down_flow=np.maximum(-net, 0.0),
-                            spont_flow=cfg.gamma * pe)
+                            coh_down_flow=np.maximum(-net, 0.0))
 
 
 def pulse_area(env: SampledEnvelope, cfg: BlochConfig) -> float:
@@ -186,8 +185,6 @@ def _chunk_rows(m: int) -> int:
     (31 for 1,023 rows, 17 for 511, 4 for 16).  At C = isqrt(m) + 1 each
     term is at most isqrt(m), so no C above 3 isqrt(m) + 1 can do
     better."""
-    if m < 2:
-        return 1
     c = np.arange(1, min(m, 3 * math.isqrt(m) + 1) + 1)
     return int(c[np.argmin(c - 1 + m // c + m % c)])
 

@@ -81,8 +81,9 @@ def _read(parser: configparser.ConfigParser, name: str, keys: dict,
           required: bool = False) -> dict:
     """The [name] section's values by key.  `keys` maps each key to its
     default, whose type picks the parser: text, a comma list of finite
-    floats (tuple), an integer, or else a finite float; a default of ...
-    makes the key required.  A `required` section must be present."""
+    floats (tuple), an integer (an integer literal, or an integral float
+    such as 1e6), or else a finite float; a default of ... makes the key
+    required.  A `required` section must be present."""
     if parser.has_section(name):
         body = dict(parser.items(name))
     elif required:
@@ -121,7 +122,8 @@ def _parse(key: str, raw: str, default):
     if isinstance(default, int):
         if value != int(value):
             raise ConfigError(f"{key!r} must be an integer, got {value!r}")
-        return int(value)
+        # an integer literal exactly, past a float's 53 bits
+        return int(raw) if raw.strip().lstrip("+-").isdigit() else int(value)
     return value
 
 

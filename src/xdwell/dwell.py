@@ -69,16 +69,16 @@ class DwellBreakdown:
         if not 0.0 <= self.p_loss <= 1.0:
             raise ConfigError("p_loss must be in [0, 1]")
 
-    def check_identities(self, tol: float = _IDENTITY_TOL):
-        """P_L = tau0/tau_sp and the loss/transmission decomposition of tau0;
-        a NaN residual fails too."""
-        if not abs(self.tau0 - self.p_loss) <= tol:
-            raise ConvergenceError(
-                f"|tau0 - p_loss| = {abs(self.tau0 - self.p_loss):.2e} > {tol:g}")
+    def check_identities(self):
+        """P_L = tau0/tau_sp and the loss/transmission decomposition of tau0,
+        each to _IDENTITY_TOL; a NaN residual fails too."""
         mix = self.p_loss * self.tauL + (1.0 - self.p_loss) * self.tauT
-        if not abs(mix - self.tau0) <= tol:
-            raise ConvergenceError(
-                f"|P_L tauL + P_T tauT - tau0| = {abs(mix - self.tau0):.2e} > {tol:g}")
+        for name, residual in (
+                ("tau0 - p_loss", self.tau0 - self.p_loss),
+                ("P_L tauL + P_T tauT - tau0", mix - self.tau0)):
+            if not abs(residual) <= _IDENTITY_TOL:
+                raise ConvergenceError(f"|{name}| = {abs(residual):.2e} > "
+                                       f"{_IDENTITY_TOL:g}")
 
 
 _BROADBAND_TOL = 1e-4
@@ -117,7 +117,7 @@ def egalitarian_broadband(pulse: PulseSpec, medium: MediumSpec,
         if not err <= _BROADBAND_TOL:  # a NaN error fails too
             results.append(ConvergenceError(
                 f"broadband aggregation error {err:.2e} > "
-                f"{_BROADBAND_TOL:g}", achieved=float(err)))
+                f"{_BROADBAND_TOL:g}"))
         else:
             tau_t = pt_taut / (1.0 - p_loss) if p_loss < 1.0 else 0.0
             tau_l = pl_taul / p_loss if p_loss > 0.0 else 0.0
@@ -201,7 +201,7 @@ def _grid_samples(pulse: PulseSpec, medium: MediumSpec,
     if n_samples > _MAX_SAMPLES:
         raise ConvergenceError(
             f"sigma_t={pulse.intensity_rms:g} s needs {n_samples} time "
-            f"samples (limit {_MAX_SAMPLES})", achieved=n_samples)
+            f"samples (limit {_MAX_SAMPLES})")
     return n_samples
 
 
@@ -399,7 +399,7 @@ def _breakdown(tau0: float, coh: float, p_loss_spectral: float):
         return ConvergenceError(
             f"min-coherent P_L={p_loss:.4f} disagrees with spectral "
             f"transmission P_L={p_loss_spectral:.4f} by {gap:.2e} "
-            f"(limit {_ENERGY_CONSISTENCY_TOL:g})", achieved=gap)
+            f"(limit {_ENERGY_CONSISTENCY_TOL:g})")
     tau_t = coh / (1.0 - p_loss) if p_loss < 1.0 else 0.0
     tau_l = (tau0 - coh) / p_loss if p_loss > 0.0 else 0.0
     return DwellBreakdown(tau0=tau0, tauL=tau_l, tauT=tau_t, p_loss=p_loss)

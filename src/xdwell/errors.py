@@ -20,7 +20,3 @@ class DataFormatError(XdwellError):
 
 class ConvergenceError(XdwellError):
     """A numerical procedure failed to reach its stated tolerance."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved

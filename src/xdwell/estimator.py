@@ -11,6 +11,7 @@ over a shot file and over bright calibration campaigns.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -127,18 +128,16 @@ class BinnedTraces:
     delta_phi: np.ndarray
     se_delta: np.ndarray
     n_click: int
-    n_noclick: int
     phi_all: np.ndarray
     se_all: np.ndarray
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted template amplitude with its error and background coefficients."""
+    """Fitted template amplitude, its error and the fit's chi^2 per dof."""
 
     amplitude: float
     amplitude_se: float
-    cubic_coeffs: tuple
     chi2_per_dof: float
 
 
@@ -171,7 +170,9 @@ def bin_and_average(batches) -> BinnedTraces:
     for batch in batches:
         if stats is None:
             stats = RunningMoments(batch[0].shape[1])
-        stats.add_batch(batch[0], batch[1])
+        # an infinite phase makes inf - inf here; `_finish` rejects the sums
+        with np.errstate(invalid="ignore", over="ignore"):
+            stats.add_batch(batch[0], batch[1])
     return _finish(stats)
 
 
@@ -183,6 +184,9 @@ def _finish(stats: RunningMoments | None) -> BinnedTraces:
         if n < MIN_BIN_POPULATION:
             raise DataFormatError(f"bin '{name}' has {n} shots, need at "
                                   f"least {MIN_BIN_POPULATION}")
+    if not np.isfinite(stats.s2).all():
+        raise DataFormatError("a per-sample phase sum is not finite: the "
+                              "shots hold a NaN or infinite phase")
     (s1, s1_click), (s2, s2_click) = stats.s1, stats.s2
     mean_click, var_click = _bin(n_click, s1_click, s2_click)
     mean_noclick, var_noclick = _bin(n_noclick, s1 - s1_click, s2 - s2_click)
@@ -191,7 +195,6 @@ def _finish(stats: RunningMoments | None) -> BinnedTraces:
         delta_phi=mean_click - mean_noclick,
         se_delta=np.sqrt(var_click + var_noclick),
         n_click=n_click,
-        n_noclick=n_noclick,
         phi_all=stats.shift + mean_all,
         se_all=np.sqrt(var_all),
     )
@@ -225,21 +228,19 @@ def _weighted_fit(y: np.ndarray, sigma, template: XpsTemplate,
     if condition > _CONDITION_LIMIT:
         raise ConvergenceError(
             f"fit design matrix ill conditioned (estimate {condition:.2e}); "
-            "template may be collinear with the cubic background",
-            achieved=condition)
+            "template may be collinear with the cubic background")
     coeffs = np.linalg.solve(r, q.T @ yw)
-    r_inv = np.linalg.solve(r, np.eye(r.shape[0]))
-    cov = r_inv @ r_inv.T
     resid = yw - aw @ coeffs
     dof = n - design.shape[1]
     chi2_per_dof = float(resid @ resid / dof)
+    # (R^-1 R^-T)[4, 4]: row 4 of the triangular R's inverse is 1/r[4, 4]
+    var = (1.0 / r[4, 4]) ** 2
     if sigma is None:
         # unweighted fit: scale errors by the residual variance estimate
-        cov = cov * chi2_per_dof
+        var = var * chi2_per_dof
     return FitResult(
         amplitude=float(coeffs[4] / scale),
-        amplitude_se=float(np.sqrt(cov[4, 4]) / scale),
-        cubic_coeffs=tuple(float(c) for c in coeffs[:4]),
+        amplitude_se=float(np.sqrt(var) / scale),
         chi2_per_dof=chi2_per_dof,
     )
 
@@ -289,12 +290,8 @@ def correct_phi_T(raw: FitResult, s2: float, mean_photons: float,
     se = np.sqrt(raw.amplitude_se**2
                  + (phi0.amplitude * mean_photons * s2_se) ** 2
                  + (s2 * mean_photons * phi0.amplitude_se) ** 2)
-    return FitResult(
-        amplitude=raw.amplitude - shift,
-        amplitude_se=float(se),
-        cubic_coeffs=raw.cubic_coeffs,
-        chi2_per_dof=raw.chi2_per_dof,
-    )
+    return dataclasses.replace(raw, amplitude=raw.amplitude - shift,
+                               amplitude_se=float(se))
 
 
 _PHI0_SIGNIFICANCE = 5.0

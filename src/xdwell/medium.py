@@ -202,9 +202,7 @@ def propagate_spectral(env: SampledEnvelope, medium: MediumSpec,
     if leak_in > _INPUT_LEAK_TOL:
         raise ConvergenceError(
             f"input envelope carries {leak_in:.2e} of its energy in the outermost "
-            f"5% of the grid (limit {_INPUT_LEAK_TOL:g}); widen the window",
-            achieved=leak_in,
-        )
+            f"5% of the grid (limit {_INPUT_LEAK_TOL:g}); widen the window")
     out = np.fft.ifft(field_transfer(_detunings(env), medium, depth_fraction)
                       * np.fft.fft(env.samples))
     result = SampledEnvelope(t0=env.t0, dt=env.dt, samples=out,
@@ -213,9 +211,7 @@ def propagate_spectral(env: SampledEnvelope, medium: MediumSpec,
     if leak_out > _OUTPUT_LEAK_TOL:
         raise ConvergenceError(
             f"propagated envelope carries {leak_out:.2e} of its energy in the "
-            f"outermost 5% of the grid (limit {_OUTPUT_LEAK_TOL:g})",
-            achieved=leak_out,
-        )
+            f"outermost 5% of the grid (limit {_OUTPUT_LEAK_TOL:g})")
     return result
 
 
@@ -252,7 +248,7 @@ def _spectral_average(pulse: PulseSpec, medium: MediumSpec, ods, f):
         raise ConvergenceError(
             f"sigma_t={pulse.intensity_rms:g} s is too short against the "
             f"line: the spectral rule needs {2 * half + 1} nodes "
-            f"(limit {_SPECTRAL_MAX_NODES})", achieved=2 * half + 1)
+            f"(limit {_SPECTRAL_MAX_NODES})")
     x = np.linspace(-_SPECTRAL_SPAN, _SPECTRAL_SPAN, 2 * half + 1)
     line = lorentzian_od(pulse.carrier_detuning + _spectral_sigma(pulse) * x,
                          medium.with_od(1.0))
@@ -303,11 +299,8 @@ def transmission_probability(pulse: PulseSpec, medium: MediumSpec,
     values, errors = _spectral_average(
         pulse, medium, ods, lambda a: np.exp(np.negative(a, out=a), out=a))
     if np.any(errors > _SPECTRAL_TOL):
-        worst = float(errors.max())
         raise ConvergenceError(
-            f"transmission rule reached abs error {worst:.2e} "
-            f"(target {_SPECTRAL_TOL:g})",
-            achieved=worst,
-        )
+            f"transmission rule reached abs error {errors.max():.2e} "
+            f"(target {_SPECTRAL_TOL:g})")
     values[ods == 0] = 1.0
     return float(values[0]) if od_grid is None else values

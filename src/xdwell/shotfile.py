@@ -57,7 +57,6 @@ BATCH_SIZE = 1 << 12
 
 @dataclass(frozen=True)
 class Header:
-    version: int
     flags: int
     n_samples: int
     n_shots: int
@@ -157,8 +156,8 @@ def read_header(path) -> Header:
     if version != FORMAT_VERSION:
         raise DataFormatError(
             f"{path}: format version {version} != supported {FORMAT_VERSION}")
-    header = Header(version=version, flags=flags, n_samples=n_samples,
-                    n_shots=n_shots, digest=digest)
+    header = Header(flags=flags, n_samples=n_samples, n_shots=n_shots,
+                    digest=digest)
     expected = _HEADER.size + n_shots * _record_dtype(
         n_samples, header.with_truth).itemsize
     if size != expected:
@@ -169,21 +168,25 @@ def read_header(path) -> Header:
 
 
 def iter_shot_batches(path):
-    """Yield a shot file's (phases, clicks, truth-or-None) batches."""
+    """Yield a shot file's (phases, clicks, truth-or-None) batches.  A click
+    byte other than 0 or 1 fails its batch; a NaN phase fails the sums
+    (`estimator._finish`)."""
     header = read_header(path)
     dtype = _record_dtype(header.n_samples, header.with_truth)
-    remaining = header.n_shots
     with open(path, "rb") as fh:
         fh.seek(_HEADER.size)
-        while remaining > 0:
-            m = min(BATCH_SIZE, remaining)
+        for batch, start in enumerate(range(0, header.n_shots, BATCH_SIZE)):
+            m = min(BATCH_SIZE, header.n_shots - start)
             records = np.fromfile(fh, dtype=dtype, count=m)
             if records.size != m:
                 raise DataFormatError(
                     f"{path}: expected {m} more records, got {records.size}")
+            if records["click"].max() > 1:
+                raise DataFormatError(
+                    f"{path}: batch {batch} holds a click byte other than "
+                    "0 or 1")
             truth = records["truth"] if header.with_truth else None
             yield records["phases"], records["click"].astype(bool), truth
-            remaining -= m
 
 
 # --- experiment-config digest ------------------------------------------------

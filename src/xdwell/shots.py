@@ -366,19 +366,18 @@ def _ordered_map(fn, jobs, workers: int):
 
 
 def iter_batches(cfg: ExperimentConfig, n_shots: int, seed: int,
-                 workers: int = 1, campaign: int = 0):
+                 workers: int = 1):
     """Yield (phases, clicks, truth) batches for a deterministic campaign.
 
     Batch b of `BATCH_SIZE` shots draws from its own SFC64 stream keyed by
-    (seed, campaign, b), so every campaign of a run, e.g. each calibration
-    point, has streams apart from every other seed's and campaign's.  The
-    batches come through `_ordered_map`: generated on `workers` threads,
-    at most 2 * workers in flight, and yielded in batch order, so the
-    output is the same at any worker count.
+    (seed, 0, b), campaign 0 of `_campaign_jobs`, so no two seeds share a
+    stream.  The batches come through `_ordered_map`: generated on
+    `workers` threads, at most 2 * workers in flight, and yielded in batch
+    order, so the output is the same at any worker count.
     """
     _check_campaign(n_shots, seed)
     yield from _ordered_map(_generate_batch, _campaign_jobs(
-        cfg, xps_template(cfg), n_shots, seed, campaign), workers)
+        cfg, xps_template(cfg), n_shots, seed, campaign=0), workers)
 
 
 def run_campaign(cfg: ExperimentConfig, n_shots: int, seed: int, out_path,

@@ -153,7 +153,6 @@ class TestIntegration:
         rec = integrate_weak_bloch(env, cfg)
         assert np.all(rec.pe == 0.0)
         assert np.all(rec.up_flow == 0.0)
-        assert np.all(rec.spont_flow == 0.0)
 
     def test_impulse_oracle(self):
         # pulse much shorter than the lifetime: P_e = (theta/2)^2 exp(-Gamma t)
@@ -190,9 +189,8 @@ class TestIntegration:
     def test_weak_excitation_guard(self):
         env = short_pulse_env()
         with pytest.raises(ConvergenceError,
-                           match="peak excitation probability") as exc:
+                           match="peak excitation probability"):
             integrate_weak_bloch(env, small_cfg(1.0, env))
-        assert exc.value.achieved >= 1e-2
 
     def test_gauge_invariance(self):
         env = short_pulse_env()
@@ -233,7 +231,7 @@ class TestIntegration:
         env = short_pulse_env()
         rec = integrate_weak_bloch(env, small_cfg(0.02, env))
         net = np.trapezoid(
-            rec.up_flow - rec.coh_down_flow - rec.spont_flow, dx=rec.dt)
+            rec.up_flow - rec.coh_down_flow - rec.gamma * rec.pe, dx=rec.dt)
         expected = rec.pe[-1] - rec.pe[0]
         scale = np.trapezoid(rec.up_flow, dx=rec.dt)
         assert abs(net - expected) < 1e-6 * scale
@@ -299,7 +297,7 @@ class TestNarrowband:
         cfg = BlochConfig(gamma=GAMMA, rabi_per_amplitude=kappa)
         rec = integrate_weak_bloch(mid, cfg)
         coh = np.trapezoid(rec.coh_down_flow, dx=rec.dt)
-        spont = np.trapezoid(rec.spont_flow, dx=rec.dt)
+        spont = np.trapezoid(rec.gamma * rec.pe, dx=rec.dt)
         assert coh < 1e-3 * spont
 
 
@@ -307,7 +305,7 @@ def synthetic_record(pe, coh_down, dt=0.1e-9):
     n = pe.size
     up = np.zeros(n)
     return ExcitationRecord(t0=0.0, dt=dt, gamma=GAMMA, pe=pe, up_flow=up,
-                            coh_down_flow=coh_down, spont_flow=GAMMA * pe)
+                            coh_down_flow=coh_down)
 
 
 class TestFateFractions:

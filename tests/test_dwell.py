@@ -137,8 +137,11 @@ class TestEgalitarianBroadband:
         assert b.p_loss == pytest.approx(1.0 - p_t, abs=1e-8)
 
     def test_identities(self, pulse_10ns, medium_od4):
+        # both identities of `check_identities`, far inside its tolerance
         [b] = egalitarian_broadband(pulse_10ns, medium_od4)
-        b.check_identities(1e-9)
+        assert abs(b.tau0 - b.p_loss) <= 1e-9
+        mix = b.p_loss * b.tauL + (1.0 - b.p_loss) * b.tauT
+        assert abs(mix - b.tau0) <= 1e-9
 
     @pytest.mark.parametrize("sigma,carrier", SPECTRAL_PULSES)
     def test_averages_match_dense_oracle(self, sigma, carrier, medium_od4):

@@ -221,9 +221,8 @@ class TestFits:
         from types import SimpleNamespace
         cubic_template = SimpleNamespace(samples=0.1 + 0.2 * T_NORM**2)
         with pytest.raises(ConvergenceError,
-                           match="fit design matrix ill conditioned") as exc:
+                           match="fit design matrix ill conditioned"):
             fit_phi0(np.zeros(N), 1.0, cubic_template)
-        assert exc.value.achieved > 1e10
 
     def test_bad_sigma_rejected(self):
         with pytest.raises(ConfigError):
@@ -532,8 +531,7 @@ class TestWhiteNoiseSums:
 
 class TestCorrection:
     def _fit(self, amp, se=1e-6):
-        return FitResult(amplitude=amp, amplitude_se=se,
-                         cubic_coeffs=(0, 0, 0, 0), chi2_per_dof=1.0)
+        return FitResult(amplitude=amp, amplitude_se=se, chi2_per_dof=1.0)
 
     def test_zero_s2_identity(self):
         raw = self._fit(1e-5)
@@ -561,8 +559,7 @@ class TestCorrection:
 
 class TestCombine:
     def _fit(self, amp, se):
-        return FitResult(amplitude=amp, amplitude_se=se,
-                         cubic_coeffs=(0, 0, 0, 0), chi2_per_dof=1.0)
+        return FitResult(amplitude=amp, amplitude_se=se, chi2_per_dof=1.0)
 
     def test_single_entry_passthrough(self):
         phi_t = self._fit(-15e-6, 1e-6)

@@ -16,7 +16,7 @@ import xdwell
 from xdwell import ConfigError, DataFormatError, ExperimentConfig, cli
 from xdwell import shotfile, shots
 from xdwell.errors import ConvergenceError, XdwellError
-from xdwell.estimator import run_calibration
+from xdwell.estimator import FitResult, correct_phi_T, run_calibration
 from xdwell.medium import propagate_spectral
 from xdwell.shots import run_campaign
 
@@ -28,29 +28,117 @@ def test_version_matches_pyproject():
         assert xdwell.__version__ == tomllib.load(fh)["project"]["version"]
 
 
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "xdwell"
+
+
+def package_modules():
+    """The package's modules but `__init__.py`, parsed."""
+    return [ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
+            if p.name != "__init__.py"]
+
+
+def code_outside_tests():
+    """Every node of the code that runs xdwell other than the tests: the
+    package's own modules, the benchmark and the README's Python example."""
+    texts = [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
+    texts += re.findall(r"```python\n(.*?)```",
+                        (ROOT / "README.md").read_text(), re.S)
+    trees = package_modules() + [ast.parse(text) for text in texts]
+    return [node for tree in trees for node in ast.walk(tree)]
+
+
 def test_every_export_used_outside_tests():
     # each name the package exports is read somewhere in its own code, the
     # benchmark or the README's example, so no export lives for the tests
     # alone: a read is an ast.Name load or an attribute; an import, a
     # definition, an assignment or an __all__ string does not count
-    root = Path(__file__).resolve().parent.parent
-    package = root / "src" / "xdwell"
     exported = {alias.asname or alias.name
-                for node in ast.parse((package / "__init__.py").read_text()).body
+                for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    sources = [p.read_text() for p in sorted(package.glob("*.py"))
-               if p.name != "__init__.py"]
-    sources += [p.read_text() for p in sorted((root / "bench").glob("*.py"))]
-    sources += re.findall(r"```python\n(.*?)```",
-                          (root / "README.md").read_text(), re.S)
     used = set()
-    for text in sources:
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+    for node in code_outside_tests():
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
     assert sorted(exported - used) == []
+
+
+# optional parameters that no caller outside the tests sets, each with why
+# it stays
+UNSET_KEPT = {
+    # tests/make_model_curves_reference.py builds the checked-in reference
+    # curves on a finer grid than the default, and a second grid is how a
+    # model value's time-step error is measured
+    ("min_coherent_model", "n_samples"),
+}
+
+
+def _is_bound(method: ast.FunctionDef) -> bool:
+    return not any(getattr(d, "id", None) == "staticmethod"
+                   for d in method.decorator_list)
+
+
+def _passes(call: ast.Call, index, param: str) -> bool:
+    """Whether `call` passes `param`, at positional `index` (None: keyword
+    only), by keyword, by position or through a * or ** argument."""
+    spread = any(isinstance(a, ast.Starred) for a in call.args)
+    return (any(k.arg in (param, None) for k in call.keywords)
+            or index is not None and (spread or len(call.args) > index))
+
+
+def test_every_optional_parameter_set_outside_tests():
+    # each parameter with a default, of every function and method in the
+    # package, is passed by some call outside the tests.  Calls are matched
+    # by name, a method's by its attribute name and an __init__'s by its
+    # class name
+    calls = {}
+    for node in code_outside_tests():
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            calls.setdefault(name, []).append(node)
+    nodes = [n for tree in package_modules() for n in ast.walk(tree)]
+    functions = []  # (called name, def, first parameter bound)
+    for node in nodes:
+        if isinstance(node, ast.ClassDef):
+            functions += [(node.name if f.name == "__init__" else f.name, f,
+                           _is_bound(f)) for f in node.body
+                          if isinstance(f, ast.FunctionDef)]
+    methods = {id(f) for _, f, _ in functions}
+    functions += [(n.name, n, False) for n in nodes
+                  if isinstance(n, ast.FunctionDef) and id(n) not in methods]
+    unset = []
+    for name, fn, bound in functions:
+        params = [a.arg for a in fn.args.posonlyargs + fn.args.args][bound:]
+        optional = [(params.index(p), p)
+                    for p in params[len(params) - len(fn.args.defaults):]]
+        optional += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs,
+                                                  fn.args.kw_defaults) if d]
+        unset += [(name, param) for index, param in optional
+                  if not any(_passes(c, index, param)
+                             for c in calls.get(name, []))]
+    assert sorted(set(unset) - UNSET_KEPT) == []
+    assert UNSET_KEPT <= set(unset), "an allowlisted parameter is now set"
+
+
+def test_every_dataclass_field_read_outside_tests():
+    # each field of a package dataclass is read, as an attribute load, by
+    # code outside the tests; a field that is only written is dead
+    loads = {node.attr for node in code_outside_tests()
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for node in (n for tree in package_modules() for n in ast.walk(tree)):
+        decorators = [getattr(d, "func", d) for d in
+                      getattr(node, "decorator_list", [])]
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+                for d in decorators):
+            unread += [f"{node.name}.{item.target.id}" for item in node.body
+                       if isinstance(item, ast.AnnAssign)
+                       and item.target.id not in loads]
+    assert unread == []
 
 
 class TestShotFileRoundTrip:
@@ -194,6 +282,17 @@ class TestConfigCanonicalization:
     def test_integer_keys_accept_integral_floats(self, tmp_path):
         cfg = read_experiment(tmp_path, "[experiment]\nn_samples = 36.0\n")
         assert cfg.n_samples == 36 and isinstance(cfg.n_samples, int)
+
+    @pytest.mark.parametrize("raw, value", [
+        ("18446744073709551615", 2**64 - 1), ("9007199254740993", 2**53 + 1),
+        ("+12", 12), ("1e6", 10**6), ("1_000", 1000)])
+    def test_integer_keys_parse_exactly(self, tmp_path, raw, value):
+        # an integer literal is read as one, not through a float's 53 bits
+        path = write_config(tmp_path / "c.ini",
+                            f"[campaign]\nn_shots = {raw}\n")
+        got = cli._read(cli._load_config(path), "campaign",
+                        {"n_shots": 100000})["n_shots"]
+        assert got == value and type(got) is int
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError,
@@ -415,6 +514,53 @@ class TestCli:
         assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
         assert cli.main(["analyze", "--config", cfg, "--out", out]) == 3
         assert "not significant" in capsys.readouterr().err
+
+    def test_analyze_s2_corrects_phi_t(self, tmp_path):
+        # [analysis] s2, s2_se and input: the same file's phi_T, corrected
+        # by correct_phi_T, and everything else as the plain analysis
+        cfg = write_config(tmp_path / "c.ini", BOOSTED_INI)
+        raw_out, s2_out = tmp_path / "raw", tmp_path / "s2"
+        assert cli.main(["simulate", "--config", cfg, "--seed", "3",
+                         "--out", str(raw_out)]) == 0
+        assert cli.main(["analyze", "--config", cfg,
+                         "--out", str(raw_out)]) == 0
+        s2_cfg = write_config(tmp_path / "s2.ini", BOOSTED_INI + (
+            f"[analysis]\ns2 = 9e-4\ns2_se = 4e-5\n"
+            f"input = {raw_out / 'shots.bin'}\n"))
+        assert cli.main(["analyze", "--config", s2_cfg,
+                         "--out", str(s2_out)]) == 0
+        raw, got = (json.loads((out / "report.json").read_text())
+                    for out in (raw_out, s2_out))
+        phi0 = FitResult(raw["phi0"], raw["phi0_se"], raw["chi2_per_dof"])
+        want = correct_phi_T(
+            FitResult(raw["phiT"], raw["phiT_se"], raw["chi2_per_dof"]),
+            9e-4, ExperimentConfig().mean_photons, phi0, s2_se=4e-5)
+        assert (got["phiT"], got["phiT_se"]) == (want.amplitude,
+                                                 want.amplitude_se)
+        assert got["s2"] == 9e-4
+        for key in ("phi0", "phi0_se", "chi2_per_dof", "n_shots",
+                    "click_rate"):
+            assert got[key] == raw[key], key
+        assert (s2_out / "delta_phi.csv").read_bytes() == \
+            (raw_out / "delta_phi.csv").read_bytes()
+
+    def test_calibrate_json_same_at_any_worker_count(self, tmp_path):
+        # three batches per point, so the sums merge across batches
+        cfg = write_config(tmp_path / "c.ini", BOOSTED_INI.replace(
+            "[calibrate]\nn_shots = 5000",
+            f"[calibrate]\nn_shots = {2 * shots.BATCH_SIZE + 100}"))
+        written = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            assert cli.main(["calibrate", "--config", cfg, "--seed", "2",
+                             "--workers", str(workers),
+                             "--out", str(out)]) == 0
+            written.append((out / "calibration.json").read_bytes())
+        assert written[0] == written[1]
+        result = json.loads(written[0])
+        assert [p["mean_photons"] for p in result["points"]] == [
+            588, 898, 1527, 3040]
+        assert np.isfinite(result["s2"]) and result["s2_se"] > 0
 
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini",
@@ -699,6 +845,56 @@ class TestCli:
             cfg, [898] * 4, 5000, seed=seed)["points"]} for seed in (6, 7)]
         assert len(excess[0]) == len(excess[1]) == 4
         assert not excess[0] & excess[1]
+
+
+def _edit_records(path, edit):
+    """Apply `edit` to a shot file's records in place, header untouched."""
+    header = shotfile.read_header(path)
+    records = np.memmap(path, shotfile._record_dtype(header.n_samples,
+                                                     header.with_truth),
+                        mode="r+", offset=shotfile._HEADER.size)
+    edit(records)
+    records.flush()
+
+
+def _set_phase(value):
+    def edit(records):
+        records["phases"][1234, 20] = value
+    return edit
+
+
+def _set_every_97th_click(records):
+    records["click"][::97] = 7
+
+
+class TestCorruptPayload:
+    # one edit to the payload of a shot file that analyzes cleanly; the
+    # header and size stay valid, so only the records tell
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("edit, message", [
+        (_set_phase(np.nan), "not finite"), (_set_phase(np.inf), "not finite"),
+        (_set_every_97th_click, "batch 0 holds a click byte other than 0")],
+        ids=["nan", "inf", "click-byte-7"])
+    def test_corrupt_payload_exit_3(self, tmp_path, capsys, edit, message):
+        cfg = write_config(tmp_path / "c.ini", BOOSTED_INI)
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert cli.main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        _edit_records(out / "shots.bin", edit)
+        assert cli.main(["analyze", "--config", cfg, "--out", str(out)]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("data error: ") and message in line
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_outlier_still_analyzed(self, tmp_path):
+        # a large but finite phase is data the checks cannot tell from a
+        # real one; a payload checksum would catch a corrupted one
+        cfg = write_config(tmp_path / "c.ini", BOOSTED_INI)
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        _edit_records(out / "shots.bin", _set_phase(1e6))
+        assert cli.main(["analyze", "--config", cfg, "--out", str(out)]) == 0
 
 
 # the x50 phi_atom of the boosted acceptance campaign

@@ -270,11 +270,20 @@ class TestDeterminism:
         # a seed above 2**32 must not spell the key of a smaller seed's
         # later campaign and batch, and campaigns of one seed differ
         cfg = ExperimentConfig()
-        big = next(iter_batches(cfg, BATCH_SIZE, seed=2**32 + 5, campaign=2))
-        small = list(iter_batches(cfg, 3 * BATCH_SIZE, seed=5, campaign=1))
-        other = next(iter_batches(cfg, BATCH_SIZE, seed=5, campaign=0))
+
+        def batches(n_shots, seed, campaign):
+            jobs = shots._campaign_jobs(cfg, xps_template(cfg), n_shots, seed,
+                                        campaign)
+            return [shots._generate_batch(*job) for job in jobs]
+
+        [big] = batches(BATCH_SIZE, seed=2**32 + 5, campaign=2)
+        small = batches(3 * BATCH_SIZE, seed=5, campaign=1)
+        [other] = batches(BATCH_SIZE, seed=5, campaign=0)
         assert not np.array_equal(big[0], small[2][0])
         assert not np.array_equal(other[0], small[0][0])
+        # campaign 0 is what iter_batches generates
+        np.testing.assert_array_equal(
+            other[0], next(iter_batches(cfg, BATCH_SIZE, seed=5))[0])
 
     def test_prefix_stability_full_batches(self):
         # substreams are keyed per fixed-size batch, so campaigns agree on
