@@ -252,6 +252,8 @@ def cmd_simulate(args) -> int:
     parser = _load_config(args.config)
     cfg = _experiment_from_config(parser)
     body = _read(parser, "campaign", {"n_shots": 100000, "with_truth": 1})
+    if body["with_truth"] not in (0, 1):
+        raise ConfigError("'with_truth' must be 0 or 1")
 
     out = _out_dir(args)
     summary = shots.run_campaign(cfg, n_shots=body["n_shots"], seed=args.seed,

@@ -163,8 +163,8 @@ def _bin(n: int, s1: np.ndarray, s2: np.ndarray):
 def bin_and_average(batches) -> BinnedTraces:
     """Per-sample means and errors of each bin, in one streaming pass.
 
-    `batches` is an iterable of (phases, clicks[, truth]) batches, summed
-    by one `RunningMoments`; the no-click sums are all minus click.
+    `batches` is an iterable of (phases, clicks, ...) batches, summed by
+    one `RunningMoments`; the no-click sums are all minus click.
     """
     stats = None
     for batch in batches:
@@ -338,7 +338,10 @@ def combine_detunings(entries) -> CombinedEstimate:
 def _fit_chain(cfg: ExperimentConfig, template: XpsTemplate,
                binned: BinnedTraces):
     """phi_0 fitted on the all-shot mean and raw phi_T on the difference
-    trace: (phi_0, phi_T)."""
+    trace: (phi_0, phi_T).  White phase noise spreads every real sample."""
+    constant = np.flatnonzero(np.minimum(binned.se_delta, binned.se_all) == 0)
+    if constant.size:
+        raise DataFormatError(f"phase sample {constant[0]} has zero variance")
     phi0 = fit_phi0(binned.phi_all, cfg.mean_photons, template,
                     sigma=binned.se_all)
     return phi0, fit_transmitted(binned, template)

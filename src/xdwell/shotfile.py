@@ -1,12 +1,13 @@
 """Shot-record binary format and the experiment-config digest.
 
 File layout (little endian):
-  header: magic "XDWL" | version u32 | flags u32 | n_samples u32 |
+  header: magic "XDWL" | version u32 | flags u32 (0) | n_samples u32 |
           n_shots u64 | config digest (32 bytes, SHA-256)
-  record: n_samples * float64 phases | click u8 | 3 bytes padding |
-          [4 * float64 truth when flags bit 0 is set]
+  record: n_samples * float64 phases | click u8 | 3 bytes padding
+          (292 bytes at 36 samples)
 A file is valid only at exactly header + n_shots records, so one cut short
-(or grown) after its header was written is rejected.
+(or grown) after its header was written is rejected, and so is a file of an
+earlier version whose flags (1) added 4 float64 of truth to every record.
 
 The digest (`experiment_digest`) is the SHA-256 of `experiment_text`, the
 ExperimentConfig as an [experiment] section: one `key=value` line per
@@ -31,7 +32,6 @@ __all__ = [
     "MAGIC",
     "FORMAT_VERSION",
     "BATCH_SIZE",
-    "FLAG_TRUTH",
     "Header",
     "ShotFileWriter",
     "read_header",
@@ -42,7 +42,6 @@ __all__ = [
 
 MAGIC = b"XDWL"
 FORMAT_VERSION = 1
-FLAG_TRUTH = 0x1
 
 _HEADER = struct.Struct("<4sIIIQ32s")
 
@@ -57,21 +56,14 @@ BATCH_SIZE = 1 << 12
 
 @dataclass(frozen=True)
 class Header:
-    flags: int
     n_samples: int
     n_shots: int
     digest: bytes
 
-    @property
-    def with_truth(self) -> bool:
-        return bool(self.flags & FLAG_TRUTH)
 
-
-def _record_dtype(n_samples: int, with_truth: bool) -> np.dtype:
-    fields = [("phases", "<f8", (n_samples,)), ("click", "u1"), ("pad", "V3")]
-    if with_truth:
-        fields.append(("truth", "<f8", (4,)))
-    return np.dtype(fields)
+def _record_dtype(n_samples: int) -> np.dtype:
+    return np.dtype([("phases", "<f8", (n_samples,)), ("click", "u1"),
+                     ("pad", "V3")])
 
 
 class ShotFileWriter:
@@ -83,43 +75,31 @@ class ShotFileWriter:
     deletes, so an interrupted run never replaces a complete file.
     """
 
-    def __init__(self, path, n_samples: int, n_shots: int, digest: bytes,
-                 with_truth: bool):
+    def __init__(self, path, n_samples: int, n_shots: int, digest: bytes):
         if len(digest) != 32:
             raise DataFormatError("config digest must be 32 bytes")
         self.path = str(path)
         self.n_samples = n_samples
-        self.with_truth = with_truth
         # filled in place for every batch; zeroed once, for the pad bytes
-        self._records = np.zeros(BATCH_SIZE, _record_dtype(n_samples,
-                                                           with_truth))
-        flags = FLAG_TRUTH if with_truth else 0
+        self._records = np.zeros(BATCH_SIZE, _record_dtype(n_samples))
         # packed first, so a count out of range leaves no file behind
-        header = _HEADER.pack(MAGIC, FORMAT_VERSION, flags, n_samples,
-                              n_shots, digest)
+        header = _HEADER.pack(MAGIC, FORMAT_VERSION, 0, n_samples, n_shots,
+                              digest)
         self._partial = self.path + ".partial"
         self._fh = open(self._partial, "wb")
         self._fh.write(header)
 
-    def append(self, phases: np.ndarray, clicks: np.ndarray, truth=None):
+    def append(self, phases: np.ndarray, clicks: np.ndarray):
+        """Write one batch of at most `BATCH_SIZE` shots."""
         phases = np.asarray(phases, dtype=np.float64)
         m = phases.shape[0]
-        if phases.shape != (m, self.n_samples):
-            raise DataFormatError(
-                f"phases must have shape (m, {self.n_samples})")
-        if self.with_truth and truth is None:
-            raise DataFormatError("file expects truth blocks")
-        clicks = np.asarray(clicks, dtype=bool)
-        if self.with_truth:
-            truth = np.asarray(truth, dtype=np.float64)
-        for i in range(0, m, BATCH_SIZE):  # a larger batch in pieces
-            part = slice(i, i + BATCH_SIZE)
-            records = self._records[:min(m - i, BATCH_SIZE)]
-            records["phases"] = phases[part]
-            records["click"] = clicks[part]
-            if self.with_truth:
-                records["truth"] = truth[part]
-            records.tofile(self._fh)
+        if phases.shape != (m, self.n_samples) or m > BATCH_SIZE:
+            raise DataFormatError(f"phases must have shape (m <= "
+                                  f"{BATCH_SIZE}, {self.n_samples})")
+        records = self._records[:m]
+        records["phases"] = phases
+        records["click"] = np.asarray(clicks, dtype=bool)
+        records.tofile(self._fh)
 
     def close(self):
         self._fh.close()
@@ -156,23 +136,24 @@ def read_header(path) -> Header:
     if version != FORMAT_VERSION:
         raise DataFormatError(
             f"{path}: format version {version} != supported {FORMAT_VERSION}")
-    header = Header(flags=flags, n_samples=n_samples, n_shots=n_shots,
-                    digest=digest)
-    expected = _HEADER.size + n_shots * _record_dtype(
-        n_samples, header.with_truth).itemsize
+    if flags != 0:
+        raise DataFormatError(
+            f"{path}: flags {flags:#x}: its records carry the per-shot truth "
+            "blocks of an earlier version, which this version does not read")
+    expected = _HEADER.size + n_shots * _record_dtype(n_samples).itemsize
     if size != expected:
         raise DataFormatError(
             f"{path}: {size} bytes, but the header declares {n_shots} shots "
             f"({expected} bytes); the file is incomplete or corrupt")
-    return header
+    return Header(n_samples=n_samples, n_shots=n_shots, digest=digest)
 
 
 def iter_shot_batches(path):
-    """Yield a shot file's (phases, clicks, truth-or-None) batches.  A click
-    byte other than 0 or 1 fails its batch; a NaN phase fails the sums
+    """Yield a shot file's (phases, clicks) batches.  A click byte other
+    than 0 or 1 fails its batch; a NaN phase fails the sums
     (`estimator._finish`)."""
     header = read_header(path)
-    dtype = _record_dtype(header.n_samples, header.with_truth)
+    dtype = _record_dtype(header.n_samples)
     with open(path, "rb") as fh:
         fh.seek(_HEADER.size)
         for batch, start in enumerate(range(0, header.n_shots, BATCH_SIZE)):
@@ -185,8 +166,7 @@ def iter_shot_batches(path):
                 raise DataFormatError(
                     f"{path}: batch {batch} holds a click byte other than "
                     "0 or 1")
-            truth = records["truth"] if header.with_truth else None
-            yield records["phases"], records["click"].astype(bool), truth
+            yield records["phases"], records["click"].astype(bool)
 
 
 # --- experiment-config digest ------------------------------------------------

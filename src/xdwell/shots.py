@@ -386,7 +386,8 @@ def run_campaign(cfg: ExperimentConfig, n_shots: int, seed: int, out_path,
 
     Deterministic for fixed (cfg, seed): identical inputs yield byte-identical
     files at any worker count, because every batch has its own keyed substream.
-    An interrupted run leaves no file and keeps any earlier one.
+    An interrupted run leaves no file and keeps any earlier one.  The file
+    holds no truth; `with_truth` adds the truth's means to the summary.
     """
     _check_campaign(n_shots, seed)  # before the file exists
     digest = shotfile.experiment_digest(cfg)
@@ -394,13 +395,12 @@ def run_campaign(cfg: ExperimentConfig, n_shots: int, seed: int, out_path,
     dwell_sum = 0.0
     transmitted_sum = 0.0
     with shotfile.ShotFileWriter(out_path, n_samples=cfg.n_samples,
-                                 n_shots=n_shots, digest=digest,
-                                 with_truth=with_truth) as writer:
+                                 n_shots=n_shots, digest=digest) as writer:
         for phases, clicks, truth in iter_batches(cfg, n_shots, seed, workers):
             n_click += int(clicks.sum())
             dwell_sum += float(truth[:, 3].sum())
             transmitted_sum += float(truth[:, 1].sum())
-            writer.append(phases, clicks, truth if with_truth else None)
+            writer.append(phases, clicks)
     return CampaignSummary(
         n_shots=n_shots,
         click_rate=n_click / n_shots,

@@ -78,7 +78,8 @@ def egalitarian_monochromatic(od: float) -> DwellBreakdown:
 
 
 def click_excess(batches):
-    """The truth's (n_T, n - n_T) pairs binned by click: `delta_phi` and
+    """The truth's (n_T, n - n_T) pairs of `shots.iter_batches` batches
+    (a shot file holds no truth) binned by click: `delta_phi` and
     `se_delta` hold E[n_T | click] - E[n_T | no click] and the lost-photon
     analogue, with their Monte Carlo errors."""
     return bin_and_average(

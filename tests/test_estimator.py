@@ -622,10 +622,10 @@ class TestClickInference:
 
 @pytest.fixture(scope="module")
 def boosted_file(tmp_path_factory):
-    # the acceptance "boosted" campaign (phi_atom x50), 300k shots with truth
+    # the acceptance "boosted" campaign (phi_atom x50), 300k shots
     cfg = CFG.replace(phi_atom=50 * CFG.phi_atom)
     path = tmp_path_factory.mktemp("boosted") / "shots.bin"
-    run_campaign(cfg, 300_000, seed=2024, out_path=path, with_truth=True)
+    run_campaign(cfg, 300_000, seed=2024, out_path=path)
     yield path, cfg
     path.unlink()
 
@@ -641,10 +641,9 @@ class TestAnalyzeFile:
         read = shotfile.iter_shot_batches
 
         def recut(path):  # each file batch in 300-row pieces
-            for phases, clicks, truth in read(path):
+            for phases, clicks in read(path):
                 for i in range(0, len(clicks), 300):
-                    yield (phases[i:i + 300], clicks[i:i + 300],
-                           truth[i:i + 300])
+                    yield phases[i:i + 300], clicks[i:i + 300]
 
         monkeypatch.setattr(shotfile, "iter_shot_batches", recut)
         small, _ = analyze_file(path, cfg)
@@ -656,8 +655,8 @@ class TestAnalyzeFile:
 
 class TestMemory:
     def test_analysis_peak(self, boosted_file):
-        # analysis holds one 4,096-record batch (1.3 MB with truth) and
-        # add_batch's one difference array (1.2 MB): this reads 2.6 MiB
+        # analysis holds one 4,096-record batch (1.2 MB) and add_batch's
+        # one difference array (1.2 MB): this reads 2.5 MiB
         # under tracemalloc whatever the file size.  Batches of 65,536
         # records read 41 MiB
         path, cfg = boosted_file

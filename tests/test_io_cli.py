@@ -142,72 +142,86 @@ def test_every_dataclass_field_read_outside_tests():
 
 
 class TestShotFileRoundTrip:
-    def _write(self, path, with_truth=True, n=500, n_samples=36):
+    def _write(self, path, n=500, n_samples=36):
+        # in batches of at most BATCH_SIZE, as run_campaign writes them
         rng = np.random.default_rng(0)
         phases = rng.standard_normal((n, n_samples))
         clicks = rng.random(n) < 0.3
-        truth = np.abs(rng.standard_normal((n, 4))) if with_truth else None
-        digest = bytes(range(32))
         with shotfile.ShotFileWriter(path, n_samples=n_samples, n_shots=n,
-                                     digest=digest, with_truth=with_truth) as w:
-            w.append(phases[:200], clicks[:200],
-                     truth[:200] if with_truth else None)
-            w.append(phases[200:], clicks[200:],
-                     truth[200:] if with_truth else None)
-        return phases, clicks, truth
+                                     digest=bytes(range(32))) as w:
+            for i in range(0, n, shotfile.BATCH_SIZE):
+                w.append(phases[i:i + shotfile.BATCH_SIZE],
+                         clicks[i:i + shotfile.BATCH_SIZE])
+        return phases, clicks
 
     def test_round_trip_exact(self, tmp_path):
-        # one full read batch and one short one
+        # one full batch and one short one: the short one reuses the
+        # writer's record buffer, writes only its own rows, and leaves
+        # every pad byte zero
         path = tmp_path / "shots.bin"
         n = shotfile.BATCH_SIZE + 500
-        phases, clicks, truth = self._write(path, n=n)
-        header = shotfile.read_header(path)
-        assert header.n_shots == n
-        assert header.n_samples == 36
-        assert header.with_truth
+        phases, clicks = self._write(path, n=n)
+        assert shotfile.read_header(path) == shotfile.Header(
+            n_samples=36, n_shots=n, digest=bytes(range(32)))
+        assert path.stat().st_size == shotfile._HEADER.size + n * 292
         got = list(shotfile.iter_shot_batches(path))
-        assert [len(g[1]) for g in got] == [shotfile.BATCH_SIZE, 500]
-        p = np.concatenate([g[0] for g in got])
-        c = np.concatenate([g[1] for g in got])
-        t = np.concatenate([g[2] for g in got])
-        np.testing.assert_array_equal(p, phases)
-        np.testing.assert_array_equal(c, clicks)
-        np.testing.assert_array_equal(t, truth)
+        assert [len(c) for _, c in got] == [shotfile.BATCH_SIZE, 500]
+        np.testing.assert_array_equal(np.concatenate([p for p, _ in got]),
+                                      phases)
+        np.testing.assert_array_equal(np.concatenate([c for _, c in got]),
+                                      clicks)
+        records = np.fromfile(path, shotfile._record_dtype(36),
+                              offset=shotfile._HEADER.size)
+        assert not records["pad"].tobytes().strip(b"\0")
 
     def test_truthless_round_trip(self, tmp_path):
+        # every file written has flags 0, records with no truth field, and
+        # reads back as (phases, clicks) pairs only
         path = tmp_path / "s.bin"
-        self._write(path, with_truth=False)
-        header = shotfile.read_header(path)
-        assert not header.with_truth
-        for _, _, truth in shotfile.iter_shot_batches(path):
-            assert truth is None
+        phases, clicks = self._write(path)
+        assert struct.unpack_from("<I", path.read_bytes(), 8) == (0,)
+        assert "truth" not in shotfile._record_dtype(36).names
+        [batch] = shotfile.iter_shot_batches(path)
+        assert len(batch) == 2
+        np.testing.assert_array_equal(batch[0], phases)
+        np.testing.assert_array_equal(batch[1], clicks)
 
     def test_batch_above_buffer(self, tmp_path):
-        # the writer fills one BATCH_SIZE record buffer: a larger batch
-        # goes out in pieces, a smaller one after it writes only its own
-        # rows, and every pad byte stays zero
-        path = tmp_path / "big.bin"
-        n = 2 * shotfile.BATCH_SIZE + 7
-        rng = np.random.default_rng(1)
-        phases = rng.standard_normal((n, 36))
-        clicks = rng.random(n) < 0.3
-        truth = rng.random((n, 4))
-        with shotfile.ShotFileWriter(path, n_samples=36, n_shots=n,
-                                     digest=bytes(32), with_truth=True) as w:
-            w.append(phases[:-7], clicks[:-7], truth[:-7])
-            w.append(phases[-7:], clicks[-7:], truth[-7:])
-        records = np.fromfile(path, shotfile._record_dtype(36, True),
-                              offset=shotfile._HEADER.size)
-        np.testing.assert_array_equal(records["phases"], phases)
-        np.testing.assert_array_equal(records["click"], clicks)
-        np.testing.assert_array_equal(records["truth"], truth)
-        assert not records["pad"].tobytes().strip(b"\0")
+        # the writer fills one BATCH_SIZE record buffer, so a larger batch
+        # fails, and the failed run leaves no file
+        path = tmp_path / "shots.bin"
+        n = shotfile.BATCH_SIZE + 1
+        with pytest.raises(DataFormatError, match=f"m <= {n - 1}"):
+            with shotfile.ShotFileWriter(path, n_samples=36, n_shots=n,
+                                         digest=bytes(32)) as w:
+                w.append(np.zeros((n, 36)), np.zeros(n, bool))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_truth_file_exit_3(self, tmp_path, capsys):
+        # an earlier version's file with truth: flags 1, and 4 float64 of
+        # truth after each 292-byte record
+        cfg = write_config(tmp_path / "c.ini", BOOSTED_INI)
+        path = tmp_path / "run" / "shots.bin"
+        path.parent.mkdir()
+        self._write(path)
+        raw = path.read_bytes()
+        records = np.zeros(500, [("record", "V292"), ("truth", "<f8", (4,))])
+        assert records.itemsize == 324
+        records["record"] = np.frombuffer(raw, "V292",
+                                          offset=shotfile._HEADER.size)
+        header = bytearray(raw[:shotfile._HEADER.size])
+        header[8:12] = struct.pack("<I", 1)
+        path.write_bytes(bytes(header) + records.tobytes())
+        assert cli.main(["analyze", "--config", cfg,
+                         "--out", str(path.parent)]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("data error: ") and "truth blocks" in line
 
     def test_unpackable_header_leaves_no_file(self, tmp_path):
         path = tmp_path / "shots.bin"
         with pytest.raises(struct.error):
             shotfile.ShotFileWriter(path, n_samples=36, n_shots=-1,
-                                    digest=bytes(32), with_truth=False)
+                                    digest=bytes(32))
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_magic(self, tmp_path):
@@ -487,6 +501,24 @@ class TestCli:
             run_campaign(ExperimentConfig(), 0, seed=0, out_path=path)
         assert not path.exists()
 
+    def test_with_truth_sets_only_the_summary(self, tmp_path):
+        # the shot file is the same either way; only summary.json reports
+        # the injected truth's means
+        summaries = []
+        for value in (0, 1):
+            cfg = write_config(tmp_path / "c.ini", SIM_INI.format(
+                n_shots=5000) + f"with_truth = {value}\n")
+            out = tmp_path / str(value)
+            assert cli.main(["simulate", "--config", cfg, "--out",
+                             str(out)]) == 0
+            summaries.append(json.loads((out / "summary.json").read_text()))
+        assert (tmp_path / "0" / "shots.bin").read_bytes() == \
+            (tmp_path / "1" / "shots.bin").read_bytes()
+        assert summaries[0]["mean_dwell"] is None
+        assert summaries[0]["mean_transmitted"] is None
+        assert summaries[1]["mean_dwell"] > 0
+        assert summaries[1]["mean_transmitted"] > 0
+
     def test_shot_count_beyond_u64_exit_2(self, tmp_path, capsys):
         # the shot file counts its shots in a u64
         cfg = write_config(tmp_path / "c.ini", SIM_INI.format(n_shots="1e20"))
@@ -738,6 +770,9 @@ class TestCli:
         ("simulate", "[experiment]\nmeas_bandwidth = 0\n"),
         ("simulate", "[experiment]\nsample_dt = 0\n"),
         ("simulate", "[experiment]\np_transmit = 1\n"),
+        # with_truth is 0 or 1
+        ("simulate", "[experiment]\n[campaign]\nwith_truth = 7\n"),
+        ("simulate", "[experiment]\n[campaign]\nwith_truth = -1\n"),
         ("models", "[models]\nslices = 4\n"),
         # a bad last point fails before the first point's campaign
         ("calibrate", "[experiment]\n[calibrate]\n"
@@ -850,8 +885,7 @@ class TestCli:
 def _edit_records(path, edit):
     """Apply `edit` to a shot file's records in place, header untouched."""
     header = shotfile.read_header(path)
-    records = np.memmap(path, shotfile._record_dtype(header.n_samples,
-                                                     header.with_truth),
+    records = np.memmap(path, shotfile._record_dtype(header.n_samples),
                         mode="r+", offset=shotfile._HEADER.size)
     edit(records)
     records.flush()
@@ -867,14 +901,19 @@ def _set_every_97th_click(records):
     records["click"][::97] = 7
 
 
+def _zero_sample_0(records):
+    records["phases"][:, 0] = 0.0
+
+
 class TestCorruptPayload:
     # one edit to the payload of a shot file that analyzes cleanly; the
     # header and size stay valid, so only the records tell
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("edit, message", [
         (_set_phase(np.nan), "not finite"), (_set_phase(np.inf), "not finite"),
-        (_set_every_97th_click, "batch 0 holds a click byte other than 0")],
-        ids=["nan", "inf", "click-byte-7"])
+        (_set_every_97th_click, "batch 0 holds a click byte other than 0"),
+        (_zero_sample_0, "phase sample 0 has zero variance")],
+        ids=["nan", "inf", "click-byte-7", "constant-sample"])
     def test_corrupt_payload_exit_3(self, tmp_path, capsys, edit, message):
         cfg = write_config(tmp_path / "c.ini", BOOSTED_INI)
         out = tmp_path / "run"

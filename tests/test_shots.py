@@ -328,15 +328,16 @@ class TestScratch:
 
     @pytest.mark.parametrize("kw,seed,workers,sha256", [
         ({}, 1, 1,
-         "9ad8c934202fec8069f8e133d45cf2498f277b960d7ab88fabe0aa72cc0d04a6"),
+         "1ffc16f06845b91244c7b60e2a59496703a063155d91b16b9e2d82ad35877645"),
         ({"osc_amplitude": 0.01, "prop_noise_s": 0.05, "od_coupling": 0.5},
          3, 2,
-         "b1ee5bae8832a58437466b1d6ebaad6e370d94130318a361d31c674252167019"),
+         "119404ab69c49b95f4f7cb1d9c1c3c0c5124113a3a8d45f4023806c086aa49b8"),
     ], ids=["default", "oscillation"])
     def test_shot_file_pinned(self, tmp_path, kw, seed, workers, sha256):
-        # 10,000-shot files with truth, hashed when every term was a fresh
-        # temporary: a change to the RNG draw order or to the order of the
-        # additions changes these bytes
+        # 10,000-shot files, the bytes of files first hashed with truth
+        # blocks when every term was a fresh temporary, with those blocks
+        # dropped and the flags word 0: a change to the RNG draw order or
+        # to the order of the additions changes these bytes
         path = tmp_path / "shots.bin"
         run_campaign(ExperimentConfig(**kw), 10_000, seed=seed,
                      out_path=path, workers=workers)
