@@ -10,7 +10,6 @@ g = P_e f_coh, is integrated backward from that flow.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -178,7 +177,6 @@ def detect_phase_flip(env: SampledEnvelope):
     return float(env.t0 + env.dt * int(starts[0])) if starts.size else None
 
 
-@functools.lru_cache(maxsize=64)  # a model block scans the same few sizes
 def _chunk_rows(m: int) -> int:
     """The chunk length C with which the two-level scan of `_backward_scan`
     solves m rows in the fewest Python steps, (C - 1) + m // C + m % C
@@ -204,13 +202,12 @@ def _chunk_major(x: np.ndarray) -> np.ndarray:
                        x.ndim - 1)
 
 
-def _backward_scan(f: np.ndarray, b: np.ndarray,
-                   work: np.ndarray | None = None):
+def _backward_scan(f: np.ndarray, b: np.ndarray, work: np.ndarray):
     """Solve f_n = a_n + b_n f_{n+1} backward along axis -2, in place: `f`
     holds a_n in samples :-1 and the end value in its last sample; `b` has
     one sample fewer and is left as it was.  The chunk-major copies of b
     and f go to the front of `work`, a flat float array of at least
-    2 b.size (fresh by default).
+    2 b.size.
 
     A two-level scan.  The samples after the first m % C fall into chunks
     of C = `_chunk_rows(m)`, all solved at once from a zero end value on
@@ -227,8 +224,6 @@ def _backward_scan(f: np.ndarray, b: np.ndarray,
     # those rows side by side: on rows a chunk apart each ufunc call
     # iterates row by row and costs several times as much
     rows = _chunk_major(bc)
-    if work is None:
-        work = np.empty(2 * rows.size)
     b_rows, f_rows = work[:2 * rows.size].reshape(2, *rows.shape)
     b_rows[...] = rows
     f_rows[...] = _chunk_major(fc)

@@ -137,7 +137,10 @@ def _experiment_from_config(parser) -> shots.ExperimentConfig:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --out {out}: {exc}") from exc
     return out
 
 

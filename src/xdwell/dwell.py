@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -174,12 +173,9 @@ _MAX_SAMPLES = 1 << 15
 # complex spectra and field take the scratch, and its homogeneous term the
 # half's P_e and net flow before they are out.  The g-form's g and b then
 # take the scratch, and the scan's copies the spent P_e and net flows.  A
-# thread keeps its workspace across blocks, curves and calls on grids of up
-# to _RETAINED_SAMPLES samples (1 MiB at 512 and at 1,024 samples); a
-# larger grid's workspace dies with its call
+# curve's blocks share one workspace (1 MiB at 512 and at 1,024 samples),
+# which lives for one `min_coherent_model` call
 _WORK_PER_CELL = 4
-_RETAINED_SAMPLES = 1024
-_workspace = threading.local()
 
 
 def _grid_samples(pulse: PulseSpec, medium: MediumSpec,
@@ -234,19 +230,6 @@ def _block_nodes(n_samples: int) -> int:
                _BLOCK_CELLS // n_samples // _NODE_STEP * _NODE_STEP)
 
 
-def _node_workspace(n_samples: int) -> np.ndarray:
-    """A flat float workspace for node blocks on an `n_samples` grid: this
-    thread's, grown as needed, up to _RETAINED_SAMPLES; a fresh one past
-    that."""
-    size = _WORK_PER_CELL * _block_nodes(n_samples) * n_samples
-    if n_samples > _RETAINED_SAMPLES:
-        return np.empty(size)
-    work = getattr(_workspace, "work", None)
-    if work is None or work.size < size:
-        work = _workspace.work = np.empty(size)
-    return work
-
-
 class _Grid(NamedTuple):
     """What the node blocks of a curve share: the time step, the envelope
     spectrum and the unit-OD transfer exponent (`medium._transfer_exponent`)
@@ -270,8 +253,9 @@ def _node_integrals(depths: np.ndarray, grid: _Grid,
     the curve's `grid`: the trapezoid rule plus the cubic Hermite end
     correction h^2 / 12 (y'(start) - y'(end)), from the exact slopes.  The
     bins that carry no envelope spectrum stay zero.  Every block-sized
-    array is a view of `work` (`_node_workspace`), which the next block
-    overwrites; only the returned integrals are fresh."""
+    array is a view of `work`, the call's workspace of _WORK_PER_CELL
+    floats per cell, which the next block overwrites; only the returned
+    integrals are fresh."""
     n, h, bloch = grid.weights.size, grid.h, grid.bloch
     rows = -(-depths.size // 2)
     # the block goes through in two halves of `rows` nodes; an odd block
@@ -369,7 +353,7 @@ def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, od_grid=None,
         bloch=bloch)
     depths, node_weights, ends = _depth_nodes(tuple(ods.tolist()), slices)
     integrals = np.empty((2, depths.size))
-    work = _node_workspace(n_samples)
+    work = np.empty(_WORK_PER_CELL * width * n_samples)
     for i in range(0, depths.size, width):
         block = slice(i, i + width)
         integrals[:, block] = _node_integrals(depths[block], grid, work)

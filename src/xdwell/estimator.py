@@ -352,6 +352,9 @@ def analyze_file(path, cfg: ExperimentConfig, s2: float = 0.0,
     """Full estimator chain over one shot file.
 
     Returns (report dict, BinnedTraces)."""
+    for key, value in (("s2", s2), ("s2_se", s2_se)):
+        if not value >= 0.0:
+            raise ConfigError(f"{key!r} must be >= 0, got {value!r}")
     header = shotfile.read_header(path)
     expected = shotfile.experiment_digest(cfg)
     if header.digest != expected and not force_digest:
@@ -366,7 +369,8 @@ def analyze_file(path, cfg: ExperimentConfig, s2: float = 0.0,
 
     binned = bin_and_average(shotfile.iter_shot_batches(path))
     phi0, phi_t = _fit_chain(cfg, shots.xps_template(cfg), binned)
-    if s2 != 0.0:
+    # an upper-bound calibration reads s2 = 0 and still carries its s2_se
+    if s2 != 0.0 or s2_se != 0.0:
         phi_t = correct_phi_T(phi_t, s2, cfg.mean_photons, phi0, s2_se=s2_se)
     combined = combine_detunings([(cfg.probe_detuning, phi_t, phi0)])
 

@@ -489,7 +489,7 @@ class TestBackwardScan:
         ref = f.copy()
         for n in range(m - 1, -1, -1):
             ref[n] = ref[n] + b[n] * ref[n + 1]
-        _backward_scan(f, b)
+        _backward_scan(f, b, np.empty(2 * b.size))
         np.testing.assert_allclose(f, ref, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("m", [16, 1023])
@@ -501,7 +501,7 @@ class TestBackwardScan:
         ref = f.copy()
         for n in range(m - 1, -1, -1):
             ref[n] = ref[n] + b[n] * ref[n + 1]
-        _backward_scan(f, b)
+        _backward_scan(f, b, np.empty(2 * b.size))
         np.testing.assert_allclose(f, ref, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("cols", [1, 3])

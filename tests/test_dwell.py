@@ -1,4 +1,3 @@
-import functools
 import sys
 import threading
 import tracemalloc
@@ -520,7 +519,8 @@ class TestSweep:
 
 
 def in_new_thread(fn):
-    """fn() run in a thread of its own, so it starts without a workspace."""
+    """fn() run in a thread of its own, so it starts with no per-thread
+    state that an earlier test left."""
     box = []
     thread = threading.Thread(target=lambda: box.append(fn()))
     thread.start()
@@ -542,10 +542,10 @@ def traced_peak(fn):
 
 class TestMemory:
     def test_min_coherent_point_peak(self, pulse_10ns, medium_od4):
-        # a 4,096-sample grid is past the retained size, so the call makes
-        # a workspace of its own: 4 MiB for 32-node blocks, of a peak that
-        # measures 4.6 MiB; 128 nodes in one block would take 16 MiB (the
-        # curve test below bounds the peak on the default grid)
+        # on a 4,096-sample grid the call's workspace takes 4 MiB for
+        # 32-node blocks, of a peak that measures 4.6 MiB; 128 nodes in one
+        # block would take 16 MiB (the curve test below bounds the peak on
+        # the default grid)
         min_coherent_model(pulse_10ns, medium_od4)
         peak = traced_peak(lambda: min_coherent_model(
             pulse_10ns, medium_od4, slices=128, n_samples=4096))
@@ -557,12 +557,16 @@ class TestMemory:
                                      slices):
         # nodes go through in blocks of at most 64 on the default
         # 512-sample grid, in one workspace of 4 floats per sample and
-        # node, whatever the number of nodes (512 at OD 4 x 128).  A
-        # thread's first curve makes the workspace, 1 MiB, and the two
-        # cases measure 1.23 and 1.26 MiB with it
-        min_coherent_model(pulse_10ns, medium_od4, od_grid, slices=slices)
-        peak = in_new_thread(lambda: traced_peak(lambda: min_coherent_model(
-            pulse_10ns, medium_od4, od_grid, slices=slices)))
+        # node, whatever the number of nodes (512 at OD 4 x 128).  Each
+        # curve makes its own 1 MiB workspace and frees it on return, so
+        # two curves in a row peak as one does: 1.24 and 1.25 MiB for the
+        # two cases
+        def run():
+            min_coherent_model(pulse_10ns, medium_od4, od_grid,
+                               slices=slices)
+
+        run()
+        peak = traced_peak(lambda: (run(), run()))
         assert peak <= 1.5 * 2**20
 
 
@@ -578,23 +582,8 @@ class TestMemory:
 
 
 class TestWorkspace:
-    """Each thread keeps one node-block workspace across blocks, curves and
-    calls, up to a retained size that covers the default grids."""
-
-    @pytest.mark.parametrize("n_samples", [None, 1024])
-    def test_second_curve_allocates_no_block(self, pulse_10ns, medium_od4,
-                                             n_samples):
-        # the second curve in a thread reuses the first one's workspace.
-        # Its peak measures 239 KiB on the default 512-sample grid and
-        # 242 KiB on 1,024: about 90 KiB that the curve holds while its
-        # blocks run, and at most 150 KiB of transients in a block, most of
-        # it numpy's buffers for broadcast or transposed operands.  So a
-        # fresh block-sized float array (256 KiB at 64 nodes x 512 samples
-        # or 32 x 1,024) would pass the bound at any step
-        run = functools.partial(min_coherent_model, pulse_10ns, medium_od4,
-                                DEFAULT_OD_GRID, n_samples=n_samples)
-        run()
-        assert traced_peak(run) <= 330 * 2**10
+    """Each min_coherent_model call makes one node-block workspace, which
+    its blocks share and which is freed when the call returns."""
 
     def test_threads_equal_serial(self, medium_od4):
         # four threads at once (more than the cores a CI runner has), each
@@ -657,8 +646,7 @@ class TestWorkspace:
 
     def test_block_width_changes_no_bits(self, medium_od4, monkeypatch):
         # blocks forced to 8, 16, 32 and 64 nodes give the same curves bit
-        # for bit on both default grids; run in a thread of its own, so the
-        # 2 MiB workspace of 64-node blocks on 1,024 samples dies with it
+        # for bit on both default grids
         def curves():
             return [[float(x).hex() for b in min_coherent_model(
                 PulseSpec(intensity_rms=sigma), medium_od4, DEFAULT_OD_GRID,
@@ -668,15 +656,15 @@ class TestWorkspace:
         got = {}
         for width in (8, 16, 32, 64):
             monkeypatch.setattr(dwell, "_block_nodes", lambda n, w=width: w)
-            got[width] = in_new_thread(curves)
+            got[width] = curves()
         assert got[8] == got[16] == got[32] == got[64]
 
-    def test_large_grid_not_retained(self, pulse_10ns, medium_od4):
+    def test_no_workspace_retained(self, pulse_10ns, medium_od4):
         # after a default curve and one on 8,192 samples (an 8 MiB
-        # workspace), the thread holds no more than the retained cap: the
-        # 1 MiB workspace of a block's cell budget, and 64 KiB for the
-        # thread's own objects (they measure 7 KiB)
-        cap = dwell._WORK_PER_CELL * dwell._BLOCK_CELLS * 8 + 2**16
+        # workspace), the thread holds no more than 64 KiB for its own
+        # objects (they measure 7 KiB): neither call's workspace outlives
+        # it.  A fresh thread, so that no workspace an earlier call could
+        # have left there hides a retained one
         min_coherent_model(pulse_10ns, medium_od4, [4.0], n_samples=8192)
 
         def held():
@@ -686,25 +674,32 @@ class TestWorkspace:
 
         tracemalloc.start()
         try:
-            assert in_new_thread(held) <= cap
+            assert in_new_thread(held) <= 2**16
         finally:
             tracemalloc.stop()
 
-    def test_default_csv_byte_identical(self, tmp_path, pulse_50ns,
-                                        medium_od4):
-        # the workspace changes no arithmetic: after larger grids have used
-        # this thread's workspace, and with it filled with NaN, the default
-        # sweep is the golden file (written before the workspace) byte for
-        # byte
-        for n in (1024, 8192):
-            min_coherent_model(pulse_50ns, medium_od4, [4.0], n_samples=n)
-        dwell._node_workspace(dwell._RETAINED_SAMPLES).fill(np.nan)
+    def test_default_csv_byte_identical(self, tmp_path, monkeypatch):
+        # no output reads memory it has not written: with every float array
+        # that np.empty returns filled with NaN first (the node workspace
+        # among them), the default sweep is the golden file byte for byte
+        empty, poisoned = np.empty, []
+
+        def nan_empty(*args, **kwargs):
+            a = empty(*args, **kwargs)
+            if a.dtype.kind in "fc":
+                a.fill(np.nan)
+                poisoned.append(a.nbytes)
+            return a
+
+        monkeypatch.setattr(np, "empty", nan_empty)
         cfg = tmp_path / "m.ini"
         cfg.write_text("[models]\n")
         assert cli.main(["models", "--config", str(cfg),
                          "--out", str(tmp_path)]) == 0
         assert ((tmp_path / "model_curves.csv").read_bytes()
                 == GOLDEN_CURVES.read_bytes())
+        assert (dwell._WORK_PER_CELL * dwell._BLOCK_CELLS
+                * np.dtype(float).itemsize) in poisoned
 
 
 class TestBreakdownValidation:

@@ -549,32 +549,36 @@ class TestCli:
 
     def test_analyze_s2_corrects_phi_t(self, tmp_path):
         # [analysis] s2, s2_se and input: the same file's phi_T, corrected
-        # by correct_phi_T, and everything else as the plain analysis
+        # by correct_phi_T, and everything else as the plain analysis.  An
+        # upper-bound calibration reads s2 = 0 and still widens phiT_se
         cfg = write_config(tmp_path / "c.ini", BOOSTED_INI)
-        raw_out, s2_out = tmp_path / "raw", tmp_path / "s2"
+        raw_out = tmp_path / "raw"
         assert cli.main(["simulate", "--config", cfg, "--seed", "3",
                          "--out", str(raw_out)]) == 0
         assert cli.main(["analyze", "--config", cfg,
                          "--out", str(raw_out)]) == 0
-        s2_cfg = write_config(tmp_path / "s2.ini", BOOSTED_INI + (
-            f"[analysis]\ns2 = 9e-4\ns2_se = 4e-5\n"
-            f"input = {raw_out / 'shots.bin'}\n"))
-        assert cli.main(["analyze", "--config", s2_cfg,
-                         "--out", str(s2_out)]) == 0
-        raw, got = (json.loads((out / "report.json").read_text())
-                    for out in (raw_out, s2_out))
+        raw = json.loads((raw_out / "report.json").read_text())
         phi0 = FitResult(raw["phi0"], raw["phi0_se"], raw["chi2_per_dof"])
-        want = correct_phi_T(
-            FitResult(raw["phiT"], raw["phiT_se"], raw["chi2_per_dof"]),
-            9e-4, ExperimentConfig().mean_photons, phi0, s2_se=4e-5)
-        assert (got["phiT"], got["phiT_se"]) == (want.amplitude,
-                                                 want.amplitude_se)
-        assert got["s2"] == 9e-4
-        for key in ("phi0", "phi0_se", "chi2_per_dof", "n_shots",
-                    "click_rate"):
-            assert got[key] == raw[key], key
-        assert (s2_out / "delta_phi.csv").read_bytes() == \
-            (raw_out / "delta_phi.csv").read_bytes()
+        for s2, s2_se in ((9e-4, 4e-5), (0.0, 4e-5)):
+            s2_out = tmp_path / f"s2={s2:g}"
+            s2_cfg = write_config(tmp_path / "s2.ini", BOOSTED_INI + (
+                f"[analysis]\ns2 = {s2!r}\ns2_se = {s2_se!r}\n"
+                f"input = {raw_out / 'shots.bin'}\n"))
+            assert cli.main(["analyze", "--config", s2_cfg,
+                             "--out", str(s2_out)]) == 0
+            got = json.loads((s2_out / "report.json").read_text())
+            want = correct_phi_T(
+                FitResult(raw["phiT"], raw["phiT_se"], raw["chi2_per_dof"]),
+                s2, ExperimentConfig().mean_photons, phi0, s2_se=s2_se)
+            assert (got["phiT"], got["phiT_se"]) == (want.amplitude,
+                                                     want.amplitude_se)
+            assert got["phiT_se"] > raw["phiT_se"]
+            assert got["s2"] == s2
+            for key in ("phi0", "phi0_se", "chi2_per_dof", "n_shots",
+                        "click_rate"):
+                assert got[key] == raw[key], key
+            assert (s2_out / "delta_phi.csv").read_bytes() == \
+                (raw_out / "delta_phi.csv").read_bytes()
 
     def test_calibrate_json_same_at_any_worker_count(self, tmp_path):
         # three batches per point, so the sums merge across batches
@@ -789,6 +793,9 @@ class TestCli:
         # s^2 is fitted from at least 4 points
         ("calibrate", "[experiment]\n[calibrate]\n"
                       "photon_numbers = 588,898,1527\n"),
+        # rejected before the shot file, which does not exist here
+        ("analyze", "[experiment]\n[analysis]\ns2 = -1e-4\n"),
+        ("analyze", "[experiment]\n[analysis]\ns2_se = -4e-5\n"),
     ])
     def test_non_finite_or_zero_lifetime_exit_2(self, tmp_path, capsys,
                                                 command, text):
@@ -799,6 +806,18 @@ class TestCli:
         assert not out.exists()
         key = text.splitlines()[-1].split("=")[0].strip()
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["propagate", "models", "simulate",
+                                         "calibrate"])
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "c.ini", BOOSTED_INI)
+        out = tmp_path / "o"
+        out.write_text("not a directory\n")
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and "Traceback" not in err
+        assert out.read_text() == "not a directory\n"
+        assert not list(tmp_path.glob("**/*.partial"))
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--seed", "-1"], ["calibrate", "--seed", str(2**64)],
