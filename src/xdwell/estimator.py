@@ -47,10 +47,11 @@ class RunningMoments:
     `s1[0]` and `s2[0]` sum x - shift and (x - shift)**2 over all rows,
     `s1[1]` and `s2[1]` over the click rows; the no-click sums are their
     difference.  Unless set before, the shift is the first non-empty
-    batch's mean, so the sums stay small and S2 - S1**2/n loses no
-    precision to an offset.  `add_white_noise` adds to the sums what iid
-    Gaussian noise on every row and sample would, without the rows, and
-    `merge` adds sums made about another shift.
+    batch's mean (its first row, for a batch of coefficients), so the sums
+    stay small and S2 - S1**2/n loses no precision to an offset.
+    `add_white_noise` adds to the sums what iid Gaussian noise on every
+    row and sample would, without the rows, and `merge` adds sums made
+    about another shift.
     """
 
     def __init__(self, width: int):
@@ -60,19 +61,40 @@ class RunningMoments:
         self.s1 = np.zeros((2, width))
         self.s2 = np.zeros((2, width))
 
-    def add_batch(self, x: np.ndarray, clicks):
+    def add_batch(self, x: np.ndarray, clicks,
+                  basis: np.ndarray | None = None):
+        """Add m rows to the sums: the rows of `x`, or with a (k, width)
+        `basis` the rows x @ basis of the (m, k) coefficients `x`, which
+        are never formed.
+
+        The coefficients are summed about their first row y0: with
+        y = x - y0, a bin's S1 is (Sum y) @ basis and its S2 at sample j
+        is b_j' (Sum y y') b_j for column b_j of the basis, from a k x k
+        Gram matrix per bin.  An unset shift becomes that first row;
+        otherwise the sums are re-centred onto the shift as `merge`
+        re-centres them."""
         m = x.shape[0]
         if m == 0:
             return
-        if self.shift is None:
-            self.shift = x.mean(axis=0)
         weights = np.ones((2, m))
         weights[1] = np.asarray(clicks, dtype=bool)
+        n_click = int(np.count_nonzero(weights[1]))
+        if basis is not None:
+            row0 = x[0] @ basis
+            if self.shift is None:
+                self.shift = row0
+            y = x - x[0]
+            gram = np.stack([y.T @ y, (y.T * weights[1]) @ y])
+            self._add(np.array([[m], [n_click]]), (weights @ y) @ basis,
+                      ((gram @ basis) * basis).sum(axis=1), row0 - self.shift)
+            return
+        if self.shift is None:
+            self.shift = x.mean(axis=0)
         d = x - self.shift
         self.s1 += weights @ d
         self.s2 += weights @ np.square(d, out=d)
         self.count += m
-        self.n_click += int(np.count_nonzero(weights[1]))
+        self.n_click += n_click
 
     def add_white_noise(self, sigma: float, rng: np.random.Generator):
         """Add iid N(0, sigma**2) noise on every summed row and sample to
@@ -105,19 +127,23 @@ class RunningMoments:
 
     def merge(self, other: "RunningMoments"):
         """Add `other`'s sums into these, re-centred exactly from its shift
-        onto this one: with d = other.shift - self.shift, its S1 and S2
-        over n rows add S1 + n d and S2 + d (2 S1 + n d).  An empty
-        `other` adds nothing, and an empty self takes `other`'s shift."""
+        onto this one.  An empty `other` adds nothing, and an empty self
+        takes `other`'s shift."""
         if other.shift is None:
             return
         if self.shift is None:
             self.shift = other.shift
-        d = other.shift - self.shift
-        n = np.array([other.count, other.n_click])[:, None]
-        self.s1 += other.s1 + n * d
-        self.s2 += other.s2 + d * (2.0 * other.s1 + n * d)
-        self.count += other.count
-        self.n_click += other.n_click
+        self._add(np.array([other.count, other.n_click])[:, None],
+                  other.s1, other.s2, other.shift - self.shift)
+
+    def _add(self, n, s1, s2, d):
+        """Add the (all, click) sums s1 and s2 of n rows made about
+        shift + d: about the shift they are S1 + n d and
+        S2 + d (2 S1 + n d)."""
+        self.s1 += s1 + n * d
+        self.s2 += s2 + d * (2.0 * s1 + n * d)
+        self.count += int(n[0, 0])
+        self.n_click += int(n[1, 0])
 
 
 @dataclass(frozen=True)
@@ -412,18 +438,19 @@ def _calibration_eta(cfg: ExperimentConfig, mu: float,
 
 
 def _binned_batch(cfg: ExperimentConfig, template: XpsTemplate,
-                  rng: np.random.Generator, m: int) -> RunningMoments:
+                  basis: np.ndarray, rng: np.random.Generator,
+                  m: int) -> RunningMoments:
     """Generate one calibration batch and sum it, both on the thread that
     runs this; only the sums leave it.
 
-    The rows are the batch's noise-free shots, summed about the batch's own
-    first row; their white phase noise enters the sums through
+    The batch's noise-free shots are summed from their coefficients on the
+    campaign's basis, about the batch's own first shot, so no row is
+    formed; their white phase noise enters the sums through
     `RunningMoments.add_white_noise`, drawn from the batch's stream after
-    the rows."""
-    phases, clicks, _ = shots._noise_free_batch(cfg, template, rng, m)
-    stats = RunningMoments(phases.shape[1])
-    stats.shift = phases[0].copy()
-    stats.add_batch(phases, clicks)
+    the coefficients."""
+    coeffs, clicks, _ = shots._noise_free_coefficients(cfg, template, rng, m)
+    stats = RunningMoments(basis.shape[1])
+    stats.add_batch(coeffs, clicks, basis)
     stats.add_white_noise(cfg.phase_noise_rms, rng)
     return stats
 
@@ -435,14 +462,15 @@ def run_calibration(cfg: ExperimentConfig, photon_numbers, n_shots: int,
 
     Point i is campaign i of `seed`, `n_shots` shots in batches keyed as
     `shots.iter_batches` keys them.  Each batch's noise-free shots are
-    summed by `RunningMoments.add_batch`, and their white phase noise
-    enters through exact per-bin sums (`RunningMoments.add_white_noise`),
-    so no batch draws 36 normals per shot.  All points' batches go through
-    one pool (`shots._ordered_map`), point after point: each batch is
-    generated and summed about its own first row on one thread, and the
-    calling thread merges the sums in batch order with an exact re-centring
-    (`RunningMoments.merge`) and fits each point as its last batch comes
-    in, so the result is the same at any worker count.
+    summed by `RunningMoments.add_batch` from their coefficients on the
+    campaign's basis, and their white phase noise enters through exact
+    per-bin sums (`RunningMoments.add_white_noise`), so no batch forms a
+    row of 36 samples per shot or draws 36 normals per shot.  All points'
+    batches go through one pool (`shots._ordered_map`), point after point:
+    each batch is generated and summed about its own first row on one
+    thread, and the calling thread merges the sums in batch order with an
+    exact re-centring (`RunningMoments.merge`) and fits each point as its
+    last batch comes in, so the result is the same at any worker count.
 
     A point whose phi_0 is under 5 sigma raises DataFormatError."""
     # every point's config first, so a bad point fails before any campaign

@@ -256,12 +256,25 @@ def anchored_phi_atom(cfg: ExperimentConfig) -> float:
     return float(phi0_target * template.area / tau0)
 
 
+def _basis(cfg: ExperimentConfig, template: XpsTemplate) -> np.ndarray:
+    """The (k, n_samples) shapes whose sum, weighted by a shot's k
+    coefficients from `_noise_free_coefficients`, is its noise-free phase
+    trace: the 4 cubic drift rows, the oscillation row when
+    `osc_amplitude` is not 0, and the template row."""
+    rows = [_drift_basis(cfg)]
+    if cfg.osc_amplitude != 0.0:
+        rows.append(_osc_shape(cfg)[None])
+    rows.append(template.samples[None])
+    return np.concatenate(rows)
+
+
 # per-thread (BATCH_SIZE, n_samples) buffer for the full-size terms that
-# `_noise_free_batch` and `_generate_batch` add into the phases; one reused
-# buffer instead of fresh temporaries, which the allocator hands back to
-# the OS and faults in again on every batch: a buffer per batch made a
-# 2-worker calibration of 4 x 200,000 shots about 40% slower, with 40
-# times the minor page faults
+# `_noise_free_batch` and `_generate_batch` add into a shot campaign's
+# phases (a calibration batch forms no rows, so only the shot path uses
+# it); one reused buffer instead of fresh temporaries, which the allocator
+# hands back to the OS and faults in again on every batch: fresh
+# temporaries made a one-worker `run_campaign` of 500,000 default shots
+# take 57,386 minor page faults against 1,033
 _scratch = threading.local()
 
 
@@ -272,14 +285,15 @@ def _scratch_rows(m: int, n_samples: int) -> np.ndarray:
     return buf[:m]
 
 
-def _noise_free_batch(cfg: ExperimentConfig, template: XpsTemplate,
-                      rng: np.random.Generator, m: int):
-    """m shots without their white phase noise: every draw of
-    `_generate_batch` that comes before that noise, in the same order;
-    returns (phases, clicks, truth).
+def _noise_free_coefficients(cfg: ExperimentConfig, template: XpsTemplate,
+                             rng: np.random.Generator, m: int):
+    """m shots without their white phase noise, as the coefficients of
+    their rows on `_basis`: every draw of `_generate_batch` that comes
+    before that noise, in the same order.
 
-    The phases are a fresh array; the full-size terms added into them pass
-    through this thread's scratch buffer."""
+    Returns (coeffs, clicks, counts): coeffs is (m, k), the 4 drift
+    coefficients, the oscillation amplitude when there is one, and
+    phi_atom * dwell / area; counts is (n, n_t, n_det, dwell)."""
     eps = cfg.prop_noise_s * rng.standard_normal(m)
     lam = np.clip(cfg.mean_photons * (1.0 + eps), 0.0, None)
     n = rng.poisson(lam)
@@ -292,27 +306,43 @@ def _noise_free_batch(cfg: ExperimentConfig, template: XpsTemplate,
     tau0 = tau0_per_photon(cfg)
     dwell = (n - n_t) * (cfg.tauL_frac * cfg.tau_sp) + n_t * (cfg.tauT_frac * tau0)
 
-    coeffs = rng.standard_normal((m, 4)) * np.asarray(cfg.drift)
-    phases = coeffs @ _drift_basis(cfg)
-    term = _scratch_rows(m, cfg.n_samples)
+    k = 6 if cfg.osc_amplitude != 0.0 else 5
+    coeffs = np.empty((m, k))
+    np.multiply(rng.standard_normal((m, 4)), np.asarray(cfg.drift),
+                out=coeffs[:, :4])
     if cfg.osc_amplitude != 0.0:
         g = rng.standard_normal(m)
-        amp = cfg.osc_amplitude * (g + cfg.osc_eps_coupling * eps)
-        phases += np.multiply.outer(amp, _osc_shape(cfg), out=term)
-    phases += np.multiply.outer(cfg.phi_atom * dwell / template.area,
-                                template.samples, out=term)
-    truth = np.column_stack([n, n_t, n_det, dwell]).astype(np.float64)
+        coeffs[:, 4] = cfg.osc_amplitude * (g + cfg.osc_eps_coupling * eps)
+    coeffs[:, -1] = cfg.phi_atom * dwell / template.area
+    return coeffs, clicks, (n, n_t, n_det, dwell)
+
+
+def _noise_free_batch(cfg: ExperimentConfig, template: XpsTemplate,
+                      basis: np.ndarray, rng: np.random.Generator, m: int):
+    """m shots without their white phase noise, built from their
+    coefficients on `basis`; returns (phases, clicks, truth).
+
+    The drift rows come from one matmul and the other terms are added one
+    at a time, the order that fixes the shot-file bytes.  The phases are a
+    fresh array; the terms added into them pass through this thread's
+    scratch buffer."""
+    coeffs, clicks, counts = _noise_free_coefficients(cfg, template, rng, m)
+    phases = coeffs[:, :4] @ basis[:4]
+    term = _scratch_rows(m, cfg.n_samples)
+    for j in range(4, len(basis)):
+        phases += np.multiply.outer(coeffs[:, j], basis[j], out=term)
+    truth = np.column_stack(counts).astype(np.float64)
     return phases, clicks, truth
 
 
 def _generate_batch(cfg: ExperimentConfig, template: XpsTemplate,
-                    rng: np.random.Generator, m: int):
+                    basis: np.ndarray, rng: np.random.Generator, m: int):
     """Vectorized generation of m shots; returns (phases, clicks, truth).
 
     The noise-free shots of `_noise_free_batch`, then white phase noise
     drawn from the same stream into this thread's scratch buffer and added:
     the draw order and addition order that fix the shot-file bytes."""
-    phases, clicks, truth = _noise_free_batch(cfg, template, rng, m)
+    phases, clicks, truth = _noise_free_batch(cfg, template, basis, rng, m)
     term = _scratch_rows(m, cfg.n_samples)
     rng.standard_normal(out=term)
     term *= cfg.phase_noise_rms
@@ -337,11 +367,13 @@ def _check_campaign(n_shots: int, seed: int):
 
 def _campaign_jobs(cfg: ExperimentConfig, template: XpsTemplate,
                    n_shots: int, seed: int, campaign: int):
-    """The arguments (cfg, template, rng, m) of `_generate_batch` and
-    `estimator._binned_batch` for each batch of a campaign, made as they
-    are asked for, so that a long campaign holds no list of streams."""
+    """The arguments (cfg, template, basis, rng, m) of `_generate_batch`
+    and `estimator._binned_batch` for each batch of a campaign, made as
+    they are asked for, so that a long campaign holds no list of streams;
+    every batch shares the campaign's one `_basis`."""
+    basis = _basis(cfg, template)
     for b, start in enumerate(range(0, n_shots, BATCH_SIZE)):
-        yield (cfg, template, _batch_rng(seed, campaign, b),
+        yield (cfg, template, basis, _batch_rng(seed, campaign, b),
                min(BATCH_SIZE, n_shots - start))
 
 

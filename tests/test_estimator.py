@@ -293,17 +293,19 @@ BOOSTED = CFG.replace(phi_atom=50 * CFG.phi_atom)
 
 def point_sums(cal_cfg, n_shots, seed, campaign):
     """One calibration point's sums as a serial chain of per-batch sums:
-    each batch's noise-free rows about its own first row, then its white
-    noise drawn from the rest of the batch's stream."""
+    each batch's noise-free shots summed from their coefficients about its
+    own first shot, then its white noise drawn from the rest of the
+    batch's stream."""
     template = xps_template(cal_cfg)
+    basis = shots._basis(cal_cfg, template)
     total = RunningMoments(N)
     for b, start in enumerate(range(0, n_shots, shots.BATCH_SIZE)):
         rng = shots._batch_rng(seed, campaign, b)
         m = min(shots.BATCH_SIZE, n_shots - start)
-        phases, clicks, _ = shots._noise_free_batch(cal_cfg, template, rng, m)
+        coeffs, clicks, _ = shots._noise_free_coefficients(cal_cfg, template,
+                                                           rng, m)
         stats = RunningMoments(N)
-        stats.shift = phases[0].copy()
-        stats.add_batch(phases, clicks)
+        stats.add_batch(coeffs, clicks, basis)
         stats.add_white_noise(cal_cfg.phase_noise_rms, rng)
         total.merge(stats)
     return total
@@ -350,7 +352,7 @@ class TestCalibrationPipeline:
         # a slow consumer holds the pool to 2 * workers batches ahead of the
         # sums it has added, also while it fits a point and the next point
         # starts
-        real_generate, real_merge = (shots._noise_free_batch,
+        real_generate, real_merge = (shots._noise_free_coefficients,
                                      RunningMoments.merge)
         generated = itertools.count(1)
         merged = 0
@@ -365,7 +367,7 @@ class TestCalibrationPipeline:
             real_merge(self, other)
             merged += 1
 
-        monkeypatch.setattr(shots, "_noise_free_batch", generate)
+        monkeypatch.setattr(shots, "_noise_free_coefficients", generate)
         monkeypatch.setattr(RunningMoments, "merge", merge)
         run_calibration(BOOSTED, CAL_PHOTONS, 3 * shots.BATCH_SIZE, seed=5,
                         workers=workers)
@@ -376,14 +378,14 @@ class TestCalibrationPipeline:
     def test_batch_failure_raises(self, monkeypatch, key, workers):
         # a failed batch, the first of point 1 or the second of point 2,
         # reaches the caller, and no batch in flight with it hangs the run
-        real = shots._noise_free_batch
+        real = shots._noise_free_coefficients
 
         def fail_one(cfg, template, rng, m):
             if rng.bit_generator.seed_seq.spawn_key == key:
                 raise RuntimeError("batch failed")
             return real(cfg, template, rng, m)
 
-        monkeypatch.setattr(shots, "_noise_free_batch", fail_one)
+        monkeypatch.setattr(shots, "_noise_free_coefficients", fail_one)
         raised = []
 
         def calibrate():
@@ -459,10 +461,12 @@ class TestWhiteNoiseSums:
     @staticmethod
     def both_paths(cfg, template, m, direct_rng, sums_rng):
         """(per-shot sums, white-noise sums) of one batch of m shots."""
+        basis = shots._basis(cfg, template)
         direct = zero_shift_sums(*shots._generate_batch(
-            cfg, template, direct_rng, m)[:2])
+            cfg, template, basis, direct_rng, m)[:2])
         summed = white_noise_sums(*shots._noise_free_batch(
-            cfg, template, sums_rng, m)[:2], cfg.phase_noise_rms, sums_rng)
+            cfg, template, basis, sums_rng, m)[:2], cfg.phase_noise_rms,
+            sums_rng)
         return direct, summed
 
     @pytest.mark.parametrize("name", list(CONFIGS))
@@ -527,6 +531,49 @@ class TestWhiteNoiseSums:
                                            atol=1e-14)
             if k == 2:  # two rows' S2 - S1**2/2 stays >= 0
                 assert np.all(s2 - s1 * s1 / 2 >= -1e-12)
+
+
+class TestCoefficientSums:
+    # RunningMoments.add_batch on a batch's coefficients and basis against
+    # add_batch on the rows that `shots._noise_free_batch` builds from them
+
+    @staticmethod
+    def both_paths(cfg, m, rng_key, shift):
+        """(row sums, coefficient sums) of one batch of m shots, each made
+        about `shift`, or about the batch's first row when it is None."""
+        template = xps_template(cfg)
+        basis = shots._basis(cfg, template)
+        phases, clicks, _ = shots._noise_free_batch(
+            cfg, template, basis, shots._batch_rng(*rng_key), m)
+        coeffs, coeff_clicks, _ = shots._noise_free_coefficients(
+            cfg, template, shots._batch_rng(*rng_key), m)
+        rows, summed = RunningMoments(N), RunningMoments(N)
+        rows.shift = phases[0].copy() if shift is None else shift.copy()
+        summed.shift = None if shift is None else shift.copy()
+        rows.add_batch(phases, clicks)
+        summed.add_batch(coeffs, coeff_clicks, basis)
+        return rows, summed
+
+    @pytest.mark.parametrize("shift", [None, 0.01], ids=["first row",
+                                                         "shift set"])
+    @pytest.mark.parametrize("name", list(TestWhiteNoiseSums.CONFIGS))
+    def test_sums_match_rows(self, name, shift):
+        # the same counts, and S1 and S2 equal to within 1e-12 of their
+        # largest magnitude: the Gram-matrix sums round differently from
+        # the row sums, at about 1e-15
+        cfg = TestWhiteNoiseSums.CONFIGS[name]
+        k = 6 if cfg.osc_amplitude else 5
+        assert shots._basis(cfg, xps_template(cfg)).shape == (k, N)
+        if shift is not None:
+            shift = shift * np.random.default_rng(6).standard_normal(N)
+        for b, m in enumerate((1, 2, 300, shots.BATCH_SIZE)):
+            rows, summed = self.both_paths(cfg, m, (8, 0, b), shift)
+            assert (summed.count, summed.n_click) == (rows.count,
+                                                      rows.n_click)
+            for got, want in ((summed.shift, rows.shift),
+                              (summed.s1, rows.s1), (summed.s2, rows.s2)):
+                np.testing.assert_allclose(
+                    got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 class TestCorrection:
@@ -670,11 +717,13 @@ class TestMemory:
         assert peak <= 8 * 2**20
 
     def test_calibration_peak(self):
-        # each batch is generated and summed on one thread, which holds its
-        # phases, scratch rows and difference array (1.2 MB each), and only
-        # the sums are kept: at two workers the four 200k-shot points read
-        # 7.3 MiB under tracemalloc, and so do 400k.  Batches queued back to
-        # the calling thread to be binned there read 9.3 MiB
+        # each batch is generated and summed on one thread from its
+        # coefficients (0.2 MB), never as 36-sample rows, and only the sums
+        # are kept: at two workers the four 200k-shot points read 1.5 MiB
+        # under tracemalloc, and so do 400k.  Summing each batch's rows,
+        # with its phases, scratch rows and difference array (1.2 MB each),
+        # read 7.3 MiB, and batches queued back to the calling thread to be
+        # binned there read 9.3 MiB
         run_calibration(CFG, CAL_PHOTONS, 200_000, seed=1, workers=2)
         tracemalloc.start()
         try:
@@ -682,4 +731,4 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8.5 * 2**20
+        assert peak <= 2 * 2**20

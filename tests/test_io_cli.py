@@ -882,7 +882,7 @@ class TestCli:
         def no_batch(*a, **k):
             raise RuntimeError("run_calibration generated a batch")
 
-        monkeypatch.setattr(shots, "_noise_free_batch", no_batch)
+        monkeypatch.setattr(shots, "_noise_free_coefficients", no_batch)
         with pytest.raises(ConfigError, match="photon_numbers"):
             run_calibration(ExperimentConfig(), [588, 898, 1527], 5000, seed=0)
 

@@ -301,9 +301,9 @@ class TestDeterminism:
         generated = itertools.count(1)
         consumed = 0
 
-        def one_row(cfg, template, rng, m):
+        def one_row(cfg, template, basis, rng, m):
             assert next(generated) - consumed <= 2 * workers
-            return real(cfg, template, rng, 1)
+            return real(cfg, template, basis, rng, 1)
 
         monkeypatch.setattr(shots, "_generate_batch", one_row)
         for _ in iter_batches(ExperimentConfig(), 12 * BATCH_SIZE, seed=0,
