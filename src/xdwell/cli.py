@@ -135,6 +135,14 @@ def _experiment_from_config(parser) -> shots.ExperimentConfig:
         **{f.name: body[f.name.lower()] for f in fields})
 
 
+def _check_out(out: Path):
+    """ConfigError unless the nearest existing one of `out` and its
+    ancestors is a directory, in which `_out_dir` can make `out`."""
+    path = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not path.is_dir():
+        raise ConfigError(f"cannot use --out {out}: {path} is not a directory")
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     try:
@@ -155,11 +163,9 @@ def _envelope_rows(env):
 
 def cmd_propagate(args) -> int:
     parser = _load_config(args.config)
-    body = _read(parser, "pulse", {"sigma_t": ..., "carrier_detuning": 0.0,
-                                   "mean_photons": 1.0}, required=True)
-    pulse = PulseSpec(intensity_rms=body["sigma_t"],
-                      carrier_detuning=body["carrier_detuning"],
-                      mean_photons=body["mean_photons"])
+    # [pulse] gives PulseSpec's intensity_rms and carrier_detuning in order
+    pulse = PulseSpec(*_read(parser, "pulse", {
+        "sigma_t": ..., "carrier_detuning": 0.0}, required=True).values())
     medium = MediumSpec.from_lifetime(**_read(
         parser, "medium", {"peak_od": ..., "tau_sp": 26.5e-9}, required=True))
     depth_steps = _read(parser, "propagate", {"depth_steps": 4})["depth_steps"]
@@ -369,6 +375,7 @@ def main(argv=None) -> int:
         print("error: --workers must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
     try:
+        _check_out(Path(args.out))  # before the command starts its work
         return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

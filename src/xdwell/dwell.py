@@ -110,20 +110,21 @@ def egalitarian_broadband(pulse: PulseSpec, medium: MediumSpec,
     ods = od_grid_array(medium, od_grid)
     (p_losses, pt_tauts, pl_tauls), errors = _spectral_average(
         pulse, medium, ods, _egalitarian_terms)
-    results = []
-    for p_loss, pt_taut, pl_taul, err in zip(p_losses, pt_tauts, pl_tauls,
-                                             errors.max(axis=0)):
-        if not err <= _BROADBAND_TOL:  # a NaN error fails too
-            results.append(ConvergenceError(
-                f"broadband aggregation error {err:.2e} > "
-                f"{_BROADBAND_TOL:g}"))
-        else:
-            tau_t = pt_taut / (1.0 - p_loss) if p_loss < 1.0 else 0.0
-            tau_l = pl_taul / p_loss if p_loss > 0.0 else 0.0
-            results.append(DwellBreakdown(
-                tau0=float(p_loss), tauL=float(tau_l), tauT=float(tau_t),
-                p_loss=float(p_loss)))
-    return results
+    return [_breakdown(*terms) if err <= _BROADBAND_TOL  # a NaN fails
+            else ConvergenceError(f"broadband aggregation error {err:.2e} "
+                                  f"> {_BROADBAND_TOL:g}")
+            for *terms, err in zip(p_losses, pt_tauts, pl_tauls,
+                                   errors.max(axis=0))]
+
+
+def _breakdown(p_loss, transmitted, lost) -> DwellBreakdown:
+    """The breakdown from P_L (= tau0 / tau_sp) and the dwell per incident
+    photon of the transmitted and of the lost photons; tauT and tauL are 0
+    where P_T or P_L is."""
+    tau_t = transmitted / (1.0 - p_loss) if p_loss < 1.0 else 0.0
+    tau_l = lost / p_loss if p_loss > 0.0 else 0.0
+    return DwellBreakdown(tau0=float(p_loss), tauL=float(tau_l),
+                          tauT=float(tau_t), p_loss=float(p_loss))
 
 
 _PROBE_AREA = 0.02  # weak, so normalized results do not depend on it
@@ -132,8 +133,8 @@ _PROBE_AREA = 0.02  # weak, so normalized results do not depend on it
 def default_bloch_config(pulse: PulseSpec, medium: MediumSpec) -> BlochConfig:
     """Drive scale giving the pulse area `_PROBE_AREA`."""
     s = pulse.intensity_rms
-    # unit-photon Gaussian peak amplitude and analytic area integral
-    peak_amp = np.sqrt(pulse.mean_photons / (s * np.sqrt(2.0 * np.pi)))
+    # the one-photon Gaussian's peak amplitude and analytic area integral
+    peak_amp = np.sqrt(1.0 / (s * np.sqrt(2.0 * np.pi)))
     area_integral = peak_amp * 2.0 * s * np.sqrt(np.pi)
     return BlochConfig(gamma=medium.gamma,
                        rabi_per_amplitude=_PROBE_AREA / area_integral,
@@ -369,21 +370,13 @@ def min_coherent_model(pulse: PulseSpec, medium: MediumSpec, od_grid=None,
     # the truth sits at it (at sigma_t 200 ns, tau0 at OD 40)
     tau0 = np.clip(tau0, 0.0, 1.0)
     coh = np.clip(coh, 0.0, tau0)
-    return [_breakdown(float(t), float(c), float(p))
-            for t, c, p in zip(tau0, coh, p_loss_spectral)]
-
-
-def _breakdown(tau0: float, coh: float, p_loss_spectral: float):
-    """The breakdown at one OD from its dwell, coherent-fate dwell and
-    spectral P_L, or the ConvergenceError of a failed P_L consistency
-    check, which a NaN on either side fails too."""
-    p_loss = tau0  # P_L = tau0 / tau_sp
-    gap = abs(p_loss - p_loss_spectral)
-    if not gap <= _ENERGY_CONSISTENCY_TOL:
-        return ConvergenceError(
-            f"min-coherent P_L={p_loss:.4f} disagrees with spectral "
-            f"transmission P_L={p_loss_spectral:.4f} by {gap:.2e} "
-            f"(limit {_ENERGY_CONSISTENCY_TOL:g})")
-    tau_t = coh / (1.0 - p_loss) if p_loss < 1.0 else 0.0
-    tau_l = (tau0 - coh) / p_loss if p_loss > 0.0 else 0.0
-    return DwellBreakdown(tau0=tau0, tauL=tau_l, tauT=tau_t, p_loss=p_loss)
+    # P_L = tau0 / tau_sp must match the spectral P_L (a NaN on either side
+    # fails), and the coherent fate is transmission
+    gaps = np.abs(tau0 - p_loss_spectral)
+    return [_breakdown(t, c, t - c) if gap <= _ENERGY_CONSISTENCY_TOL
+            else ConvergenceError(
+                f"min-coherent P_L={t:.4f} disagrees with spectral "
+                f"transmission P_L={p:.4f} by {gap:.2e} "
+                f"(limit {_ENERGY_CONSISTENCY_TOL:g})")
+            for t, c, p, gap in zip(tau0.tolist(), coh.tolist(),
+                                    p_loss_spectral.tolist(), gaps.tolist())]

@@ -51,7 +51,8 @@ class RunningMoments:
     stay small and S2 - S1**2/n loses no precision to an offset.
     `add_white_noise` adds to the sums what iid Gaussian noise on every
     row and sample would, without the rows, and `merge` adds sums made
-    about another shift.
+    about another shift.  All of them add through `_add`, the one writer
+    of `count`, `n_click`, `s1` and `s2`.
     """
 
     def __init__(self, width: int):
@@ -78,23 +79,21 @@ class RunningMoments:
             return
         weights = np.ones((2, m))
         weights[1] = np.asarray(clicks, dtype=bool)
-        n_click = int(np.count_nonzero(weights[1]))
+        n = np.array([[m], [np.count_nonzero(weights[1])]])
         if basis is not None:
             row0 = x[0] @ basis
             if self.shift is None:
                 self.shift = row0
             y = x - x[0]
             gram = np.stack([y.T @ y, (y.T * weights[1]) @ y])
-            self._add(np.array([[m], [n_click]]), (weights @ y) @ basis,
+            self._add(n, (weights @ y) @ basis,
                       ((gram @ basis) * basis).sum(axis=1), row0 - self.shift)
             return
         if self.shift is None:
             self.shift = x.mean(axis=0)
         d = x - self.shift
-        self.s1 += weights @ d
-        self.s2 += weights @ np.square(d, out=d)
-        self.count += m
-        self.n_click += n_click
+        # the arguments are made in order: d is squared after its sums
+        self._add(n, weights @ d, weights @ np.square(d, out=d), 0.0)
 
     def add_white_noise(self, sigma: float, rng: np.random.Generator):
         """Add iid N(0, sigma**2) noise on every summed row and sample to
@@ -121,9 +120,10 @@ class RunningMoments:
         b = s1 / np.sqrt(n) * z1 + (k >= 2) * spread * z2
         c = (k >= 1) * z1 * z1 + (k >= 2) * z2 * z2 + chi2
         d1, d2 = sigma * a, (2.0 * sigma) * b + sigma * sigma * c
-        # rows: all = click + no-click, then click
-        self.s1 += np.stack([d1[0] + d1[1], d1[0]])
-        self.s2 += np.stack([d2[0] + d2[1], d2[0]])
+        # rows: all = click + no-click, then click; the noise adds no row
+        self._add(np.zeros((2, 1), dtype=int),
+                  np.stack([d1[0] + d1[1], d1[0]]),
+                  np.stack([d2[0] + d2[1], d2[0]]), 0.0)
 
     def merge(self, other: "RunningMoments"):
         """Add `other`'s sums into these, re-centred exactly from its shift
@@ -139,7 +139,7 @@ class RunningMoments:
     def _add(self, n, s1, s2, d):
         """Add the (all, click) sums s1 and s2 of n rows made about
         shift + d: about the shift they are S1 + n d and
-        S2 + d (2 S1 + n d)."""
+        S2 + d (2 S1 + n d), which a d of 0 leaves as they are."""
         self.s1 += s1 + n * d
         self.s2 += s2 + d * (2.0 * s1 + n * d)
         self.count += int(n[0, 0])

@@ -60,17 +60,14 @@ class MediumSpec:
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """Gaussian signal pulse; intensity_rms is the rms of the intensity profile."""
+    """One-photon Gaussian pulse; intensity_rms is its intensity's rms."""
 
     intensity_rms: float  # seconds
     carrier_detuning: float = 0.0  # rad/s from line centre
-    mean_photons: float = 1.0
 
     def __post_init__(self):
         if self.intensity_rms <= 0:
             raise ConfigError("intensity_rms must be > 0")
-        if self.mean_photons <= 0:
-            raise ConfigError(f"mean_photons must be > 0, got {self.mean_photons}")
 
 
 _EDGE = 0.05  # share of a grid, both ends together, read for leakage
@@ -122,7 +119,7 @@ def gaussian_envelope(
     n_samples: int = 2048,
     tail: float = 0.0,
 ) -> SampledEnvelope:
-    """Sample the Gaussian field envelope exp(-t^2/(4 sigma_t^2)).
+    """The one-photon Gaussian field envelope, shaped exp(-t^2/(4 sigma_t^2)).
 
     The grid spans [-16 sigma_t, +16 sigma_t + tail] (`_SPAN_SIGMAS`);
     `tail` buys extra room after the pulse, e.g. for lifetime decay.
@@ -131,7 +128,7 @@ def gaussian_envelope(
     lo, hi = -_SPAN_SIGMAS * s, _SPAN_SIGMAS * s + tail
     dt = (hi - lo) / n_samples
     t = lo + dt * np.arange(n_samples)
-    amp = np.sqrt(pulse.mean_photons / (s * np.sqrt(2.0 * np.pi)))
+    amp = np.sqrt(1.0 / (s * np.sqrt(2.0 * np.pi)))
     samples = amp * np.exp(-(t**2) / (4.0 * s**2)) + 0.0j
     return SampledEnvelope(t0=lo, dt=dt, samples=samples,
                            carrier_detuning=pulse.carrier_detuning)

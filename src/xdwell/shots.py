@@ -1,4 +1,4 @@
-"""Synthetic shot generator: phase traces with click flags and truth metadata.
+"""Synthetic shot generator: phase traces with click flags and photon counts.
 
 Each 576-ns shot holds 36 probe-phase samples.  The generator embeds the
 true per-photon dwell contributions (via the cross-phase-shift template),
@@ -320,7 +320,8 @@ def _noise_free_coefficients(cfg: ExperimentConfig, template: XpsTemplate,
 def _noise_free_batch(cfg: ExperimentConfig, template: XpsTemplate,
                       basis: np.ndarray, rng: np.random.Generator, m: int):
     """m shots without their white phase noise, built from their
-    coefficients on `basis`; returns (phases, clicks, truth).
+    coefficients on `basis`; returns (phases, clicks, counts), with the
+    counts (n, n_t, n_det, dwell) of `_noise_free_coefficients`.
 
     The drift rows come from one matmul and the other terms are added one
     at a time, the order that fixes the shot-file bytes.  The phases are a
@@ -331,23 +332,22 @@ def _noise_free_batch(cfg: ExperimentConfig, template: XpsTemplate,
     term = _scratch_rows(m, cfg.n_samples)
     for j in range(4, len(basis)):
         phases += np.multiply.outer(coeffs[:, j], basis[j], out=term)
-    truth = np.column_stack(counts).astype(np.float64)
-    return phases, clicks, truth
+    return phases, clicks, counts
 
 
 def _generate_batch(cfg: ExperimentConfig, template: XpsTemplate,
                     basis: np.ndarray, rng: np.random.Generator, m: int):
-    """Vectorized generation of m shots; returns (phases, clicks, truth).
+    """Vectorized generation of m shots; returns (phases, clicks, counts).
 
     The noise-free shots of `_noise_free_batch`, then white phase noise
     drawn from the same stream into this thread's scratch buffer and added:
     the draw order and addition order that fix the shot-file bytes."""
-    phases, clicks, truth = _noise_free_batch(cfg, template, basis, rng, m)
+    phases, clicks, counts = _noise_free_batch(cfg, template, basis, rng, m)
     term = _scratch_rows(m, cfg.n_samples)
     rng.standard_normal(out=term)
     term *= cfg.phase_noise_rms
     phases += term
-    return phases, clicks, truth
+    return phases, clicks, counts
 
 
 def _batch_rng(seed: int, campaign: int, batch: int) -> np.random.Generator:
@@ -401,7 +401,9 @@ def _ordered_map(fn, jobs, workers: int):
 
 def iter_batches(cfg: ExperimentConfig, n_shots: int, seed: int,
                  workers: int = 1):
-    """Yield (phases, clicks, truth) batches for a deterministic campaign.
+    """Yield (phases, clicks, counts) batches for a deterministic campaign;
+    counts are the shots' (n, n_t, n_det, dwell) arrays: integer photon
+    counts, and the injected dwell in seconds.
 
     Batch b of `BATCH_SIZE` shots draws from its own SFC64 stream keyed by
     (seed, 0, b), campaign 0 of `_campaign_jobs`, so no two seeds share a
@@ -425,21 +427,21 @@ def run_campaign(cfg: ExperimentConfig, n_shots: int, seed: int, out_path,
     """
     _check_campaign(n_shots, seed)  # before the file exists
     digest = shotfile.experiment_digest(cfg)
-    n_click = 0
+    n_click = n_transmitted = 0
     dwell_sum = 0.0
-    transmitted_sum = 0.0
     with shotfile.ShotFileWriter(out_path, n_samples=cfg.n_samples,
                                  n_shots=n_shots, digest=digest) as writer:
-        for phases, clicks, truth in iter_batches(cfg, n_shots, seed, workers):
+        for phases, clicks, (_, n_t, _, dwell) in iter_batches(
+                cfg, n_shots, seed, workers):
             n_click += int(clicks.sum())
-            dwell_sum += float(truth[:, 3].sum())
-            transmitted_sum += float(truth[:, 1].sum())
+            n_transmitted += int(n_t.sum())
+            dwell_sum += float(dwell.sum())
             writer.append(phases, clicks)
     return CampaignSummary(
         n_shots=n_shots,
         click_rate=n_click / n_shots,
         mean_dwell=(dwell_sum / n_shots) if with_truth else None,
-        mean_transmitted=(transmitted_sum / n_shots) if with_truth else None,
+        mean_transmitted=(n_transmitted / n_shots) if with_truth else None,
         digest=digest.hex(),
         path=str(out_path),
     )

@@ -78,10 +78,9 @@ def egalitarian_monochromatic(od: float) -> DwellBreakdown:
 
 
 def click_excess(batches):
-    """The truth's (n_T, n - n_T) pairs of `shots.iter_batches` batches
-    (a shot file holds no truth) binned by click: `delta_phi` and
-    `se_delta` hold E[n_T | click] - E[n_T | no click] and the lost-photon
-    analogue, with their Monte Carlo errors."""
-    return bin_and_average(
-        (np.column_stack([truth[:, 1], truth[:, 0] - truth[:, 1]]), clicks)
-        for _, clicks, truth in batches)
+    """The (n_T, n - n_T) photon counts of `shots.iter_batches` batches (a
+    shot file holds no counts) binned by click: `delta_phi` and `se_delta`
+    hold E[n_T | click] - E[n_T | no click] and the lost-photon analogue,
+    with their Monte Carlo errors."""
+    return bin_and_average((np.column_stack([n_t, n - n_t]), clicks)
+                           for _, clicks, (n, n_t, _, _) in batches)

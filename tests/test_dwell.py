@@ -719,3 +719,47 @@ class TestBreakdownValidation:
             DwellBreakdown(tau0=-0.1, tauL=0.0, tauT=0.0, p_loss=0.0)
         with pytest.raises(ConfigError):
             DwellBreakdown(tau0=0.1, tauL=0.1, tauT=0.1, p_loss=1.5)
+
+    def test_one_builder_and_failed_od_messages(self, tmp_path, monkeypatch):
+        # both models build their breakdowns through `dwell._breakdown`:
+        # tauL falls back to 0 where P_L is 0, and tauT where P_T is 0
+        assert dwell._breakdown(0.0, 0.3, 0.0) == DwellBreakdown(
+            tau0=0.0, tauL=0.0, tauT=0.3, p_loss=0.0)
+        assert dwell._breakdown(1.0, 0.0, 0.7) == DwellBreakdown(
+            tau0=1.0, tauL=0.7, tauT=0.0, p_loss=1.0)
+        assert dwell._breakdown(0.5, 0.2, 0.3) == DwellBreakdown(
+            tau0=0.5, tauL=0.6, tauT=0.4, p_loss=0.5)
+        # each model keeps its own failed-OD message: a NaN egalitarian
+        # aggregation error, and a min-coherent P_L off the spectral one
+        real_average = dwell._spectral_average
+        real_transmission = dwell.transmission_probability
+
+        def nan_error(*args):
+            values, errors = real_average(*args)
+            errors[..., -1] = np.nan
+            return values, errors
+
+        def half_transmitted(pulse, medium, ods):
+            p = real_transmission(pulse, medium, ods)
+            p[-1] = 0.5
+            return p
+
+        monkeypatch.setattr(dwell, "_spectral_average", nan_error)
+        monkeypatch.setattr(dwell, "transmission_probability",
+                            half_transmitted)
+        cfg = tmp_path / "m.ini"
+        cfg.write_text("[models]\nod_grid = 1,4\n")
+        assert cli.main(["models", "--config", str(cfg), "--out",
+                         str(tmp_path)]) == 0
+        rows = (tmp_path / "model_curves.csv").read_text().splitlines()
+        assert [r for r in rows if r.startswith("#")] == [
+            "# egalitarian,sigma_t=1e-08,peak_od=4 failed: broadband "
+            "aggregation error nan > 0.0001",
+            "# egalitarian,sigma_t=5e-08,peak_od=4 failed: broadband "
+            "aggregation error nan > 0.0001",
+            "# min-coherent,sigma_t=1e-08,peak_od=4 failed: min-coherent "
+            "P_L=0.5981 disagrees with spectral transmission P_L=0.5000 by "
+            "9.81e-02 (limit 0.02)",
+            "# min-coherent,sigma_t=5e-08,peak_od=4 failed: min-coherent "
+            "P_L=0.9520 disagrees with spectral transmission P_L=0.5000 by "
+            "4.52e-01 (limit 0.02)"]

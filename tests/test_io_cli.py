@@ -768,8 +768,11 @@ class TestCli:
         ("propagate", "[pulse]\nsigma_t = 10e-9\n[medium]\npeak_od = inf\n"),
         ("propagate", "[pulse]\nsigma_t = 10e-9\n[medium]\npeak_od = 4\n"
                       "tau_sp = 0\n"),
+        # [pulse] has no mean_photons key: a propagated pulse is one photon
         ("propagate", "[medium]\npeak_od = 4\n[pulse]\nsigma_t = 10e-9\n"
                       "mean_photons = 0\n"),
+        ("propagate", "[medium]\npeak_od = 4\n[pulse]\nsigma_t = 10e-9\n"
+                      "mean_photons = 34\n"),
         ("models", "[models]\nod_grid = \n"),
         ("simulate", "[experiment]\nmeas_bandwidth = 0\n"),
         ("simulate", "[experiment]\nsample_dt = 0\n"),
@@ -808,16 +811,25 @@ class TestCli:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["propagate", "models", "simulate",
-                                         "calibrate"])
-    def test_out_is_a_file_exit_2(self, tmp_path, capsys, command):
+                                         "analyze", "calibrate"])
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys, monkeypatch,
+                                  command):
+        # an --out that is a regular file, or lies below one, exits 2 before
+        # the command starts, and creates nothing
+        def never(args):
+            raise AssertionError(f"{command} ran with an unusable --out")
+
+        monkeypatch.setattr(cli, f"cmd_{command}", never)
         cfg = write_config(tmp_path / "c.ini", BOOSTED_INI)
-        out = tmp_path / "o"
-        out.write_text("not a directory\n")
-        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert str(out) in err and "Traceback" not in err
-        assert out.read_text() == "not a directory\n"
-        assert not list(tmp_path.glob("**/*.partial"))
+        file = tmp_path / "o"
+        file.write_text("not a directory\n")
+        for out in (file, file / "below" / "it"):
+            assert cli.main([command, "--config", cfg, "--out",
+                             str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"--out {out}" in err and "Traceback" not in err
+        assert file.read_text() == "not a directory\n"
+        assert sorted(tmp_path.glob("**/*")) == [Path(cfg), file]
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--seed", "-1"], ["calibrate", "--seed", str(2**64)],

@@ -121,9 +121,9 @@ class TestSpectralRule:
 
 class TestEnvelope:
     def test_photon_number(self):
-        pulse = PulseSpec(intensity_rms=10e-9, mean_photons=34.0)
-        env = gaussian_envelope(pulse, n_samples=4096)
-        assert env.photon_number == pytest.approx(34.0, rel=1e-9)
+        # a pulse is one photon
+        env = gaussian_envelope(PulseSpec(intensity_rms=10e-9), n_samples=4096)
+        assert env.photon_number == pytest.approx(1.0, rel=1e-9)
 
     def test_invalid_inputs(self):
         with pytest.raises(ConfigError):

@@ -46,13 +46,11 @@ def analytic_click_excess(mu, p_t, eta, dark):
 
 
 def collect(cfg, n, seed=0):
-    phases, clicks, truth = [], [], []
-    for p, c, t in iter_batches(cfg, n, seed):
-        phases.append(p)
-        clicks.append(c)
-        truth.append(t)
+    """A campaign's phases, clicks and (n, n_t, n_det, dwell) counts, each
+    joined over its batches."""
+    phases, clicks, counts = zip(*iter_batches(cfg, n, seed))
     return (np.concatenate(phases), np.concatenate(clicks),
-            np.concatenate(truth))
+            tuple(np.concatenate(c) for c in zip(*counts)))
 
 
 class TestTemplate:
@@ -195,27 +193,26 @@ class TestStatistics:
         assert abs(clicks.mean() - p) < 5 * se
 
     def test_truth_ordering(self):
-        phases, clicks, truth = collect(ExperimentConfig(), 50000, seed=2)
+        phases, clicks, counts = collect(ExperimentConfig(), 50000, seed=2)
         assert phases.shape == (50000, 36)
         assert clicks.dtype == bool
-        assert truth.shape == (50000, 4)
-        n, n_t, n_d = truth[:, 0], truth[:, 1], truth[:, 2]
+        assert [c.shape for c in counts] == [(50000,)] * 4
+        n, n_t, n_d, _ = counts
         assert np.all(n_d <= n_t)
         assert np.all(n_t <= n)
 
     def test_mean_dwell_matches_expectation(self):
         cfg = ExperimentConfig()
-        _, _, truth = collect(cfg, 200000, seed=3)
+        _, _, (*_, dwell) = collect(cfg, 200000, seed=3)
         expect = cfg.mean_photons * (
             (1 - cfg.p_transmit) * cfg.tauL_frac * cfg.tau_sp
             + cfg.p_transmit * cfg.tauT_frac * tau0_per_photon(cfg))
-        se = truth[:, 3].std() / np.sqrt(truth.shape[0])
-        assert abs(truth[:, 3].mean() - expect) < 3 * se
+        se = dwell.std() / np.sqrt(dwell.size)
+        assert abs(dwell.mean() - expect) < 3 * se
 
     def test_click_excess_matches_exact_oracle(self):
         cfg = ExperimentConfig(eta_detect=0.01, p_transmit=0.4)
-        _, clicks, truth = collect(cfg, 400000, seed=7)
-        n_t = truth[:, 1]
+        _, clicks, (_, n_t, _, _) = collect(cfg, 400000, seed=7)
         diff = n_t[clicks].mean() - n_t[~clicks].mean()
         se = np.sqrt(n_t[clicks].var() / clicks.sum()
                      + n_t[~clicks].var() / (~clicks).sum())
@@ -225,8 +222,8 @@ class TestStatistics:
 
     def test_lost_photons_independent_of_click(self):
         cfg = ExperimentConfig()
-        _, clicks, truth = collect(cfg, 400000, seed=11)
-        lost = truth[:, 0] - truth[:, 1]
+        _, clicks, (n, n_t, _, _) = collect(cfg, 400000, seed=11)
+        lost = n - n_t
         r = np.corrcoef(lost, clicks.astype(float))[0, 1]
         assert abs(r) < 5.0 / np.sqrt(lost.size)
 
@@ -247,9 +244,9 @@ class TestStatistics:
 
     def test_zero_photons_never_clicks_without_dark(self):
         cfg = ExperimentConfig(mean_photons=0.0, dark_prob=0.0)
-        _, clicks, truth = collect(cfg, 20000, seed=17)
+        _, clicks, (n, n_t, n_d, _) = collect(cfg, 20000, seed=17)
         assert not clicks.any()
-        assert np.all(truth[:, :3] == 0.0)
+        assert not (n.any() or n_t.any() or n_d.any())
 
 
 class TestDeterminism:
@@ -326,22 +323,34 @@ class TestScratch:
     # the generator adds its full-size terms into the phases through one
     # reused buffer per thread
 
-    @pytest.mark.parametrize("kw,seed,workers,sha256", [
+    @pytest.mark.parametrize("kw,seed,workers,sha256,mean_dwell,mean_n_t", [
         ({}, 1, 1,
-         "1ffc16f06845b91244c7b60e2a59496703a063155d91b16b9e2d82ad35877645"),
+         "1ffc16f06845b91244c7b60e2a59496703a063155d91b16b9e2d82ad35877645",
+         "0x1.789617010a628p-21", "0x1.b358e219652bdp+3"),
         ({"osc_amplitude": 0.01, "prop_noise_s": 0.05, "od_coupling": 0.5},
          3, 2,
-         "119404ab69c49b95f4f7cb1d9c1c3c0c5124113a3a8d45f4023806c086aa49b8"),
+         "119404ab69c49b95f4f7cb1d9c1c3c0c5124113a3a8d45f4023806c086aa49b8",
+         "0x1.78fde9f6115c3p-21", "0x1.b4395810624ddp+3"),
     ], ids=["default", "oscillation"])
-    def test_shot_file_pinned(self, tmp_path, kw, seed, workers, sha256):
+    def test_shot_file_pinned(self, tmp_path, kw, seed, workers, sha256,
+                              mean_dwell, mean_n_t):
         # 10,000-shot files, the bytes of files first hashed with truth
         # blocks when every term was a fresh temporary, with those blocks
         # dropped and the flags word 0: a change to the RNG draw order or
-        # to the order of the additions changes these bytes
+        # to the order of the additions changes these bytes.  The summary's
+        # means were pinned when the batches carried a float copy of the
+        # counts, which they now yield as drawn
         path = tmp_path / "shots.bin"
-        run_campaign(ExperimentConfig(**kw), 10_000, seed=seed,
-                     out_path=path, workers=workers)
+        cfg = ExperimentConfig(**kw)
+        summary = run_campaign(cfg, 10_000, seed=seed, out_path=path,
+                               with_truth=True, workers=workers)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+        assert summary.mean_dwell.hex() == mean_dwell
+        assert summary.mean_transmitted.hex() == mean_n_t
+        for _, _, counts in iter_batches(cfg, 10_000, seed, workers):
+            assert len(counts) == 4
+            assert all(c.dtype.kind == "i" for c in counts[:3])
+            assert counts[3].dtype == np.float64
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_batches_do_not_alias_scratch(self, workers):
