@@ -40,6 +40,51 @@ __all__ = [
 MIN_BIN_POPULATION = 100
 
 
+def _cholesky(gram: np.ndarray):
+    """(R, nonzero): an upper-triangular R with R'R = gram for a stack of
+    positive semi-definite (..., c, c) matrices, and which rows of R are
+    not zero.  A pivot of at most 1e-10 of its diagonal entry, which
+    rounding leaves of a zero one, makes its row zero."""
+    r = np.zeros_like(gram)
+    nonzero = np.zeros(gram.shape[:-1], dtype=bool)
+    for i in range(gram.shape[-1]):
+        row = gram[..., i, i:] - (r[..., :i, i, None]
+                                  * r[..., :i, i:]).sum(axis=-2)
+        nonzero[..., i] = row[..., 0] > 1e-10 * gram[..., i, i]
+        pivot = np.where(nonzero[..., i], row[..., 0], np.inf)
+        r[..., i, i:] = row / np.sqrt(pivot)[..., None]
+    return r, nonzero
+
+
+def _gaussian_sums(gram: np.ndarray, k: np.ndarray, q: int,
+                   rng: np.random.Generator):
+    """(Z'X, Z'Z) drawn exactly in distribution, for Z a (k, q) block of
+    iid standard normals and X the k rows whose Gram matrix X'X is `gram`,
+    without drawing Z: a stack of (..., c, c) Gram matrices and row
+    counts k (...).
+
+    The q rows of Z'X are independent normal vectors of covariance X'X,
+    so Z'X = H R, for R'R = X'X and H a (q, c) standard normal block.
+    Given Z'X, Z'Z is its part in the span of X, H_r H_r' with H_r the
+    columns of H on the r nonzero rows of R, plus an independent
+    Wishart_q(k - r):
+    Bartlett's lower factor, keeping only its first k - r columns when
+    k - r < q.  A bin of 0 rows gets 0, and one of fewer rows than X has
+    columns gets what its rank allows."""
+    r, nonzero = _cholesky(gram)
+    h = rng.standard_normal((*k.shape, q, gram.shape[-1]))
+    zx = h @ r
+    h *= nonzero[..., None, :]
+    df = k - nonzero.sum(axis=-1)
+    i = np.arange(q)
+    bartlett = rng.standard_normal((*k.shape, q, q))
+    bartlett *= (i[:, None] > i) & (i < df[..., None, None])
+    bartlett[..., i, i] = np.sqrt(rng.gamma(
+        np.maximum(df[..., None] - i, 0) / 2.0, 2.0))
+    zz = h @ h.swapaxes(-1, -2) + bartlett @ bartlett.swapaxes(-1, -2)
+    return zx, zz
+
+
 class RunningMoments:
     """Per-sample sums about a shift over all rows and over the click rows:
     one accumulator for a whole binning pass.
@@ -47,12 +92,12 @@ class RunningMoments:
     `s1[0]` and `s2[0]` sum x - shift and (x - shift)**2 over all rows,
     `s1[1]` and `s2[1]` over the click rows; the no-click sums are their
     difference.  Unless set before, the shift is the first non-empty
-    batch's mean (its first row, for a batch of coefficients), so the sums
-    stay small and S2 - S1**2/n loses no precision to an offset.
-    `add_white_noise` adds to the sums what iid Gaussian noise on every
-    row and sample would, without the rows, and `merge` adds sums made
-    about another shift.  All of them add through `_add`, the one writer
-    of `count`, `n_click`, `s1` and `s2`.
+    batch's mean (the known part of its first row, for a batch of
+    coefficients), so the sums stay small and S2 - S1**2/n loses no
+    precision to an offset.  `add_white_noise` adds to the sums what iid
+    Gaussian noise on every row and sample would, without the rows, and
+    `merge` adds sums made about another shift.  All of them add through
+    `_add`, the one writer of `count`, `n_click`, `s1` and `s2`.
     """
 
     def __init__(self, width: int):
@@ -63,32 +108,57 @@ class RunningMoments:
         self.s2 = np.zeros((2, width))
 
     def add_batch(self, x: np.ndarray, clicks,
-                  basis: np.ndarray | None = None):
-        """Add m rows to the sums: the rows of `x`, or with a (k, width)
-        `basis` the rows x @ basis of the (m, k) coefficients `x`, which
-        are never formed.
+                  basis: np.ndarray | None = None,
+                  rng: np.random.Generator | None = None):
+        """Add m rows to the sums: the rows of `x`, or with a (q + p,
+        width) `basis` the rows z @ basis[:q] + x @ basis[q:] of the (m, p)
+        known coefficients `x` and q iid standard normal coefficients z per
+        row, which are never formed: their per-bin sums are drawn exactly
+        from `rng` (`_gaussian_sums`).
 
-        The coefficients are summed about their first row y0: with
-        y = x - y0, a bin's S1 is (Sum y) @ basis and its S2 at sample j
-        is b_j' (Sum y y') b_j for column b_j of the basis, from a k x k
-        Gram matrix per bin.  An unset shift becomes that first row;
+        The known coefficients are summed about their first row x0: with
+        y = x - x0, each bin (click, no-click) has the Gram matrix G of
+        [1, y], and Z'[1, y] and Z'Z drawn from it give the bin's Gram
+        matrix C of its coefficients [z, y] and their sums.  Its S1 is then
+        (Sum [z, y]) @ basis and its S2 at sample j is b_j' C b_j for
+        column b_j of the basis.  An unset shift becomes x0 @ basis[q:];
         otherwise the sums are re-centred onto the shift as `merge`
         re-centres them."""
         m = x.shape[0]
         if m == 0:
             return
-        weights = np.ones((2, m))
-        weights[1] = np.asarray(clicks, dtype=bool)
-        n = np.array([[m], [np.count_nonzero(weights[1])]])
+        clicks = np.asarray(clicks, dtype=bool)
+        n = np.array([[m], [np.count_nonzero(clicks)]])
         if basis is not None:
-            row0 = x[0] @ basis
+            q, p = len(basis) - x.shape[1], x.shape[1]
+            row0 = x[0] @ basis[q:]
             if self.shift is None:
                 self.shift = row0
-            y = x - x[0]
-            gram = np.stack([y.T @ y, (y.T * weights[1]) @ y])
-            self._add(n, (weights @ y) @ basis,
-                      ((gram @ basis) * basis).sum(axis=1), row0 - self.shift)
+            # G of [1, y] over the click rows, then all rows, from y as
+            # contiguous (p, m) rows: no BLAS call on an m-long operand,
+            # whose threads would take the CPU from the other workers
+            y = np.subtract(x.T, x[0][:, None], order="C")
+            gram = np.empty((2, p + 1, p + 1))
+            for b, rows in enumerate((np.compress(clicks, y, axis=1), y)):
+                gram[b, 0, 0] = rows.shape[1]
+                gram[b, 0, 1:] = gram[b, 1:, 0] = rows.sum(axis=1)
+                gram[b, 1:, 1:] = np.einsum("jm,km->jk", rows, rows)
+            gram[1] -= gram[0]  # all rows to the no-click bin
+            zx, zz = _gaussian_sums(gram, gram[:, 0, 0], q, rng)
+            sums = np.concatenate([zx[:, :, 0], gram[:, 0, 1:]], axis=1)
+            coeff_gram = np.block([[zz, zx[:, :, 1:]],
+                                   [zx[:, :, 1:].swapaxes(1, 2),
+                                    gram[:, 1:, 1:]]])
+            # bins (click, no-click) to the sums' (all, click)
+            sums = np.stack([sums[0] + sums[1], sums[0]])
+            coeff_gram = np.stack([coeff_gram[0] + coeff_gram[1],
+                                   coeff_gram[0]])
+            self._add(n, sums @ basis,
+                      ((coeff_gram @ basis) * basis).sum(axis=1),
+                      row0 - self.shift)
             return
+        weights = np.ones((2, m))
+        weights[1] = clicks
         if self.shift is None:
             self.shift = x.mean(axis=0)
         d = x - self.shift
@@ -97,29 +167,23 @@ class RunningMoments:
 
     def add_white_noise(self, sigma: float, rng: np.random.Generator):
         """Add iid N(0, sigma**2) noise on every summed row and sample to
-        the sums, drawn exactly in distribution from `rng`: 3 draws per
+        the sums, drawn exactly in distribution from `rng`: a few draws per
         bin and sample instead of one per row and sample.
 
         Per bin (click, no-click) and sample, with k rows d about the shift
         and S1, S2 their sums, the noise w adds sigma*Sum(w) to S1 and
-        2*sigma*Sum(d w) + sigma**2*Sum(w**2) to S2.  In the orthonormal
-        basis {1/sqrt(k), (d - mean)/|d - mean|} of the rows those are
-        A = sqrt(k) z1, B = (S1/sqrt(k)) z1 + sqrt(S2 - S1**2/k) z2 and
-        C = z1**2 + z2**2 + chi2(k - 2), with z1, z2 standard normal.  A
-        bin of one row has no second direction (B = S1 z1, C = z1**2), one
-        of none gets nothing, and rounding below 0 of the conditional
-        spread S2 - S1**2/k is taken as 0."""
-        k = np.array([self.n_click, self.count - self.n_click])[:, None]
+        2*sigma*Sum(d w) + sigma**2*Sum(w**2) to S2.  Those are Z'[1, d]
+        and Z'Z of `_gaussian_sums` for one normal column (q = 1) and the
+        Gram matrix [[k, S1], [S1, S2]] of [1, d]."""
+        k = np.array([self.n_click, self.count - self.n_click])
         s1 = np.stack([self.s1[1], self.s1[0] - self.s1[1]])
-        s2 = np.stack([self.s2[1], self.s2[0] - self.s2[1]])
-        z1, z2 = rng.standard_normal((2, *s1.shape))
-        chi2 = rng.gamma(np.maximum(k - 2, 0) / 2.0, 2.0, size=s1.shape)
-        n = np.maximum(k, 1)  # an empty bin's S1 is 0
-        spread = np.sqrt(np.maximum(s2 - s1 * s1 / n, 0.0))
-        a = np.sqrt(k) * z1
-        b = s1 / np.sqrt(n) * z1 + (k >= 2) * spread * z2
-        c = (k >= 1) * z1 * z1 + (k >= 2) * z2 * z2 + chi2
-        d1, d2 = sigma * a, (2.0 * sigma) * b + sigma * sigma * c
+        gram = np.empty((*s1.shape, 2, 2))
+        gram[..., 0, 0] = k[:, None]
+        gram[..., 0, 1] = gram[..., 1, 0] = s1
+        gram[..., 1, 1] = np.stack([self.s2[1], self.s2[0] - self.s2[1]])
+        zx, zz = _gaussian_sums(gram, gram[..., 0, 0], 1, rng)
+        d1 = sigma * zx[..., 0, 0]
+        d2 = (2.0 * sigma) * zx[..., 0, 1] + (sigma * sigma) * zz[..., 0, 0]
         # rows: all = click + no-click, then click; the noise adds no row
         self._add(np.zeros((2, 1), dtype=int),
                   np.stack([d1[0] + d1[1], d1[0]]),
@@ -437,20 +501,28 @@ def _calibration_eta(cfg: ExperimentConfig, mu: float,
     return eta
 
 
+# shots per calibration batch, 4 x the shot path's `shots.BATCH_SIZE`: a
+# batch's per-bin draws and sums are a fixed cost of small numpy calls that
+# hold the GIL, which at 4,096 shots kept two workers from gaining
+CALIBRATION_BATCH = 4 * shots.BATCH_SIZE
+
+
 def _binned_batch(cfg: ExperimentConfig, template: XpsTemplate,
                   basis: np.ndarray, rng: np.random.Generator,
                   m: int) -> RunningMoments:
     """Generate one calibration batch and sum it, both on the thread that
     runs this; only the sums leave it.
 
-    The batch's noise-free shots are summed from their coefficients on the
-    campaign's basis, about the batch's own first shot, so no row is
-    formed; their white phase noise enters the sums through
-    `RunningMoments.add_white_noise`, drawn from the batch's stream after
-    the coefficients."""
-    coeffs, clicks, _ = shots._noise_free_coefficients(cfg, template, rng, m)
+    The batch draws each shot's clicks and known coefficients
+    (`shots._calibration_coefficients`) and sums them on `basis`
+    (`shots._calibration_basis`) about its own first shot, with the drift
+    and the oscillation's own g drawn as exact per-bin sums, so no row is
+    formed; the white phase noise enters the sums through
+    `RunningMoments.add_white_noise`.  All of it is drawn from the batch's
+    stream, in that order."""
+    known, clicks = shots._calibration_coefficients(cfg, template, rng, m)
     stats = RunningMoments(basis.shape[1])
-    stats.add_batch(coeffs, clicks, basis)
+    stats.add_batch(known, clicks, basis, rng)
     stats.add_white_noise(cfg.phase_noise_rms, rng)
     return stats
 
@@ -460,17 +532,18 @@ def run_calibration(cfg: ExperimentConfig, photon_numbers, n_shots: int,
                     workers: int = 1) -> dict:
     """Bright campaigns at each photon number; fits e(mu) = 1 + s^2 mu.
 
-    Point i is campaign i of `seed`, `n_shots` shots in batches keyed as
-    `shots.iter_batches` keys them.  Each batch's noise-free shots are
-    summed by `RunningMoments.add_batch` from their coefficients on the
-    campaign's basis, and their white phase noise enters through exact
-    per-bin sums (`RunningMoments.add_white_noise`), so no batch forms a
-    row of 36 samples per shot or draws 36 normals per shot.  All points'
-    batches go through one pool (`shots._ordered_map`), point after point:
-    each batch is generated and summed about its own first row on one
-    thread, and the calling thread merges the sums in batch order with an
-    exact re-centring (`RunningMoments.merge`) and fits each point as its
-    last batch comes in, so the result is the same at any worker count.
+    Point i is campaign i of `seed`, `n_shots` shots in batches of
+    `CALIBRATION_BATCH`, each batch keyed by (seed, i, batch index) as
+    `shots.iter_batches` keys its own.  Each batch is generated and summed
+    by `_binned_batch`, which forms no row of 36 samples per shot and
+    draws no 36 normals per shot.  The points differ only in
+    `mean_photons` and `eta_detect`, so they share one template and one
+    basis.  All points' batches go through one pool
+    (`shots._ordered_map`), point after point: each batch is generated
+    and summed about its own first row on one thread, and the calling
+    thread merges the sums in batch order with an exact re-centring
+    (`RunningMoments.merge`) and fits each point as its last batch comes
+    in, so the result is the same at any worker count.
 
     A point whose phi_0 is under 5 sigma raises DataFormatError."""
     # every point's config first, so a bad point fails before any campaign
@@ -480,16 +553,18 @@ def run_calibration(cfg: ExperimentConfig, photon_numbers, n_shots: int,
                             eta_detect=_calibration_eta(cfg, mu, target_click))
                 for mu in photon_numbers]
     shots._check_campaign(n_shots, seed)
-    templates = [shots.xps_template(c) for c in cal_cfgs]
+    template = shots.xps_template(cfg)
+    basis = shots._calibration_basis(cfg, template)
 
     jobs = itertools.chain.from_iterable(
-        shots._campaign_jobs(cal_cfg, template, n_shots, seed, campaign=i)
-        for i, (cal_cfg, template) in enumerate(zip(cal_cfgs, templates)))
-    n_batches = len(range(0, n_shots, shots.BATCH_SIZE))
+        shots._campaign_jobs(cal_cfg, template, basis, n_shots, seed,
+                             campaign=i, batch_size=CALIBRATION_BATCH)
+        for i, cal_cfg in enumerate(cal_cfgs))
+    n_batches = len(range(0, n_shots, CALIBRATION_BATCH))
     points = []
     with contextlib.closing(
             shots._ordered_map(_binned_batch, jobs, workers)) as sums:
-        for mu, cal_cfg, template in zip(photon_numbers, cal_cfgs, templates):
+        for mu, cal_cfg in zip(photon_numbers, cal_cfgs):
             total = RunningMoments(cal_cfg.n_samples)
             for stats in itertools.islice(sums, n_batches):
                 total.merge(stats)

@@ -46,6 +46,10 @@ __all__ = [
 # `shotfile.BATCH_SIZE`.
 BATCH_SIZE = shotfile.BATCH_SIZE
 
+# numpy's largest Poisson mean (`Generator.poisson` raises above it)
+_POISSON_LAM_MAX = (np.iinfo(np.int64).max
+                    - 10.0 * np.sqrt(np.iinfo(np.int64).max))
+
 # phi_0 anchor: -20.0 urad per photon at a probe detuning of -2*pi*5.6 MHz
 _ANCHOR_PHI0 = -20.0e-6
 _ANCHOR_DETUNING = -2.0 * np.pi * 5.6e6
@@ -115,6 +119,14 @@ class ExperimentConfig:
             raise ConfigError("drift must hold 4 coefficient scales")
         if self.prop_noise_s < 0:
             raise ConfigError("prop_noise_s must be >= 0")
+        # a shot's Poisson mean is mean_photons * (1 + eps), with eps the
+        # shared fluctuation of rms prop_noise_s; 10 rms never occurs
+        peak = self.mean_photons * (1.0 + 10.0 * self.prop_noise_s)
+        if peak > _POISSON_LAM_MAX:
+            raise ConfigError(
+                f"mean_photons * (1 + 10 * prop_noise_s) must be at most "
+                f"{_POISSON_LAM_MAX:.6g}, numpy's largest Poisson mean; "
+                f"mean_photons = {self.mean_photons:g} gives {peak:.6g}")
         if not 0.0 <= self.tauT_frac * self.p_transmit < 1.0:
             raise ConfigError("tauT_frac * p_transmit must be in [0, 1)")
         if self.tauL_frac < 0:
@@ -268,6 +280,19 @@ def _basis(cfg: ExperimentConfig, template: XpsTemplate) -> np.ndarray:
     return np.concatenate(rows)
 
 
+def _calibration_basis(cfg: ExperimentConfig,
+                       template: XpsTemplate) -> np.ndarray:
+    """The rows of a calibration batch's sums (`_calibration_coefficients`):
+    first the shapes of its q iid standard normal coefficients, scaled by
+    their rms (the 4 cubic drift rows, and the oscillation row for its own
+    g when `osc_amplitude` is not 0), then the shapes of its known
+    columns (the oscillation row for its part A * kappa * eps, and the
+    template row)."""
+    basis = _basis(cfg, template)
+    scales = np.append(cfg.drift, cfg.osc_amplitude)[:len(basis) - 1]
+    return np.concatenate([basis[:-1] * scales[:, None], basis[4:]])
+
+
 # per-thread (BATCH_SIZE, n_samples) buffer for the full-size terms that
 # `_noise_free_batch` and `_generate_batch` add into a shot campaign's
 # phases (a calibration batch forms no rows, so only the shot path uses
@@ -285,6 +310,21 @@ def _scratch_rows(m: int, n_samples: int) -> np.ndarray:
     return buf[:m]
 
 
+def _fluctuated(cfg: ExperimentConfig, eps: np.ndarray):
+    """(lam, p_t): each shot's mean photon number and transmission
+    probability under its shared fluctuation eps."""
+    lam = np.clip(cfg.mean_photons * (1.0 + eps), 0.0, None)
+    p_t = np.clip(cfg.p_transmit ** (1.0 + cfg.od_coupling * eps), 0.0, 1.0)
+    return lam, p_t
+
+
+def _dwell(cfg: ExperimentConfig, n_lost, n_t):
+    """Injected dwell (s) of shots with these lost and transmitted photon
+    counts."""
+    return (n_lost * (cfg.tauL_frac * cfg.tau_sp)
+            + n_t * (cfg.tauT_frac * tau0_per_photon(cfg)))
+
+
 def _noise_free_coefficients(cfg: ExperimentConfig, template: XpsTemplate,
                              rng: np.random.Generator, m: int):
     """m shots without their white phase noise, as the coefficients of
@@ -295,16 +335,13 @@ def _noise_free_coefficients(cfg: ExperimentConfig, template: XpsTemplate,
     coefficients, the oscillation amplitude when there is one, and
     phi_atom * dwell / area; counts is (n, n_t, n_det, dwell)."""
     eps = cfg.prop_noise_s * rng.standard_normal(m)
-    lam = np.clip(cfg.mean_photons * (1.0 + eps), 0.0, None)
+    lam, p_t = _fluctuated(cfg, eps)
     n = rng.poisson(lam)
-    p_t = np.clip(cfg.p_transmit ** (1.0 + cfg.od_coupling * eps), 0.0, 1.0)
     n_t = rng.binomial(n, p_t)
     n_det = rng.binomial(n_t, cfg.eta_detect)
     dark = rng.random(m) < cfg.dark_prob
     clicks = (n_det > 0) | dark
-
-    tau0 = tau0_per_photon(cfg)
-    dwell = (n - n_t) * (cfg.tauL_frac * cfg.tau_sp) + n_t * (cfg.tauT_frac * tau0)
+    dwell = _dwell(cfg, n - n_t, n_t)
 
     k = 6 if cfg.osc_amplitude != 0.0 else 5
     coeffs = np.empty((m, k))
@@ -315,6 +352,44 @@ def _noise_free_coefficients(cfg: ExperimentConfig, template: XpsTemplate,
         coeffs[:, 4] = cfg.osc_amplitude * (g + cfg.osc_eps_coupling * eps)
     coeffs[:, -1] = cfg.phi_atom * dwell / template.area
     return coeffs, clicks, (n, n_t, n_det, dwell)
+
+
+def _calibration_coefficients(cfg: ExperimentConfig, template: XpsTemplate,
+                              rng: np.random.Generator, m: int):
+    """m calibration shots as their clicks and the known columns of their
+    coefficients on `_calibration_basis`; the normal columns (the drift
+    and the oscillation's own g) are left to exact per-bin sums.
+
+    Given eps, the lost, transmitted-undetected and detected photons are
+    independent Poissons of means lam (1 - p_t), lam p_t (1 - eta) and
+    lam p_t eta: the law of `_noise_free_coefficients`' Poisson and two
+    binomials, drawn without the binomials.
+
+    Returns (known, clicks): known is (m, p), the oscillation's
+    A * kappa * eps when `osc_amplitude` is not 0, then phi_atom * dwell
+    / area."""
+    eps = cfg.prop_noise_s * rng.standard_normal(m)
+    lam, p_t = _fluctuated(cfg, eps)
+    # the means are scaled in place, so a batch holds few m-long arrays
+    mean = np.subtract(1.0, p_t)
+    n_lost = rng.poisson(np.multiply(mean, lam, out=mean))
+    lam *= p_t
+    del p_t
+    n_det = rng.poisson(np.multiply(lam, cfg.eta_detect, out=mean))
+    del mean
+    n_t = rng.poisson(np.multiply(lam, 1.0 - cfg.eta_detect, out=lam))
+    del lam
+    clicks = (n_det > 0) | (rng.random(m) < cfg.dark_prob)
+    n_t += n_det
+    del n_det
+    known = np.empty((m, 2 if cfg.osc_amplitude != 0.0 else 1))
+    if cfg.osc_amplitude != 0.0:
+        np.multiply(eps, cfg.osc_amplitude * cfg.osc_eps_coupling,
+                    out=known[:, 0])
+    del eps
+    known[:, -1] = _dwell(cfg, n_lost, n_t)
+    known[:, -1] *= cfg.phi_atom / template.area
+    return known, clicks
 
 
 def _noise_free_batch(cfg: ExperimentConfig, template: XpsTemplate,
@@ -366,15 +441,15 @@ def _check_campaign(n_shots: int, seed: int):
 
 
 def _campaign_jobs(cfg: ExperimentConfig, template: XpsTemplate,
-                   n_shots: int, seed: int, campaign: int):
+                   basis: np.ndarray, n_shots: int, seed: int, campaign: int,
+                   batch_size: int = BATCH_SIZE):
     """The arguments (cfg, template, basis, rng, m) of `_generate_batch`
-    and `estimator._binned_batch` for each batch of a campaign, made as
-    they are asked for, so that a long campaign holds no list of streams;
-    every batch shares the campaign's one `_basis`."""
-    basis = _basis(cfg, template)
-    for b, start in enumerate(range(0, n_shots, BATCH_SIZE)):
+    and `estimator._binned_batch` for each batch of `batch_size` shots of
+    a campaign, made as they are asked for, so that a long campaign holds
+    no list of streams; every batch shares the one `basis`."""
+    for b, start in enumerate(range(0, n_shots, batch_size)):
         yield (cfg, template, basis, _batch_rng(seed, campaign, b),
-               min(BATCH_SIZE, n_shots - start))
+               min(batch_size, n_shots - start))
 
 
 def _ordered_map(fn, jobs, workers: int):
@@ -412,8 +487,10 @@ def iter_batches(cfg: ExperimentConfig, n_shots: int, seed: int,
     order, so the output is the same at any worker count.
     """
     _check_campaign(n_shots, seed)
+    template = xps_template(cfg)
     yield from _ordered_map(_generate_batch, _campaign_jobs(
-        cfg, xps_template(cfg), n_shots, seed, campaign=0), workers)
+        cfg, template, _basis(cfg, template), n_shots, seed, campaign=0),
+        workers)
 
 
 def run_campaign(cfg: ExperimentConfig, n_shots: int, seed: int, out_path,

@@ -29,8 +29,10 @@ from xdwell import (
 )
 from xdwell import shotfile, shots
 from xdwell.estimator import (
+    CALIBRATION_BATCH,
     FitResult,
     RunningMoments,
+    _binned_batch,
     _calibration_eta,
     _finish,
     _ratio,
@@ -292,22 +294,16 @@ BOOSTED = CFG.replace(phi_atom=50 * CFG.phi_atom)
 
 
 def point_sums(cal_cfg, n_shots, seed, campaign):
-    """One calibration point's sums as a serial chain of per-batch sums:
-    each batch's noise-free shots summed from their coefficients about its
-    own first shot, then its white noise drawn from the rest of the
-    batch's stream."""
+    """One calibration point's sums as a serial chain of `_binned_batch`
+    sums, one per batch of `CALIBRATION_BATCH` shots, with the point's own
+    template and basis."""
     template = xps_template(cal_cfg)
-    basis = shots._basis(cal_cfg, template)
+    basis = shots._calibration_basis(cal_cfg, template)
     total = RunningMoments(N)
-    for b, start in enumerate(range(0, n_shots, shots.BATCH_SIZE)):
-        rng = shots._batch_rng(seed, campaign, b)
-        m = min(shots.BATCH_SIZE, n_shots - start)
-        coeffs, clicks, _ = shots._noise_free_coefficients(cal_cfg, template,
-                                                           rng, m)
-        stats = RunningMoments(N)
-        stats.add_batch(coeffs, clicks, basis)
-        stats.add_white_noise(cal_cfg.phase_noise_rms, rng)
-        total.merge(stats)
+    for b, start in enumerate(range(0, n_shots, CALIBRATION_BATCH)):
+        total.merge(_binned_batch(cal_cfg, template, basis,
+                                  shots._batch_rng(seed, campaign, b),
+                                  min(CALIBRATION_BATCH, n_shots - start)))
     return total
 
 
@@ -337,7 +333,7 @@ class TestCalibrationPipeline:
         # bit for bit, with a short last batch per point and threads that
         # switch often: the per-batch sums are formed and added in the
         # serial chain's order whatever order the batches finish in
-        n_shots = 3 * shots.BATCH_SIZE + 1000
+        n_shots = 3 * CALIBRATION_BATCH + 1000
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -352,7 +348,7 @@ class TestCalibrationPipeline:
         # a slow consumer holds the pool to 2 * workers batches ahead of the
         # sums it has added, also while it fits a point and the next point
         # starts
-        real_generate, real_merge = (shots._noise_free_coefficients,
+        real_generate, real_merge = (shots._calibration_coefficients,
                                      RunningMoments.merge)
         generated = itertools.count(1)
         merged = 0
@@ -367,9 +363,9 @@ class TestCalibrationPipeline:
             real_merge(self, other)
             merged += 1
 
-        monkeypatch.setattr(shots, "_noise_free_coefficients", generate)
+        monkeypatch.setattr(shots, "_calibration_coefficients", generate)
         monkeypatch.setattr(RunningMoments, "merge", merge)
-        run_calibration(BOOSTED, CAL_PHOTONS, 3 * shots.BATCH_SIZE, seed=5,
+        run_calibration(BOOSTED, CAL_PHOTONS, 3 * CALIBRATION_BATCH, seed=5,
                         workers=workers)
         assert next(generated) - 1 == merged == 12
 
@@ -378,19 +374,19 @@ class TestCalibrationPipeline:
     def test_batch_failure_raises(self, monkeypatch, key, workers):
         # a failed batch, the first of point 1 or the second of point 2,
         # reaches the caller, and no batch in flight with it hangs the run
-        real = shots._noise_free_coefficients
+        real = shots._calibration_coefficients
 
         def fail_one(cfg, template, rng, m):
             if rng.bit_generator.seed_seq.spawn_key == key:
                 raise RuntimeError("batch failed")
             return real(cfg, template, rng, m)
 
-        monkeypatch.setattr(shots, "_noise_free_coefficients", fail_one)
+        monkeypatch.setattr(shots, "_calibration_coefficients", fail_one)
         raised = []
 
         def calibrate():
             with pytest.raises(RuntimeError) as exc:
-                run_calibration(BOOSTED, CAL_PHOTONS, 3 * shots.BATCH_SIZE,
+                run_calibration(BOOSTED, CAL_PHOTONS, 3 * CALIBRATION_BATCH,
                                 seed=5, workers=workers)
             raised.append(str(exc.value))
 
@@ -401,9 +397,9 @@ class TestCalibrationPipeline:
         assert raised == ["batch failed"]
 
     def test_one_shot_last_batch(self):
-        # n_shots = 1 mod BATCH_SIZE: each point's last batch holds one
-        # shot, so one of its bins has one row and the other none
-        n_shots = 2 * shots.BATCH_SIZE + 1
+        # n_shots = 1 mod CALIBRATION_BATCH: each point's last batch holds
+        # one shot, so one of its bins has one row and the other none
+        n_shots = 2 * CALIBRATION_BATCH + 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = run_calibration(BOOSTED, CAL_PHOTONS, n_shots, seed=3,
@@ -551,7 +547,9 @@ class TestCoefficientSums:
         rows.shift = phases[0].copy() if shift is None else shift.copy()
         summed.shift = None if shift is None else shift.copy()
         rows.add_batch(phases, clicks)
-        summed.add_batch(coeffs, coeff_clicks, basis)
+        # every coefficient is known (q = 0), so nothing is drawn
+        summed.add_batch(coeffs, coeff_clicks, basis,
+                         np.random.default_rng(0))
         return rows, summed
 
     @pytest.mark.parametrize("shift", [None, 0.01], ids=["first row",
@@ -574,6 +572,77 @@ class TestCoefficientSums:
                               (summed.s1, rows.s1), (summed.s2, rows.s2)):
                 np.testing.assert_allclose(
                     got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+class TestCalibrationBatch:
+    # `_binned_batch`, which draws split-Poisson counts and sums the drift,
+    # the oscillation's own g and the white noise as exact per-bin draws,
+    # against add_batch on the rows of `shots._generate_batch`
+
+    def test_sums_match_per_shot_path(self):
+        # every bin's S1 and S2 at every sample, over 2,000 batches of 64
+        # rows on each path, from streams apart: the 3 x 144 two-sample KS
+        # p-values are uniform
+        n_batches, m = 2000, 64
+        p_values = []
+        for cfg in TestWhiteNoiseSums.CONFIGS.values():
+            template = xps_template(cfg)
+            basis = shots._basis(cfg, template)
+            cal_basis = shots._calibration_basis(cfg, template)
+            direct, summed = [], []
+            for b in range(n_batches):
+                direct.append(bin_sums(zero_shift_sums(*shots._generate_batch(
+                    cfg, template, basis, shots._batch_rng(22, 0, b), m)[:2])))
+                moments = RunningMoments(N)
+                moments.shift = np.zeros(N)
+                moments.merge(_binned_batch(cfg, template, cal_basis,
+                                            shots._batch_rng(22, 1, b), m))
+                summed.append(bin_sums(moments))
+            p_values.append(ks_p_values(np.array(direct), np.array(summed)))
+        p_values = np.concatenate(p_values)
+        assert p_values.size == 3 * 4 * N
+        assert stats.kstest(p_values, "uniform").pvalue > 0.01
+        assert np.mean(p_values < 0.01) < 0.03
+
+    @pytest.mark.parametrize("clicks", [[True], [True, False, True],
+                                        [True] * 6 + [False] * 2,
+                                        [True] * 9 + [False] * 12],
+                             ids=["bins 1 and 0", "bins 2 and 1",
+                                  "bins q+1 and 2", "bins 9 and 12"])
+    def test_small_bins_exact(self, clicks):
+        # fixed known coefficients of 0, 1, 2 and q + 1 = 6 rows per bin,
+        # fewer than the 3 columns of [1, y] or than the q = 5 normal ones,
+        # and of 9 and 12 rows, enough for the full Bartlett factor: the
+        # sums' distribution over 4,000 draws against the rows with their
+        # normal coefficients drawn per row.  Unlike the configs above, the
+        # unit-scale normal and known coefficients here weigh alike in S2
+        q, draws = 5, 4000
+        clicks = np.array(clicks)
+        rng = np.random.default_rng(7)
+        basis = rng.standard_normal((q + 2, 3))
+        known = rng.standard_normal((clicks.size, 2))
+        direct = np.array([bin_sums(zero_shift_sums(
+            rng.standard_normal((clicks.size, q)) @ basis[:q]
+            + known @ basis[q:], clicks)) for _ in range(draws)])
+        summed = []
+        for _ in range(draws):
+            moments = RunningMoments(3)
+            moments.shift = np.zeros(3)
+            moments.add_batch(known, clicks, basis, rng)
+            summed.append(bin_sums(moments))
+        summed = np.array(summed)
+        assert np.all(np.isfinite(summed))
+        assert ks_p_values(direct, summed).min() > 1e-3
+        for k, s1, s2 in ((clicks.sum(), summed[:, 0], summed[:, 1]),
+                          ((~clicks).sum(), summed[:, 2], summed[:, 3])):
+            if k == 0:  # an empty bin gets nothing
+                assert np.all(s1 == 0.0) and np.all(s2 == 0.0)
+            if k == 1:  # one row's S2 stays the square of its S1 (S2 is
+                # a sum of 49 Gram terms of up to about 10, which round at
+                # about 1e-14)
+                np.testing.assert_allclose(s2, s1 * s1, rtol=1e-12,
+                                           atol=1e-12)
+            assert np.all(s2 - s1 * s1 / max(k, 1) >= -1e-12)
 
 
 class TestCorrection:

@@ -16,7 +16,8 @@ import xdwell
 from xdwell import ConfigError, DataFormatError, ExperimentConfig, cli
 from xdwell import shotfile, shots
 from xdwell.errors import ConvergenceError, XdwellError
-from xdwell.estimator import FitResult, correct_phi_T, run_calibration
+from xdwell.estimator import (CALIBRATION_BATCH, FitResult, correct_phi_T,
+                              run_calibration)
 from xdwell.medium import propagate_spectral
 from xdwell.shots import run_campaign
 
@@ -584,15 +585,15 @@ class TestCli:
         # three batches per point, so the sums merge across batches
         cfg = write_config(tmp_path / "c.ini", BOOSTED_INI.replace(
             "[calibrate]\nn_shots = 5000",
-            f"[calibrate]\nn_shots = {2 * shots.BATCH_SIZE + 100}"))
+            f"[calibrate]\nn_shots = {2 * CALIBRATION_BATCH + 100}"))
         written = []
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             out = tmp_path / f"w{workers}"
             assert cli.main(["calibrate", "--config", cfg, "--seed", "2",
                              "--workers", str(workers),
                              "--out", str(out)]) == 0
             written.append((out / "calibration.json").read_bytes())
-        assert written[0] == written[1]
+        assert written[0] == written[1] == written[2]
         result = json.loads(written[0])
         assert [p["mean_photons"] for p in result["points"]] == [
             588, 898, 1527, 3040]
@@ -878,6 +879,22 @@ class TestCli:
         assert cli.main(["calibrate", "--config", cfg, "--workers",
                          str(workers), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command,text", [
+        ("simulate", "[experiment]\nmean_photons = 1e19\n"),
+        ("calibrate", "[experiment]\n[calibrate]\n"
+                      "photon_numbers = 1e19,2e19,3e19,4e19\n"),
+    ])
+    def test_photon_number_past_poisson_limit_exit_2(self, tmp_path, capsys,
+                                                     command, text):
+        # numpy's Poisson takes means up to about 9.2e18: a larger one
+        # exits 2 naming mean_photons, not with numpy's traceback
+        cfg = write_config(tmp_path / "c.ini", text)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "mean_photons" in err and "Traceback" not in err
+
     def test_calibrate_unresolved_phi0_exit_3(self, tmp_path):
         # at 5,000 shots with 0.5 rad of white phase noise, phi_0 of the
         # 588-photon point is expected at 2.0 sigma (mean over 40 seeds;
@@ -894,7 +911,7 @@ class TestCli:
         def no_batch(*a, **k):
             raise RuntimeError("run_calibration generated a batch")
 
-        monkeypatch.setattr(shots, "_noise_free_coefficients", no_batch)
+        monkeypatch.setattr(shots, "_calibration_coefficients", no_batch)
         with pytest.raises(ConfigError, match="photon_numbers"):
             run_calibration(ExperimentConfig(), [588, 898, 1527], 5000, seed=0)
 

@@ -269,8 +269,10 @@ class TestDeterminism:
         cfg = ExperimentConfig()
 
         def batches(n_shots, seed, campaign):
-            jobs = shots._campaign_jobs(cfg, xps_template(cfg), n_shots, seed,
-                                        campaign)
+            template = xps_template(cfg)
+            jobs = shots._campaign_jobs(cfg, template,
+                                        shots._basis(cfg, template), n_shots,
+                                        seed, campaign)
             return [shots._generate_batch(*job) for job in jobs]
 
         [big] = batches(BATCH_SIZE, seed=2**32 + 5, campaign=2)
